@@ -999,13 +999,14 @@ pub(crate) fn encode_study(key: u64, study: &Characterization) -> Vec<u8> {
     e.u32(CACHE_SCHEMA_VERSION);
     e.u64(key);
     e.u64(study.digest());
-    e.usize(study.profiles.len());
-    for p in &study.profiles {
+    e.usize(study.profiles().len());
+    for p in study.profiles() {
         encode_profile(&mut e, p);
     }
-    e.usize(study.report.units_requested);
-    e.usize(study.report.failed_units.len());
-    for f in &study.report.failed_units {
+    let report = study.report();
+    e.usize(report.units_requested);
+    e.usize(report.failed_units.len());
+    for f in &report.failed_units {
         e.str(&f.name);
         e.str(&f.error);
     }
@@ -1130,13 +1131,15 @@ pub(crate) fn decode_study(expected_key: u64, bytes: &[u8]) -> Option<Characteri
     if !d.done() {
         return None;
     }
-    let study = Characterization {
+    let study = Characterization::new(
         profiles,
-        report: DegradationReport {
+        DegradationReport {
             units_requested,
             failed_units,
         },
-    };
+    );
+    // Recomputed from the decoded content, never copied from the header:
+    // this fills the memo with a verified value.
     (study.digest() == stored_digest).then_some(study)
 }
 
@@ -1371,19 +1374,19 @@ mod tests {
                 outliers_rejected: 2,
             },
         };
-        Characterization {
-            profiles: vec![
+        Characterization::new(
+            vec![
                 profile("Unit A", Suite::Antutu, ClusterLabel::Mixed),
                 profile("Unit B", Suite::GfxBench, ClusterLabel::IntenseGraphics),
             ],
-            report: DegradationReport {
+            DegradationReport {
                 units_requested: 3,
                 failed_units: vec![FailedUnit {
                     name: "Unit C".to_owned(),
                     error: "capture of 'Unit C' exhausted".to_owned(),
                 }],
             },
-        }
+        )
     }
 
     fn tiny_sweep() -> ValidationSweep {
@@ -1416,8 +1419,8 @@ mod tests {
         let bytes = encode_study(key, &study);
         let back = decode_study(key, &bytes).expect("well-formed entry decodes");
         assert_eq!(back.digest(), study.digest());
-        assert_eq!(back.report, study.report);
-        assert_eq!(back.profiles.len(), study.profiles.len());
+        assert_eq!(back.report(), study.report());
+        assert_eq!(back.profiles().len(), study.profiles().len());
     }
 
     #[test]
@@ -1433,6 +1436,78 @@ mod tests {
                 "flip at byte {i} went undetected"
             );
         }
+    }
+
+    /// [`tiny_study`] with its NaN gaps filled: NaN never equals itself,
+    /// so equality tests need finite samples.
+    fn finite_study() -> Characterization {
+        let study = tiny_study();
+        let mut profiles = study.profiles().to_vec();
+        for p in &mut profiles {
+            for series in [&mut p.series.cpu_load, &mut p.series.ipc] {
+                for v in series.values.iter_mut().filter(|v| v.is_nan()) {
+                    *v = 0.0;
+                }
+            }
+        }
+        Characterization::new(profiles, study.report().clone())
+    }
+
+    /// The digest of a fresh study built from the same parts, so no memo
+    /// can answer.
+    fn recomputed_digest(study: &Characterization) -> u64 {
+        Characterization::new(study.profiles().to_vec(), study.report().clone()).digest()
+    }
+
+    #[test]
+    fn equality_ignores_whether_either_side_was_hashed() {
+        let key = 7;
+        let study = finite_study();
+        let unhashed_clone = study.clone();
+        assert_eq!(study, unhashed_clone, "neither side hashed");
+        // Decoding verifies the stored digest, which hashes the copy.
+        let decoded = decode_study(key, &encode_study(key, &finite_study())).expect("decodes");
+        assert_eq!(study, decoded, "only the decoded side hashed");
+        assert_eq!(decoded, study);
+        study.digest();
+        let hashed_clone = study.clone();
+        assert_eq!(hashed_clone, unhashed_clone, "only the clone hashed");
+        assert_eq!(study, decoded, "both sides hashed");
+        assert_eq!(hashed_clone.digest(), unhashed_clone.digest());
+    }
+
+    #[test]
+    fn decoded_digest_equals_a_fresh_recompute() {
+        let key = 9;
+        for study in [tiny_study(), finite_study()] {
+            let decoded = decode_study(key, &encode_study(key, &study)).expect("decodes");
+            assert_eq!(decoded.digest(), recomputed_digest(&study));
+            assert_eq!(decoded.digest(), recomputed_digest(&decoded));
+        }
+    }
+
+    #[test]
+    fn concurrent_first_digests_agree() {
+        let study = Arc::new(tiny_study());
+        let expected = recomputed_digest(&study);
+        let start = std::sync::Barrier::new(8);
+        let digests: Vec<u64> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    let study = Arc::clone(&study);
+                    let start = &start;
+                    s.spawn(move || {
+                        start.wait();
+                        study.digest()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("digest thread"))
+                .collect()
+        });
+        assert_eq!(digests, vec![expected; 8]);
     }
 
     #[test]
@@ -1555,10 +1630,10 @@ mod tests {
     fn unit_artifact_roundtrip_both_variants() {
         let study = tiny_study();
         let key = 0xabcd;
-        let profiled = UnitArtifact::Profiled(Arc::new(study.profiles[0].clone()));
+        let profiled = UnitArtifact::Profiled(Arc::new(study.profiles()[0].clone()));
         let bytes = encode_unit(key, &profiled);
         match decode_unit(key, &bytes).expect("profiled artifact decodes") {
-            UnitArtifact::Profiled(p) => assert_eq!(p.digest(), study.profiles[0].digest()),
+            UnitArtifact::Profiled(p) => assert_eq!(p.digest(), study.profiles()[0].digest()),
             UnitArtifact::Failed(e) => panic!("decoded as failure: {e}"),
         }
         let failed = UnitArtifact::Failed("capture of 'Unit A' exhausted".to_owned());
@@ -1575,7 +1650,7 @@ mod tests {
         let study = tiny_study();
         let key = 17;
         for artifact in [
-            UnitArtifact::Profiled(Arc::new(study.profiles[1].clone())),
+            UnitArtifact::Profiled(Arc::new(study.profiles()[1].clone())),
             UnitArtifact::Failed("boom".to_owned()),
         ] {
             let bytes = encode_unit(key, &artifact);
@@ -1597,7 +1672,7 @@ mod tests {
         let study = tiny_study();
         let key = 0xbeef;
         assert!(cache.unit_artifact(key).is_none(), "cold lookup misses");
-        let artifact = UnitArtifact::Profiled(Arc::new(study.profiles[0].clone()));
+        let artifact = UnitArtifact::Profiled(Arc::new(study.profiles()[0].clone()));
         cache.store_unit_artifact(key, &artifact);
         assert!(cache.unit_artifact(key).is_some(), "memory hit");
 
@@ -1641,8 +1716,8 @@ mod tests {
         let tmp = TempDir::new();
         let cache = std::sync::Arc::new(StudyCache::with_dir(&tmp.0));
         let study_a = tiny_study();
-        let mut study_b = tiny_study();
-        study_b.profiles.pop();
+        let study_b =
+            Characterization::new(study_a.profiles()[..1].to_vec(), study_a.report().clone());
         let key = 0x5eed;
         let digests = [study_a.digest(), study_b.digest()];
 

@@ -207,13 +207,13 @@ mod tests {
 
     #[test]
     fn empty_study_is_a_typed_error_not_a_panic() {
-        let empty = Characterization {
-            profiles: Vec::new(),
-            report: DegradationReport {
+        let empty = Characterization::new(
+            Vec::new(),
+            DegradationReport {
                 units_requested: 18,
                 failed_units: Vec::new(),
             },
-        };
+        );
         for result in [
             fig1_matrix(&empty),
             clustering_matrix_raw(&empty),

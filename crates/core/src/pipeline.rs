@@ -3,6 +3,8 @@
 //! quorum-merge surviving runs, and degrade gracefully instead of
 //! aborting.
 
+use std::sync::OnceLock;
+
 use mwc_profiler::capture::{Profiler, SeriesKey, SeriesMap, PAPER_RUNS};
 use mwc_profiler::derive::BenchmarkMetrics;
 use mwc_profiler::faults::{CaptureError, CaptureHealth, FaultConfig};
@@ -111,13 +113,35 @@ impl DegradationReport {
 
 /// The full study: one profile per characterization unit that survived,
 /// plus a degradation report for the ones that did not.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A study is immutable once built, so its [`Characterization::digest`]
+/// is computed at most once: the first call fills a memo that clones
+/// carry and every later call reads.
+#[derive(Debug, Clone)]
 pub struct Characterization {
-    pub(crate) profiles: Vec<UnitProfile>,
-    pub(crate) report: DegradationReport,
+    profiles: Vec<UnitProfile>,
+    report: DegradationReport,
+    digest: OnceLock<u64>,
+}
+
+/// Equality of content: whether either side has been hashed yet does not
+/// matter.
+impl PartialEq for Characterization {
+    fn eq(&self, other: &Self) -> bool {
+        self.profiles == other.profiles && self.report == other.report
+    }
 }
 
 impl Characterization {
+    /// A study from its parts; the digest is computed on first use.
+    pub(crate) fn new(profiles: Vec<UnitProfile>, report: DegradationReport) -> Self {
+        Characterization {
+            profiles,
+            report,
+            digest: OnceLock::new(),
+        }
+    }
+
     /// Run the complete study on the paper's platform (Snapdragon 888,
     /// Table II) with the paper's three-run protocol and the default seed.
     pub fn run_default() -> Self {
@@ -226,18 +250,23 @@ impl Characterization {
     /// report. Two studies are bit-identical iff their digests match —
     /// which is how the observability-neutrality checks compare a traced
     /// run against an untraced one without serializing whole studies.
+    ///
+    /// The first call hashes every series; later calls, on this study or
+    /// any clone made after it, return the memo.
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write_usize(self.profiles.len());
-        for p in &self.profiles {
-            digest_profile_into(&mut h, p);
-        }
-        h.write_usize(self.report.units_requested);
-        for f in &self.report.failed_units {
-            h.write_str(&f.name);
-            h.write_str(&f.error);
-        }
-        h.finish()
+        *self.digest.get_or_init(|| {
+            let mut h = Fnv1a::new();
+            h.write_usize(self.profiles.len());
+            for p in &self.profiles {
+                digest_profile_into(&mut h, p);
+            }
+            h.write_usize(self.report.units_requested);
+            for f in &self.report.failed_units {
+                h.write_str(&f.name);
+                h.write_str(&f.error);
+            }
+            h.finish()
+        })
     }
 }
 
@@ -493,6 +522,20 @@ mod tests {
         let a = Characterization::run(SocConfig::snapdragon_888(), 9, 1);
         let b = Characterization::run(SocConfig::snapdragon_888(), 9, 1);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn digest_is_lazy_and_clones_carry_it() {
+        let mut spec = StudySpec::paper_default().with_units(["Antutu CPU"]);
+        spec.runs = 1;
+        let study = Characterization::try_run_spec(&spec).expect("one-unit study runs");
+        assert!(
+            study.digest.get().is_none(),
+            "an uncached study is not hashed"
+        );
+        let digest = study.digest();
+        assert_eq!(study.digest.get(), Some(&digest));
+        assert_eq!(study.clone().digest.get(), Some(&digest));
     }
 
     #[test]

@@ -110,13 +110,13 @@ pub(crate) fn execute_with(
             });
         }
         mwc_obs::metrics::counter_add("pipeline.units_profiled", profiles.len() as u64);
-        Ok(Characterization {
+        Ok(Characterization::new(
             profiles,
-            report: DegradationReport {
+            DegradationReport {
                 units_requested,
                 failed_units,
             },
-        })
+        ))
     })?;
 
     crate::studydb::record_completed(spec, &study, &exec.describe(), started.elapsed());

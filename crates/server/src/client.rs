@@ -110,7 +110,7 @@ pub fn request(
     let target = resolved.first().ok_or_else(|| {
         ClientError::Connect(io::Error::new(io::ErrorKind::NotFound, "no address"))
     })?;
-    let stream = TcpStream::connect_timeout(target, timeout).map_err(ClientError::Connect)?;
+    let mut stream = TcpStream::connect_timeout(target, timeout).map_err(ClientError::Connect)?;
     stream.set_read_timeout(Some(timeout)).map_err(map_io)?;
     stream.set_write_timeout(Some(timeout)).map_err(map_io)?;
     let _ = stream.set_nodelay(true);
@@ -127,10 +127,12 @@ pub fn request(
     }
     head.push_str("\r\n");
 
-    let mut write_half = stream.try_clone().map_err(map_io)?;
-    write_half.write_all(head.as_bytes()).map_err(map_io)?;
-    write_half.write_all(body).map_err(map_io)?;
-    write_half.flush().map_err(map_io)?;
+    // One write: a server that answers without reading the request (a
+    // shed) may reset the connection, and a second write would then fail
+    // before the answer could be read.
+    let mut request = head.into_bytes();
+    request.extend_from_slice(body);
+    stream.write_all(&request).map_err(map_io)?;
 
     let mut reader = BufReader::new(stream);
     let status_line = read_line(&mut reader)?;

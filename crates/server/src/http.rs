@@ -9,7 +9,7 @@
 //! wedging a worker.
 
 use std::fmt;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead};
 
 /// Longest accepted request/status/header line, in bytes.
 pub const MAX_LINE: usize = 8 * 1024;
@@ -262,8 +262,9 @@ impl Response {
         self
     }
 
-    /// Serialize onto a writer. One flush, `Connection: close` always.
-    pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
+    /// The whole response on the wire — head and body in one buffer, so
+    /// it goes out in one write. `Connection: close` always.
+    pub fn to_bytes(&self) -> Vec<u8> {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: close\r\n",
             self.status,
@@ -278,9 +279,9 @@ impl Response {
             head.push_str("\r\n");
         }
         head.push_str("\r\n");
-        w.write_all(head.as_bytes())?;
-        w.write_all(&self.body)?;
-        w.flush()
+        let mut out = head.into_bytes();
+        out.extend_from_slice(&self.body);
+        out
     }
 }
 
@@ -403,11 +404,7 @@ mod tests {
 
     #[test]
     fn response_serializes_with_framing_headers() {
-        let mut out = Vec::new();
-        Response::json(200, "{}")
-            .header("x-extra", 7)
-            .write_to(&mut out)
-            .unwrap();
+        let out = Response::json(200, "{}").header("x-extra", 7).to_bytes();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("content-length: 2\r\n"));

@@ -3,22 +3,27 @@
 //!
 //! ## Life of a request
 //!
-//! 1. The acceptor (nonblocking `TcpListener`, polling the shutdown flag)
-//!    accepts a connection, stamps it with its accept time, and offers it
-//!    to the bounded admission queue. A full queue is answered `503` +
-//!    `Retry-After` right there — backpressure, not buffering.
+//! 1. The acceptor (a blocking `TcpListener`) accepts a connection,
+//!    stamps it with its accept time, and offers it to the bounded
+//!    admission queue. A full queue is answered `503` + `Retry-After`
+//!    right there — backpressure, not buffering.
 //! 2. A worker pops the job, derives its [`Deadline`] from the accept
 //!    stamp, and serves exactly one request under panic isolation. The
 //!    deadline is checked after queueing, after parsing, before compute
-//!    and after compute; expiry answers `504`.
-//! 3. Shutdown (SIGTERM, ctrl-c or `POST /admin/shutdown`) flips one
-//!    atomic: the acceptor stops accepting and closes the queue; workers
-//!    drain already-admitted jobs — up to the drain deadline, after which
-//!    the remainder get a fast `503` — and exit; [`Server::join`] returns
-//!    the final stats.
+//!    and after compute; expiry answers `504`. The response is rendered
+//!    to bytes, the request's telemetry record is published, and only
+//!    then is the response written, in one write.
+//! 3. Shutdown ([`Server::request_shutdown`], which the binary calls on
+//!    SIGTERM/ctrl-c, or `POST /admin/shutdown`) latches one atomic and
+//!    wakes the acceptor out of `accept` with a connection to the
+//!    server's own address. The acceptor checks the latch after every
+//!    accept, so it stops accepting and closes the queue; workers drain
+//!    already-admitted jobs — up to the drain deadline, after which the
+//!    remainder get a fast `503` — and exit; [`Server::join`] returns the
+//!    final stats.
 
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::str;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -26,14 +31,13 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use mwc_core::pipeline::Characterization;
-use mwc_core::{from_wire, PipelineError, StudyCache};
+use mwc_core::{from_wire, PipelineError, StudyCache, StudySpec};
 
 use crate::config::ServerConfig;
 use crate::deadline::Deadline;
 use crate::http::{self, HttpError, Request, Response};
 use crate::panics;
 use crate::queue::{BoundedQueue, PushError};
-use crate::signal;
 use crate::telemetry::{self, RequestScope, Telemetry};
 
 /// One admitted connection, stamped at accept time so queueing delay
@@ -101,6 +105,8 @@ impl Stats {
 #[derive(Debug)]
 pub struct ServerState {
     config: ServerConfig,
+    /// The bound address; shutdown connects here to wake the acceptor.
+    local_addr: SocketAddr,
     cache: StudyCache,
     queue: BoundedQueue<Job>,
     shutdown: AtomicBool,
@@ -118,9 +124,12 @@ impl ServerState {
     }
 
     /// Latch shutdown. Idempotent; safe from any thread (including a
-    /// request handler serving `/admin/shutdown`).
+    /// request handler serving `/admin/shutdown`). The first latch wakes
+    /// the acceptor, which is blocked in `accept`.
     pub fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        if !self.shutdown.swap(true, Ordering::SeqCst) {
+            wake_acceptor(self.local_addr);
+        }
     }
 
     /// Whether shutdown has been requested.
@@ -162,7 +171,6 @@ impl Server {
     /// immediately. The server runs until shutdown is requested.
     pub fn bind(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
         // Studies are served through the process-wide Exec backend
@@ -182,6 +190,7 @@ impl Server {
         let state = Arc::new(ServerState {
             telemetry: Telemetry::new(config.slo, config.debug_ring),
             config: config.clone(),
+            local_addr,
             cache,
             queue,
             shutdown: AtomicBool::new(false),
@@ -230,7 +239,7 @@ impl Server {
         self.state.begin_shutdown();
     }
 
-    /// Whether shutdown has been requested (by signal, admin endpoint or
+    /// Whether shutdown has been requested (by the admin endpoint or
     /// [`Server::request_shutdown`]).
     pub fn shutdown_requested(&self) -> bool {
         self.state.shutdown_requested()
@@ -243,12 +252,12 @@ impl Server {
 
     /// Block until the acceptor has stopped and every worker has drained
     /// and exited, then return the final counters. Call after shutdown
-    /// has been requested (or a request to `/admin/shutdown` / a signal
-    /// will trigger it).
+    /// has been requested (or a request to `/admin/shutdown` will
+    /// trigger it).
     pub fn join(self) -> StatsSnapshot {
-        // Worker/acceptor threads park in short sleeps and condvar waits,
-        // never panic (handlers are isolated), so join cannot fail in a
-        // way worth propagating.
+        // The acceptor blocks in accept until shutdown wakes it, workers
+        // park in condvar waits, and neither panics (handlers are
+        // isolated), so join cannot fail in a way worth propagating.
         let _ = self.acceptor.join();
         for w in self.workers {
             let _ = w.join();
@@ -257,20 +266,39 @@ impl Server {
     }
 }
 
+/// How long a shutdown waits to connect to its own acceptor.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Connect once to the listener at `addr`, so that an acceptor blocked in
+/// `accept` returns and sees the shutdown latch. A listener bound to an
+/// unspecified address (`0.0.0.0`, `[::]`) is reached through the
+/// loopback address of the same family.
+fn wake_acceptor(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        let loopback: IpAddr = match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        };
+        addr.set_ip(loopback);
+    }
+    // The connection only has to reach the backlog; the acceptor drops
+    // it unserved.
+    let _ = TcpStream::connect_timeout(&addr, WAKE_TIMEOUT);
+}
+
 /// Accept until shutdown, then close the queue and start the drain clock.
+/// `accept` blocks; [`ServerState::begin_shutdown`] wakes it, and the
+/// latch is checked after every accept.
 fn accept_loop(listener: TcpListener, state: &Arc<ServerState>) {
     loop {
-        if signal::triggered() {
-            state.begin_shutdown();
-        }
+        let accepted = listener.accept();
         if state.shutdown_requested() {
+            // The wake-up connection, or a client that raced the latch:
+            // neither is served.
             break;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => admit(state, stream),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
             Err(_) => {
                 // Transient accept failure (EMFILE, ECONNABORTED…): back
                 // off briefly instead of spinning.
@@ -308,7 +336,6 @@ fn admit(state: &Arc<ServerState>, stream: TcpStream) {
 /// Refuse one connection with `503` + `Retry-After` (best-effort write).
 fn shed(state: &Arc<ServerState>, mut stream: TcpStream, why: &str) {
     state.stats.shed.fetch_add(1, Ordering::Relaxed);
-    state.stats.responses_5xx.fetch_add(1, Ordering::Relaxed);
     mwc_obs::metrics::counter_add("server.shed", 1);
     // A shed connection is refused before its bytes are read, so the
     // caller's ID (if any) is unknowable without buffering; a minted ID
@@ -317,11 +344,12 @@ fn shed(state: &Arc<ServerState>, mut stream: TcpStream, why: &str) {
     scope.shed = true;
     let start = Instant::now();
     let resp = Response::error(503, "overload", why).header("retry-after", 1);
-    write_response(&mut stream, resp, &mut scope);
+    let bytes = render(state, resp, &mut scope);
     let remaining_ms = state.config.deadline.as_millis() as i64;
     state
         .telemetry
         .record(scope.seal(start.elapsed().as_nanos() as u64, remaining_ms));
+    let _ = stream.write_all(&bytes);
 }
 
 /// Pop and serve jobs until the queue is closed and empty.
@@ -340,26 +368,24 @@ fn handle_job(state: &Arc<ServerState>, job: Job) {
     let mut scope =
         RequestScope::admitted(job.accepted.elapsed().as_nanos() as u64, job.queue_depth);
     let mut stream = job.stream;
-    let outcome = panics::isolate(|| serve_connection(state, &mut stream, deadline, &mut scope));
-    if let Err(report) = outcome {
-        scope.panicked = true;
-        state.stats.panics.fetch_add(1, Ordering::Relaxed);
-        mwc_obs::metrics::counter_add("server.panics", 1);
-        let resp = Response::error(
-            500,
-            "panic",
-            &format!("request handler panicked: {}", report.message),
-        );
-        respond(state, &mut stream, resp, &mut scope);
-    }
-    mwc_obs::metrics::observe_duration_ns(
-        "server.request_ns",
-        deadline.elapsed().as_nanos() as u64,
-    );
-    // Seal the scope into the telemetry record — but only when a
-    // response was actually produced; a peer that vanished before
-    // sending a request is not a request.
-    if scope.status != 0 {
+    let outcome = panics::isolate(|| serve_connection(state, &stream, deadline, &mut scope));
+    let resp = match outcome {
+        Ok(resp) => resp,
+        Err(report) => {
+            scope.panicked = true;
+            state.stats.panics.fetch_add(1, Ordering::Relaxed);
+            mwc_obs::metrics::counter_add("server.panics", 1);
+            Some(Response::error(
+                500,
+                "panic",
+                &format!("request handler panicked: {}", report.message),
+            ))
+        }
+    };
+    // A peer that vanished before sending a request is not a request:
+    // nothing is answered or recorded.
+    if let Some(resp) = resp {
+        let bytes = render(state, resp, &mut scope);
         let total_ns = deadline.elapsed().as_nanos() as u64;
         let remaining_ms = match deadline.remaining() {
             Some(d) => d.as_millis() as i64,
@@ -370,8 +396,16 @@ fn handle_job(state: &Arc<ServerState>, job: Job) {
                     .as_millis() as i64)
             }
         };
+        // The record is published before the response goes out, so a
+        // client that has read its response can already look it up.
         state.telemetry.record(scope.seal(total_ns, remaining_ms));
+        // Best-effort: the peer may have given up; that is its right.
+        let _ = stream.write_all(&bytes);
     }
+    mwc_obs::metrics::observe_duration_ns(
+        "server.request_ns",
+        deadline.elapsed().as_nanos() as u64,
+    );
     let busy = state.busy.fetch_sub(1, Ordering::Relaxed) - 1;
     mwc_obs::metrics::gauge_set("server.workers.busy", busy as f64);
 }
@@ -391,52 +425,47 @@ fn deadline_response(state: &Arc<ServerState>, deadline: &Deadline) -> Response 
     )
 }
 
-/// Read, route and answer exactly one request.
+/// Read and route exactly one request, returning its answer; `None` when
+/// the peer left without sending one.
 fn serve_connection(
     state: &Arc<ServerState>,
-    stream: &mut TcpStream,
+    stream: &TcpStream,
     deadline: Deadline,
     scope: &mut RequestScope,
-) {
+) -> Option<Response> {
     // Jobs popped after the drain budget is spent get a fast refusal —
     // shutdown must not hang behind a deep queue.
     if state.shutdown_requested() && state.drain_expired() {
-        let resp = Response::error(503, "draining", "server drain deadline passed")
-            .header("retry-after", 1);
-        respond(state, stream, resp, scope);
-        return;
+        return Some(
+            Response::error(503, "draining", "server drain deadline passed")
+                .header("retry-after", 1),
+        );
     }
     // Expired while queued: answer without even parsing.
     if deadline.expired() {
-        let resp = deadline_response(state, &deadline);
-        respond(state, stream, resp, scope);
-        return;
+        return Some(deadline_response(state, &deadline));
     }
     // Bound the read by whichever is tighter: socket timeout or budget.
     if let Some(remaining) = deadline.remaining() {
         let _ = stream.set_read_timeout(Some(remaining.min(state.config.io_timeout)));
     }
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
+    let mut reader = BufReader::new(stream);
     let parse_start = Instant::now();
-    let req = match http::read_request(&mut reader) {
-        Ok(req) => req,
-        Err(HttpError::Closed) => return,
-        Err(e) => {
-            scope.parse_ns = parse_start.elapsed().as_nanos() as u64;
-            let resp = match e {
-                HttpError::BadRequest(m) => Response::error(400, "http", &m),
-                HttpError::TooLarge(m) => Response::error(413, "http", &m),
-                HttpError::Timeout => Response::error(408, "http", "timed out reading the request"),
-                HttpError::Closed | HttpError::Io(_) => return,
-            };
-            respond(state, stream, resp, scope);
-            return;
-        }
-    };
+    let parsed = http::read_request(&mut reader);
     scope.parse_ns = parse_start.elapsed().as_nanos() as u64;
+    let req = match parsed {
+        Ok(req) => req,
+        Err(HttpError::BadRequest(m)) => return Some(Response::error(400, "http", &m)),
+        Err(HttpError::TooLarge(m)) => return Some(Response::error(413, "http", &m)),
+        Err(HttpError::Timeout) => {
+            return Some(Response::error(
+                408,
+                "http",
+                "timed out reading the request",
+            ))
+        }
+        Err(HttpError::Closed | HttpError::Io(_)) => return None,
+    };
     let (id, from_client) = telemetry::request_id(req.header(telemetry::REQUEST_ID_HEADER));
     scope.id = Some(id);
     scope.client_id = from_client;
@@ -444,8 +473,7 @@ fn serve_connection(
     scope.path = req.target.clone();
     state.stats.requests.fetch_add(1, Ordering::Relaxed);
     mwc_obs::metrics::counter_add("server.requests", 1);
-    let resp = route(state, &req, deadline, scope);
-    respond(state, stream, resp, scope);
+    Some(route(state, &req, deadline, scope))
 }
 
 /// Dispatch one parsed request.
@@ -585,16 +613,13 @@ fn post_study(
             panic!("test hook: injected panic");
         }
     }
-    let Ok(body) = str::from_utf8(&req.body) else {
-        return Response::error(400, "wire", "body is not utf-8");
-    };
-    let spec = match from_wire(body) {
+    let decode_start = Instant::now();
+    let decoded = decode_spec(&req.body);
+    scope.decode_ns = decode_start.elapsed().as_nanos() as u64;
+    let spec = match decoded {
         Ok(spec) => spec,
-        Err(e) => return Response::error(400, "wire", &e.to_string()),
+        Err(resp) => return resp,
     };
-    if let Err(e) = spec.validate() {
-        return Response::error(400, "spec", &e.to_string());
-    }
     // Checkpoint: a request that expired while queued or parsing must not
     // start a simulation it cannot answer in time.
     let check = Instant::now();
@@ -603,10 +628,10 @@ fn post_study(
     if expired {
         return deadline_response(state, &deadline);
     }
+    let computed = Instant::now();
     // Memory residency *before* the lookup labels this request's
     // compute phase cache-hit or miss.
     scope.cache_hit = Some(state.cache.is_resident(&spec));
-    let computed = Instant::now();
     let result = state.cache.study_spec(&spec);
     scope.compute_ns = computed.elapsed().as_nanos() as u64;
     match result {
@@ -621,6 +646,17 @@ fn post_study(
         }
         Err(e) => pipeline_error_response(&e),
     }
+}
+
+/// Decode and validate a `POST /study` body, or the `400` that says why
+/// it is not a study spec.
+fn decode_spec(body: &[u8]) -> Result<StudySpec, Response> {
+    let body =
+        str::from_utf8(body).map_err(|_| Response::error(400, "wire", "body is not utf-8"))?;
+    let spec = from_wire(body).map_err(|e| Response::error(400, "wire", &e.to_string()))?;
+    spec.validate()
+        .map_err(|e| Response::error(400, "spec", &e.to_string()))?;
+    Ok(spec)
 }
 
 /// Map a pipeline failure onto a status + typed body. Client-caused
@@ -666,40 +702,28 @@ fn study_json(study: &Characterization, elapsed: Option<Duration>) -> String {
     )
 }
 
-/// Echo the trace ID onto `resp`, write it, and charge the write to the
-/// scope's serialize phase. Every response goes through here (or
-/// [`respond`]) so the `x-mwc-request-id` echo is unconditional —
-/// including 500/503/504 paths.
-fn write_response(stream: &mut TcpStream, resp: Response, scope: &mut RequestScope) {
-    let id = scope.ensure_id().to_owned();
-    let resp = resp.header(telemetry::REQUEST_ID_HEADER, id);
+/// Count one response into the stats, echo the trace ID onto it and
+/// render it to bytes, charging the render to the scope's serialize
+/// phase. Every response goes through here, so the `x-mwc-request-id`
+/// echo is unconditional — including 500/503/504 paths.
+fn render(state: &ServerState, resp: Response, scope: &mut RequestScope) -> Vec<u8> {
     let start = Instant::now();
-    // Best-effort: the peer may have given up; that is its right.
-    let _ = resp.write_to(stream);
-    scope.serialize_ns += start.elapsed().as_nanos() as u64;
-    scope.status = resp.status;
-}
-
-/// Write one response, classifying it into the stats counters.
-fn respond(
-    state: &Arc<ServerState>,
-    stream: &mut TcpStream,
-    resp: Response,
-    scope: &mut RequestScope,
-) {
     let class = match resp.status {
         200..=299 => &state.stats.responses_2xx,
         400..=499 => &state.stats.responses_4xx,
         _ => &state.stats.responses_5xx,
     };
     class.fetch_add(1, Ordering::Relaxed);
-    write_response(stream, resp, scope);
+    scope.status = resp.status;
+    let id = scope.ensure_id().to_owned();
+    let bytes = resp.header(telemetry::REQUEST_ID_HEADER, id).to_bytes();
+    scope.serialize_ns += start.elapsed().as_nanos() as u64;
+    bytes
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mwc_core::StudySpec;
 
     #[test]
     fn study_json_renders_digest_and_counts() {

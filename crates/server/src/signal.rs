@@ -2,7 +2,10 @@
 //!
 //! The classic self-pipe trick reduced to its modern minimum: the handler
 //! performs exactly one async-signal-safe operation (an atomic store) and
-//! the accept loop polls the flag. This module holds the workspace's one
+//! the `mwc-server` binary's main loop polls the flag, then asks its
+//! server to shut down. The server library never reads the flag, so
+//! in-process servers (tests, benchmarks) do not share this process-wide
+//! state. This module holds the workspace's one
 //! `unsafe` exemption — the `signal(2)` FFI declaration — kept as small
 //! as possible and gated to unix.
 
@@ -15,8 +18,8 @@ pub fn triggered() -> bool {
     TRIGGERED.load(Ordering::SeqCst)
 }
 
-/// Set the flag programmatically — lets tests and `/admin/shutdown`
-/// share the signal path without delivering a real signal.
+/// Set the flag programmatically, as a delivered signal would — lets
+/// tests exercise the signal path without delivering a real signal.
 pub fn raise() {
     TRIGGERED.store(true, Ordering::SeqCst);
 }

@@ -7,9 +7,9 @@
 //! sheds, `504` expiries and `500` panics, so a client log line and a
 //! server log line can always be joined. As a request moves through the
 //! pipeline its [`RequestScope`] accumulates per-phase timings
-//! (queue-wait, parse, deadline checks, compute, serialize); at the end
-//! of the connection the scope is sealed into a [`RequestRecord`] which
-//! feeds four consumers at once:
+//! (queue-wait, parse, decode, deadline checks, compute, serialize); once
+//! the response is rendered, and before it is written, the scope is
+//! sealed into a [`RequestRecord`] which feeds four consumers at once:
 //!
 //! 1. one canonical wide-event log line (`mwc_obs::log`, event
 //!    `"request"`),
@@ -118,11 +118,13 @@ pub struct RequestScope {
     pub queue_ns: u64,
     /// Time reading + parsing the request off the socket.
     pub parse_ns: u64,
+    /// Time decoding and validating the request body's study spec.
+    pub decode_ns: u64,
     /// Time spent in explicit deadline checkpoints.
     pub deadline_check_ns: u64,
     /// Time in the study lookup/compute path.
     pub compute_ns: u64,
-    /// Time serializing + writing the response.
+    /// Time rendering the response to bytes.
     pub serialize_ns: u64,
     /// Whether compute was served from the resident study cache.
     pub cache_hit: Option<bool>,
@@ -156,7 +158,7 @@ impl RequestScope {
     /// Seal into an immutable record. `total_ns` is the end-to-end time
     /// since accept; `deadline_remaining_ms` may be negative (expired).
     pub fn seal(self, total_ns: u64, deadline_remaining_ms: i64) -> RequestRecord {
-        RequestRecord {
+        let mut record = RequestRecord {
             id: self.id.unwrap_or_default(),
             client_id: self.client_id,
             method: self.method,
@@ -164,16 +166,20 @@ impl RequestScope {
             status: self.status,
             queue_ns: self.queue_ns,
             parse_ns: self.parse_ns,
+            decode_ns: self.decode_ns,
             deadline_check_ns: self.deadline_check_ns,
             compute_ns: self.compute_ns,
             serialize_ns: self.serialize_ns,
+            unattributed_ns: 0,
             total_ns,
             cache_hit: self.cache_hit,
             queue_depth: self.queue_depth,
             deadline_remaining_ms,
             panicked: self.panicked,
             shed: self.shed,
-        }
+        };
+        record.unattributed_ns = total_ns.saturating_sub(record.phase_sum_ns());
+        record
     }
 }
 
@@ -195,13 +201,17 @@ pub struct RequestRecord {
     pub queue_ns: u64,
     /// Read + parse time.
     pub parse_ns: u64,
+    /// Spec decode + validation time.
+    pub decode_ns: u64,
     /// Deadline-checkpoint time.
     pub deadline_check_ns: u64,
     /// Study lookup/compute time.
     pub compute_ns: u64,
-    /// Response serialize + write time.
+    /// Response render time.
     pub serialize_ns: u64,
-    /// End-to-end time since accept.
+    /// The part of `total_ns` no phase accounts for.
+    pub unattributed_ns: u64,
+    /// End-to-end time since accept, up to the record being sealed.
     pub total_ns: u64,
     /// Cache-hit flag (`None` when the request never reached compute).
     pub cache_hit: Option<bool>,
@@ -217,10 +227,15 @@ pub struct RequestRecord {
 }
 
 impl RequestRecord {
-    /// Sum of the instrumented phases — should bracket `total_ns` from
-    /// below (accept-to-pickup gaps and scheduler time are not phases).
+    /// Sum of the instrumented phases — brackets `total_ns` from below;
+    /// the difference is `unattributed_ns`.
     pub fn phase_sum_ns(&self) -> u64 {
-        self.queue_ns + self.parse_ns + self.deadline_check_ns + self.compute_ns + self.serialize_ns
+        self.queue_ns
+            + self.parse_ns
+            + self.decode_ns
+            + self.deadline_check_ns
+            + self.compute_ns
+            + self.serialize_ns
     }
 
     /// Render as one JSON object (the `/debug/requests` wire shape).
@@ -232,8 +247,9 @@ impl RequestRecord {
         };
         format!(
             "{{\"id\":\"{}\",\"client_id\":{},\"method\":\"{}\",\"path\":\"{}\",\"status\":{},\
-             \"queue_ns\":{},\"parse_ns\":{},\"deadline_check_ns\":{},\"compute_ns\":{},\
-             \"serialize_ns\":{},\"phase_sum_ns\":{},\"total_ns\":{},\"cache_hit\":{},\
+             \"queue_ns\":{},\"parse_ns\":{},\"decode_ns\":{},\"deadline_check_ns\":{},\
+             \"compute_ns\":{},\"serialize_ns\":{},\"phase_sum_ns\":{},\"unattributed_ns\":{},\
+             \"total_ns\":{},\"cache_hit\":{},\
              \"queue_depth\":{},\"deadline_remaining_ms\":{},\"panicked\":{},\"shed\":{}}}",
             json_escape(&self.id),
             self.client_id,
@@ -242,10 +258,12 @@ impl RequestRecord {
             self.status,
             self.queue_ns,
             self.parse_ns,
+            self.decode_ns,
             self.deadline_check_ns,
             self.compute_ns,
             self.serialize_ns,
             self.phase_sum_ns(),
+            self.unattributed_ns,
             self.total_ns,
             cache_hit,
             self.queue_depth,
@@ -400,9 +418,11 @@ impl Telemetry {
                     ("status", Value::from(u64::from(record.status))),
                     ("queue_ns", Value::from(record.queue_ns)),
                     ("parse_ns", Value::from(record.parse_ns)),
+                    ("decode_ns", Value::from(record.decode_ns)),
                     ("deadline_check_ns", Value::from(record.deadline_check_ns)),
                     ("compute_ns", Value::from(record.compute_ns)),
                     ("serialize_ns", Value::from(record.serialize_ns)),
+                    ("unattributed_ns", Value::from(record.unattributed_ns)),
                     ("total_ns", Value::from(record.total_ns)),
                     (
                         "cache_hit",
@@ -555,24 +575,22 @@ mod tests {
     use super::*;
 
     fn record(id: &str, status: u16, total_ns: u64) -> RequestRecord {
-        RequestRecord {
-            id: id.to_owned(),
-            client_id: false,
+        RequestScope {
+            id: Some(id.to_owned()),
             method: "POST".to_owned(),
             path: "/study".to_owned(),
             status,
             queue_ns: 10,
             parse_ns: 20,
+            decode_ns: 4,
             deadline_check_ns: 1,
             compute_ns: 30,
             serialize_ns: 5,
-            total_ns,
             cache_hit: Some(true),
             queue_depth: 2,
-            deadline_remaining_ms: 100,
-            panicked: false,
-            shed: false,
+            ..RequestScope::default()
         }
+        .seal(total_ns, 100)
     }
 
     #[test]
@@ -616,10 +634,11 @@ mod tests {
         let parsed = mwc_obs::export::parse_json(&json).expect("valid json");
         assert_eq!(parsed.get("id").and_then(|v| v.as_str()), Some("r-1"));
         assert_eq!(parsed.get("status").and_then(|v| v.as_f64()), Some(200.0));
-        assert_eq!(
-            parsed.get("phase_sum_ns").and_then(|v| v.as_f64()),
-            Some(66.0)
-        );
+        let num = |key| parsed.get(key).and_then(|v| v.as_f64());
+        assert_eq!(num("decode_ns"), Some(4.0));
+        assert_eq!(num("phase_sum_ns"), Some(70.0));
+        assert_eq!(num("unattributed_ns"), Some(30.0));
+        assert_eq!(num("total_ns"), Some(100.0));
     }
 
     #[test]

@@ -62,6 +62,25 @@ if [ "$tests_faulted" -ne 0 ]; then
     exit "$tests_faulted"
 fi
 
+echo "==> serving races (telemetry + server_robustness, 10 release runs each)"
+# A response racing its debug-ring record, or a shed racing its client,
+# only shows on repetition.
+race_log="target/verify-race.log"
+for suite in telemetry server_robustness; do
+    run=1
+    while [ "$run" -le 10 ]; do
+        cargo test -q --release -p mobile-workload-characterization --test "$suite" \
+            >"$race_log" 2>&1 || {
+            echo "error: --test $suite failed on release run $run of 10; output follows" >&2
+            cat "$race_log" >&2
+            exit 1
+        }
+        run=$((run + 1))
+    done
+done
+rm -f "$race_log"
+echo "    20 release runs passed"
+
 echo "==> observability neutrality (traced vs untraced study digest)"
 # MWC_CACHE=off so both digests come from real computations — the cache
 # path has its own gate below.
@@ -320,18 +339,28 @@ cargo build --release -p mwc-server --bins || exit $?
 server_log="target/verify-server.log"
 server_events="target/verify-server-log.jsonl"
 rm -f "$server_events"
+
+# Print the address a server logging to "$1" listens on, waiting up to
+# 10 s for it to come up.
+await_server() {
+    tries=0
+    while [ "$tries" -lt 100 ]; do
+        addr=$(awk '/^mwc-server listening on / { print $4; exit }' "$1" 2>/dev/null)
+        if [ -n "$addr" ]; then
+            printf '%s\n' "$addr"
+            return 0
+        fi
+        tries=$((tries + 1))
+        sleep 0.1
+    done
+    return 1
+}
+
 MWC_SERVER_ADDR=127.0.0.1:0 MWC_SERVER_WORKERS=2 MWC_SERVER_QUEUE=16 \
     MWC_SERVER_DEBUG_RING=64 MWC_LOG=info MWC_LOG_FILE="$server_events" \
     ./target/release/mwc-server >"$server_log" 2>&1 &
 server_pid=$!
-server_addr=""
-tries=0
-while [ "$tries" -lt 100 ]; do
-    server_addr=$(awk '/^mwc-server listening on / { print $4; exit }' "$server_log" 2>/dev/null)
-    [ -n "$server_addr" ] && break
-    tries=$((tries + 1))
-    sleep 0.1
-done
+server_addr=$(await_server "$server_log")
 if [ -z "$server_addr" ]; then
     echo "error: mwc-server did not come up; log follows" >&2
     cat "$server_log" >&2
@@ -393,6 +422,46 @@ if ! grep -q '"event":"request"' "$server_events"; then
 fi
 rm -f "$server_log" "$server_events"
 echo "    served smoke load on $server_addr (rolling metrics, debug ring, dash, wide events), drained clean with zero panics"
+
+echo "==> server SIGTERM gate (signal flag -> shutdown -> acceptor wake-up)"
+# SIGTERM sets the binary's signal flag; its main loop then asks the
+# server to shut down, which wakes the acceptor blocked in accept. The
+# process must drain and exit 0 within a few seconds.
+MWC_SERVER_ADDR=127.0.0.1:0 ./target/release/mwc-server >"$server_log" 2>&1 &
+server_pid=$!
+server_addr=$(await_server "$server_log")
+if [ -z "$server_addr" ]; then
+    echo "error: mwc-server did not come up for the SIGTERM gate; log follows" >&2
+    cat "$server_log" >&2
+    kill "$server_pid" 2>/dev/null
+    exit 1
+fi
+./target/release/wrkr --addr "$server_addr" --get /healthz >/dev/null || {
+    echo "error: /healthz failed before SIGTERM" >&2
+    kill "$server_pid" 2>/dev/null
+    exit 1
+}
+kill -TERM "$server_pid"
+waited=0
+while kill -0 "$server_pid" 2>/dev/null && [ "$waited" -lt 50 ]; do
+    waited=$((waited + 1))
+    sleep 0.1
+done
+if kill -0 "$server_pid" 2>/dev/null; then
+    echo "error: mwc-server still running 5 s after SIGTERM; log follows" >&2
+    cat "$server_log" >&2
+    kill -KILL "$server_pid" 2>/dev/null
+    exit 1
+fi
+wait "$server_pid"
+server_exit=$?
+if [ "$server_exit" -ne 0 ] || ! grep -q "drained clean" "$server_log"; then
+    echo "error: mwc-server exited $server_exit after SIGTERM without a clean drain; log follows" >&2
+    cat "$server_log" >&2
+    exit 1
+fi
+rm -f "$server_log"
+echo "    SIGTERM drained clean on $server_addr"
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings || exit $?

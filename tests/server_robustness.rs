@@ -5,7 +5,7 @@
 //! isolation, deadlines, and graceful drain.
 
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mwc_core::pipeline::Characterization;
 use mwc_core::{to_wire, StudySpec};
@@ -13,6 +13,7 @@ use mwc_server::client::{self, ClientError, ClientResponse};
 use mwc_server::config::ServerConfig;
 use mwc_server::loadgen::{self, LoadOptions};
 use mwc_server::server::Server;
+use mwc_server::signal;
 
 const TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -279,4 +280,75 @@ fn shutdown_mid_request_drains_the_in_flight_request_completely() {
         matches!(refused, Err(ClientError::Connect(_))),
         "post-drain connect must be refused, got {refused:?}"
     );
+}
+
+#[test]
+fn an_idle_server_stops_within_a_second_on_loopback_and_unspecified_addresses() {
+    // The acceptor blocks in accept; shutdown must wake it even though
+    // no client ever connected, whichever address the server is bound to.
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = boot(|c| c.addr = addr.to_owned());
+        let started = Instant::now();
+        server.request_shutdown();
+        let stats = server.join();
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "{addr}: shutdown + join took {took:?}"
+        );
+        assert_eq!(stats.accepted, 0, "{addr}: the wake-up is not a client");
+        assert_eq!(stats.responses_5xx, 0, "{addr}");
+    }
+}
+
+#[test]
+fn admin_shutdown_drains_the_in_flight_request() {
+    let server = boot(|c| c.test_hooks = true);
+    let addr = server.local_addr().to_string();
+    let body = to_wire(&small_spec(46)).expect("spec serializes");
+
+    let slow = {
+        let addr = addr.clone();
+        thread::spawn(move || post_study(&addr, &body, &[("x-mwc-test-sleep-ms", "400")]))
+    };
+    // Once accepted, the acceptor queues the study before it can see the
+    // shutdown latch.
+    let admitted_by = Instant::now() + TIMEOUT;
+    while server.stats().accepted == 0 {
+        assert!(Instant::now() < admitted_by, "the study was never accepted");
+        thread::sleep(Duration::from_millis(5));
+    }
+    let ack = client::request(&addr, "POST", "/admin/shutdown", &[], b"", TIMEOUT)
+        .expect("POST /admin/shutdown responds");
+    assert_eq!(ack.status, 200, "{}", ack.body_str());
+    let stats = server.join();
+
+    let resp = slow.join().expect("in-flight request thread joins");
+    assert_eq!(
+        resp.status,
+        200,
+        "drain must answer the in-flight request: {}",
+        resp.body_str()
+    );
+    assert_eq!(stats.responses_2xx, 2, "the study and the shutdown ack");
+    assert_eq!(stats.panics, 0);
+}
+
+#[test]
+fn an_in_process_server_keeps_serving_after_a_signal() {
+    // The signal flag belongs to the binary's main loop; a server
+    // embedded in a process must not stop because something raised it.
+    let server = boot(|c| c.workers = 1);
+    let addr = server.local_addr().to_string();
+    signal::raise();
+    // Far longer than the binary's 20 ms poll of the flag.
+    thread::sleep(Duration::from_millis(100));
+    for _ in 0..3 {
+        let resp = client::request(&addr, "GET", "/healthz", &[], b"", TIMEOUT)
+            .expect("GET /healthz responds");
+        assert_eq!(resp.status, 200);
+    }
+    assert!(!server.shutdown_requested());
+    server.request_shutdown();
+    assert_eq!(server.join().responses_2xx, 3);
 }
