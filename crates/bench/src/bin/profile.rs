@@ -100,14 +100,6 @@ fn run() -> Result<(), PipelineError> {
     println!("{}", cache_table.render());
 
     mwc_bench::header("Per-stage cache");
-    println!(
-        "stage entries: {}",
-        if cache.stage_entries_enabled() {
-            "on"
-        } else {
-            "off (MWC_CACHE_STAGES)"
-        }
-    );
     // Machine-parseable one-liner consumed by scripts/verify.sh's
     // incremental gate (sims = units simulated, reused = units replayed).
     println!("stage stats: {}", cache.stage_summary());
@@ -135,15 +127,6 @@ fn run() -> Result<(), PipelineError> {
         ]);
     }
     println!("{}", stage_table.render());
-
-    mwc_bench::header("Fleet execution");
-    println!("backend: {}", mwc_core::exec::announce());
-    // Machine-parseable one-liners shared with the `sweep` binary:
-    // `shipped` counts artifacts merged from subprocess shards, and the
-    // studydb `hits` line is what makes DB replay distinguishable from
-    // the result cache's own hit counters above.
-    println!("{}", mwc_bench::exec_stats_line());
-    println!("{}", mwc_bench::studydb_stats_line());
 
     mwc_bench::header("Capture health");
     let mut health = Table::new(vec!["metric", "value"]);

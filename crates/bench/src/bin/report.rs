@@ -1,34 +1,32 @@
-//! `report` — list and diff the historical runs in the study database.
+//! `report` — list and diff the studies stored in the result cache.
 //!
 //! ```text
-//! report                      # list every record in MWC_STUDY_DB
-//! report --spec <digest>      # print a record's wire-format spec
-//! report --diff <a> <b>       # per-unit diff of two runs by digest
+//! report                      # list every study entry in the cache directory
+//! report --diff <a> <b>       # per-unit diff of two stored studies by digest
 //! ```
 //!
 //! Digests are the 16-hex `Characterization::digest` values printed by
-//! `profile`, `sweep`, and the list view.
+//! `profile`, `sweep`, and the list view. Entries are read through the
+//! cache's digest-verifying load path, so a corrupt entry is counted and
+//! skipped, never shown.
 
-use mwc_core::studydb::{self, StudyDb, StudyRecord};
-use mwc_core::Characterization;
+use std::time::UNIX_EPOCH;
+
+use mwc_core::cache::StoredStudy;
+use mwc_core::{Characterization, StudyCache};
 
 fn usage() -> ! {
-    eprintln!("usage: report [--spec <digest> | --diff <digest-a> <digest-b>]");
-    eprintln!("       (set MWC_STUDY_DB to the database file)");
+    eprintln!("usage: report [--diff <digest-a> <digest-b>]");
+    eprintln!("       (reads the result cache: MWC_CACHE_DIR, or the default directory)");
     std::process::exit(2);
 }
 
-fn db_or_exit() -> &'static StudyDb {
-    match studydb::global() {
-        Some(db) => db,
-        None => {
-            eprintln!(
-                "report: no study database — set {} to a database file",
-                studydb::STUDY_DB_ENV
-            );
-            std::process::exit(2);
-        }
+fn stored_or_exit(cache: &StudyCache) -> Vec<StoredStudy> {
+    if cache.dir().is_none() {
+        eprintln!("report: the result cache is off — unset MWC_CACHE to list its entries");
+        std::process::exit(2);
     }
+    cache.stored_studies()
 }
 
 fn parse_digest(text: &str) -> u64 {
@@ -41,63 +39,52 @@ fn parse_digest(text: &str) -> u64 {
     }
 }
 
-fn find_by_digest(db: &StudyDb, digest: u64) -> (StudyRecord, Characterization) {
-    let Some(record) = db.records().into_iter().rev().find(|r| r.digest == digest) else {
-        eprintln!("report: no record with digest {digest:016x}");
-        std::process::exit(1);
-    };
-    let Some(study) = record.study() else {
-        eprintln!("report: record {digest:016x} has a corrupt study payload");
-        std::process::exit(1);
-    };
-    (record, study)
+fn find_by_digest(stored: &[StoredStudy], digest: u64) -> &Characterization {
+    match stored.iter().rev().find(|s| s.study.digest() == digest) {
+        Some(s) => &s.study,
+        None => {
+            eprintln!("report: no stored study with digest {digest:016x}");
+            std::process::exit(1);
+        }
+    }
 }
 
-fn list(db: &StudyDb) {
-    let records = db.records();
-    mwc_bench::header("Study database");
-    println!("db: {} ({} records)", db.path().display(), records.len());
+fn list(cache: &StudyCache, stored: &[StoredStudy]) {
+    mwc_bench::header("Stored studies");
+    println!(
+        "cache: {} ({} study entries, {} corrupt skipped)",
+        cache.describe(),
+        stored.len(),
+        cache.stats().corrupt_entries
+    );
     println!();
     println!(
-        "{:>3}  {:<16}  {:<16}  {:>5}  {:>6}  {:>10}  {:<14}  recorded",
-        "#", "study key", "digest", "units", "failed", "elapsed ms", "exec"
+        "{:>3}  {:<16}  {:<16}  {:>5}  {:>6}  stored at (unix s)",
+        "#", "study key", "digest", "units", "failed"
     );
-    for (i, r) in records.iter().enumerate() {
+    for (i, s) in stored.iter().enumerate() {
+        let stored_at = s
+            .stored_at
+            .duration_since(UNIX_EPOCH)
+            .map(|d| d.as_secs())
+            .unwrap_or(0);
         println!(
-            "{:>3}  {:016x}  {:016x}  {:>5}  {:>6}  {:>10}  {:<14}  {}",
+            "{:>3}  {:016x}  {:016x}  {:>5}  {:>6}  {stored_at}",
             i,
-            r.study_key,
-            r.digest,
-            r.units,
-            r.failed_units,
-            r.elapsed_ns / 1_000_000,
-            r.exec,
-            r.recorded_unix,
+            s.key,
+            s.study.digest(),
+            s.study.profiles().len(),
+            s.study.report().failed_units.len(),
         );
     }
 }
 
-fn spec(db: &StudyDb, digest: u64) {
-    let (record, _) = find_by_digest(db, digest);
-    if record.spec_wire.is_empty() {
-        eprintln!("report: record {digest:016x} carries no wire spec");
-        std::process::exit(1);
-    }
-    print!("{}", record.spec_wire);
-}
-
-fn diff(db: &StudyDb, a: u64, b: u64) {
-    let (rec_a, study_a) = find_by_digest(db, a);
-    let (rec_b, study_b) = find_by_digest(db, b);
+fn diff(stored: &[StoredStudy], a: u64, b: u64) {
+    let study_a = find_by_digest(stored, a);
+    let study_b = find_by_digest(stored, b);
     mwc_bench::header("Study diff");
-    println!(
-        "a: digest={a:016x} exec={} units={}",
-        rec_a.exec, rec_a.units
-    );
-    println!(
-        "b: digest={b:016x} exec={} units={}",
-        rec_b.exec, rec_b.units
-    );
+    println!("a: digest={a:016x} units={}", study_a.profiles().len());
+    println!("b: digest={b:016x} units={}", study_b.profiles().len());
     if a == b {
         println!("\nidentical digests — bit-identical studies");
         return;
@@ -123,7 +110,7 @@ fn diff(db: &StudyDb, a: u64, b: u64) {
     names.sort();
     names.dedup();
     for name in &names {
-        match (find(&study_a, name), find(&study_b, name)) {
+        match (find(study_a, name), find(study_b, name)) {
             (Some((ia, ga)), Some((ib, gb))) => {
                 let marker = if (ia - ib).abs() > f64::EPSILON || (ga - gb).abs() > f64::EPSILON {
                     " *"
@@ -148,7 +135,7 @@ fn diff(db: &StudyDb, a: u64, b: u64) {
             .map(|f| f.name.clone())
             .collect::<Vec<_>>()
     };
-    let (fa, fb) = (failed(&study_a), failed(&study_b));
+    let (fa, fb) = (failed(study_a), failed(study_b));
     if !fa.is_empty() || !fb.is_empty() {
         println!("\nfailed units: a={fa:?} b={fb:?}");
     }
@@ -157,11 +144,12 @@ fn diff(db: &StudyDb, a: u64, b: u64) {
 fn main() {
     mwc_bench::run_or_exit(|| {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let db = db_or_exit();
+        let cache = StudyCache::global();
         match args.as_slice() {
-            [] => list(db),
-            [flag, digest] if flag == "--spec" => spec(db, parse_digest(digest)),
-            [flag, a, b] if flag == "--diff" => diff(db, parse_digest(a), parse_digest(b)),
+            [] => list(cache, &stored_or_exit(cache)),
+            [flag, a, b] if flag == "--diff" => {
+                diff(&stored_or_exit(cache), parse_digest(a), parse_digest(b))
+            }
             _ => usage(),
         }
         Ok(())

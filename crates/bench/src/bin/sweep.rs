@@ -2,13 +2,12 @@
 //!
 //! Runs the study at `--seeds` consecutive seeds starting from
 //! `--base-seed`, printing one line per point and a combined sweep
-//! digest. Each point goes study-database-first: a point whose
-//! `study_key` is already recorded in `MWC_STUDY_DB` is *replayed* from
-//! the DB (no simulation — the `soc_runs` figure in the stats line is
-//! the oracle), everything else is computed through the configured
-//! execution backend (`MWC_EXEC`) and appended to the DB. Interrupt a
-//! sweep (or truncate one with `--limit`), re-run the same command, and
-//! it finishes only the missing points.
+//! digest. Each point goes through the result cache: a point whose
+//! study entry is already stored is *replayed* (no simulation — the
+//! `soc_runs` figure in the stats line is the oracle), everything else
+//! is computed and stored. Interrupt a sweep (or truncate one with
+//! `--limit`), re-run the same command, and it finishes only the
+//! missing points. Under `MWC_CACHE=off` every point is recomputed.
 //!
 //! ```text
 //! sweep [--seeds N] [--base-seed S] [--runs R] [--units "A, B"] [--limit K]
@@ -16,9 +15,8 @@
 
 use std::time::Instant;
 
-use mwc_bench::{counter, exec_stats_line, header, run_or_exit, studydb_stats_line};
-use mwc_core::studydb::{self, StudyRecord};
-use mwc_core::{Characterization, StudyCache, StudySpec};
+use mwc_bench::{counter, header, run_or_exit};
+use mwc_core::{StudyCache, StudySpec};
 use mwc_soc::config::SocConfig;
 
 struct Args {
@@ -103,23 +101,21 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        // Counters (soc.runs, exec.*, studydb.*) are the sweep's own
-        // telemetry; collection is digest-neutral by contract.
+        // `soc.runs` is the sweep's own telemetry; collection is
+        // digest-neutral by contract.
         mwc_obs::set_enabled(true);
-        let db = studydb::global();
-        let exec_desc = mwc_core::exec::announce();
+        let cache = StudyCache::global();
 
         header("Study sweep");
         println!(
-            "points={} base_seed={} runs={} units={} exec={} db={}",
+            "points={} base_seed={} runs={} units={} cache={}",
             args.seeds,
             args.base_seed,
             args.runs,
             args.units
                 .as_ref()
                 .map_or("all".to_owned(), |u| u.len().to_string()),
-            exec_desc,
-            db.map_or("off".to_owned(), |d| d.path().display().to_string()),
+            cache.describe(),
         );
 
         let started = Instant::now();
@@ -136,29 +132,14 @@ fn main() {
             let seed = args.base_seed.wrapping_add(i);
             let spec = point_spec(&args, seed);
             let point_start = Instant::now();
-            let from_db: Option<Characterization> = db
-                .and_then(|d| d.find(spec.study_key()))
-                .and_then(|record| record.study());
-            let (digest, source) = match from_db {
-                Some(study) => {
-                    replayed += 1;
-                    (study.digest(), "db")
-                }
-                None => {
-                    let study = StudyCache::global().study_spec(&spec)?;
-                    computed += 1;
-                    if let Some(d) = db {
-                        // The executor appends on compute; this covers
-                        // points served warm from the result cache.
-                        let _ = d.append(&StudyRecord::new(
-                            &spec,
-                            &study,
-                            exec_desc.as_str(),
-                            point_start.elapsed(),
-                        ));
-                    }
-                    (study.digest(), "computed")
-                }
+            let hits_before = cache.stats().hits();
+            let digest = cache.study_spec(&spec)?.digest();
+            let source = if cache.stats().hits() > hits_before {
+                replayed += 1;
+                "replayed"
+            } else {
+                computed += 1;
+                "computed"
             };
             digests.push(digest);
             println!(
@@ -176,13 +157,11 @@ fn main() {
         }
         println!("sweep digest: {h:016x}");
         println!(
-            "sweep stats: points={} computed={computed} replayed_db={replayed} soc_runs={} elapsed_ms={}",
+            "sweep stats: points={} computed={computed} replayed={replayed} soc_runs={} elapsed_ms={}",
             digests.len(),
             counter("soc.runs"),
             started.elapsed().as_millis(),
         );
-        println!("{}", exec_stats_line());
-        println!("{}", studydb_stats_line());
         Ok(())
     });
 }

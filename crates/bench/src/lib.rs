@@ -3,7 +3,9 @@
 //! One binary per table and figure of the paper (`table1` … `table6`,
 //! `fig1` … `fig7`, `observations`, and `all` for everything in paper
 //! order), plus Criterion performance benches of the analysis kernels and
-//! the simulator (`cargo bench`).
+//! the simulator (`cargo bench`). Around them: `profile` (where the time
+//! goes), `sweep` (a seed sweep that resumes from the result cache) and
+//! `report` (list and diff the cache's stored studies).
 //!
 //! Every binary runs the same deterministic study: the 18 characterization
 //! units on the simulated Snapdragon 888 platform, three runs each,
@@ -67,14 +69,7 @@ pub fn clustering() -> Clustering {
 
 /// Run a fallible binary body, printing the diagnostic and exiting
 /// nonzero on error instead of unwinding through a panic backtrace.
-///
-/// Also the fleet worker entry point: when the process was spawned as a
-/// subprocess shard (`MWC_EXEC_WORKER=1`), it serves the worker
-/// protocol and exits before `f` runs — which is what lets any bench
-/// binary act as a `MWC_EXEC=subprocess` coordinator (workers are
-/// re-spawns of the current executable).
 pub fn run_or_exit(f: impl FnOnce() -> Result<(), PipelineError>) {
-    mwc_core::exec::worker_guard();
     if let Err(e) = f() {
         eprintln!("error: {e}");
         std::process::exit(1);
@@ -87,38 +82,6 @@ pub fn counter(name: &str) -> u64 {
         Some(mwc_obs::metrics::Metric::Counter(n)) => n,
         _ => 0,
     }
-}
-
-/// The greppable one-line summary of the fleet execution layer's
-/// counters, shared by the `profile` and `sweep` binaries (and parsed
-/// by `scripts/verify.sh`).
-pub fn exec_stats_line() -> String {
-    format!(
-        "exec stats: mode={} spawned={} shipped={} failures={} retries={} fallback={}",
-        mwc_core::exec::configured_description(),
-        counter("exec.shards_spawned"),
-        counter("exec.units_shipped"),
-        counter("exec.worker_failures"),
-        counter("exec.shard_retries"),
-        counter("exec.units_fallback"),
-    )
-}
-
-/// The greppable one-line summary of the study database's counters —
-/// `hits` vs the cache's counters is what makes cache-replay and
-/// DB-replay distinguishable at a glance.
-pub fn studydb_stats_line() -> String {
-    let db = match mwc_core::studydb::global() {
-        Some(db) => db.path().display().to_string(),
-        None => "off".to_owned(),
-    };
-    format!(
-        "studydb stats: db={db} appends={} hits={} misses={} corrupt={}",
-        counter("studydb.appends"),
-        counter("studydb.hits"),
-        counter("studydb.misses"),
-        counter("studydb.corrupt_records"),
-    )
 }
 
 /// Print a section header in the style used by all binaries.

@@ -10,10 +10,22 @@
 //! ## Layers
 //!
 //! * **Memory** — an intra-process map from cache key to shared
-//!   [`Characterization`] / [`ValidationSweep`] instances.
+//!   [`Characterization`] / [`ValidationSweep`] instances and per-unit
+//!   artifacts.
 //! * **Disk** — one file per entry under the cache directory,
-//!   `study-<key>.mwcc` / `sweep-<key>.mwcc`, written atomically (temp
-//!   file + rename) so readers never observe a partial entry.
+//!   `study-<key>.mwcc` / `unit-<key>.mwcc` / `sweep-<key>.mwcc`,
+//!   written atomically (temp file + rename) so readers never observe a
+//!   partial entry.
+//!
+//! ## Eviction
+//!
+//! Beyond `MWC_CACHE_MAX` disk entries the oldest-modified are deleted,
+//! per-unit artifacts before whole-study and sweep entries. A full study
+//! writes 18 unit entries and one study entry, so this order keeps a
+//! sweep's finished points addressable: re-running an interrupted sweep
+//! replays every stored study entry (up to `MWC_CACHE_MAX` of them) and
+//! simulates only the rest. [`StudyCache::stored_studies`] lists the
+//! study entries for the `report` binary.
 //!
 //! ## Keys
 //!
@@ -51,12 +63,12 @@ use mwc_soc::config::SocConfig;
 use mwc_workloads::registry::{all_units, ClusterLabel, Suite};
 
 use crate::error::PipelineError;
-use crate::exec::UnitArtifact;
 use crate::features::FeatureSet;
 use crate::pipeline::{
     Characterization, DegradationReport, FailedUnit, Fnv1a, UnitProfile, UnitSeries,
 };
 use crate::spec::StudySpec;
+use crate::stages::UnitArtifact;
 
 /// Set to `off` / `0` / `false` to disable both cache layers.
 pub const CACHE_MODE_ENV: &str = "MWC_CACHE";
@@ -64,11 +76,6 @@ pub const CACHE_MODE_ENV: &str = "MWC_CACHE";
 pub const CACHE_DIR_ENV: &str = "MWC_CACHE_DIR";
 /// Overrides the maximum number of on-disk entries before eviction.
 pub const CACHE_MAX_ENV: &str = "MWC_CACHE_MAX";
-/// Set to `off` / `0` / `false` to disable the per-unit stage-artifact
-/// layer (the whole-study and sweep layers stay active). With stage
-/// entries off a one-knob change re-simulates the full study, as the
-/// pre-stage-graph pipeline did.
-pub const CACHE_STAGES_ENV: &str = "MWC_CACHE_STAGES";
 
 /// Version of the serialized entry format *and* of the data model it
 /// memoizes. Bump on any change to the simulation, capture, merge or
@@ -76,7 +83,8 @@ pub const CACHE_STAGES_ENV: &str = "MWC_CACHE_STAGES";
 /// from older builds are invalidated instead of replayed.
 pub const CACHE_SCHEMA_VERSION: u32 = 1;
 
-/// Default cap on on-disk entries (oldest-modified evicted first).
+/// Default cap on on-disk entries (unit entries evicted first, then
+/// oldest-modified first).
 const DEFAULT_MAX_ENTRIES: usize = 64;
 
 const STUDY_MAGIC: &[u8; 4] = b"MWCC";
@@ -238,13 +246,23 @@ impl StageStats {
     }
 }
 
+/// A whole-study disk entry, as listed by [`StudyCache::stored_studies`].
+#[derive(Debug)]
+pub struct StoredStudy {
+    /// The entry's content key ([`StudySpec::study_key`]).
+    pub key: u64,
+    /// When the entry was written (the file's modification time).
+    pub stored_at: SystemTime,
+    /// The decoded, digest-verified study.
+    pub study: Characterization,
+}
+
 /// The two-layer study/sweep cache. Most callers use [`StudyCache::global`]
 /// (configured from the environment once per process); tests construct
 /// isolated instances with [`StudyCache::with_dir`].
 #[derive(Debug)]
 pub struct StudyCache {
     enabled: bool,
-    stage_entries: bool,
     dir: Option<PathBuf>,
     max_entries: usize,
     studies: Mutex<HashMap<u64, Arc<Characterization>>>,
@@ -263,7 +281,6 @@ impl StudyCache {
     fn new(enabled: bool, dir: Option<PathBuf>, max_entries: usize) -> Self {
         StudyCache {
             enabled,
-            stage_entries: enabled,
             dir,
             max_entries,
             studies: Mutex::new(HashMap::new()),
@@ -301,15 +318,7 @@ impl StudyCache {
             .and_then(|v| v.parse().ok())
             .filter(|&n| n > 0)
             .unwrap_or(DEFAULT_MAX_ENTRIES);
-        let stages_off = env::var(CACHE_STAGES_ENV)
-            .map(|v| {
-                let v = v.to_ascii_lowercase();
-                v == "off" || v == "0" || v == "false"
-            })
-            .unwrap_or(false);
-        let mut cache = StudyCache::new(true, Some(dir), max_entries);
-        cache.stage_entries = !stages_off;
-        cache
+        StudyCache::new(true, Some(dir), max_entries)
     }
 
     /// An enabled cache persisting to an explicit directory (tests).
@@ -342,12 +351,6 @@ impl StudyCache {
     /// The disk directory, if a persistent layer is configured.
     pub fn dir(&self) -> Option<&Path> {
         self.dir.as_deref()
-    }
-
-    /// Whether the per-unit stage-artifact layer is active (see
-    /// [`CACHE_STAGES_ENV`]).
-    pub fn stage_entries_enabled(&self) -> bool {
-        self.enabled && self.stage_entries
     }
 
     /// A snapshot of the counters.
@@ -434,19 +437,8 @@ impl StudyCache {
     /// override re-simulates exactly that unit, and an analysis-only
     /// change simulates nothing.
     pub fn study_spec(&self, spec: &StudySpec) -> Result<Arc<Characterization>, PipelineError> {
-        self.study_spec_with(crate::exec::global(), spec)
-    }
-
-    /// [`StudyCache::study_spec`] with an explicit execution backend —
-    /// the seam the fleet tests use to pin a backend without touching
-    /// the process-wide `MWC_EXEC` selection.
-    pub fn study_spec_with(
-        &self,
-        exec: &dyn crate::exec::Exec,
-        spec: &StudySpec,
-    ) -> Result<Arc<Characterization>, PipelineError> {
         if !self.enabled {
-            return Ok(Arc::new(crate::stages::execute_with(exec, spec, None)?));
+            return Ok(Arc::new(crate::stages::execute(spec, None)?));
         }
         let key = spec.study_key();
         let mut span = mwc_obs::span("cache.study");
@@ -467,7 +459,7 @@ impl StudyCache {
             return Ok(study);
         }
         self.bump("cache.misses", |s| s.misses += 1);
-        let study = Arc::new(crate::stages::execute_with(exec, spec, Some(self))?);
+        let study = Arc::new(crate::stages::execute(spec, Some(self))?);
         self.persist("study", key, &encode_study(key, &study));
         self.index_study(key, &study);
         Ok(study)
@@ -630,11 +622,45 @@ impl StudyCache {
         }
     }
 
+    /// Every whole-study entry in the disk layer, oldest first. Each is
+    /// read like a lookup (digest re-verified on load), so a corrupt
+    /// entry is counted in [`CacheStats::corrupt_entries`], deleted and
+    /// skipped — never returned. Empty without a disk layer.
+    pub fn stored_studies(&self) -> Vec<StoredStudy> {
+        let Some(entries) = self.dir.as_ref().and_then(|d| fs::read_dir(d).ok()) else {
+            return Vec::new();
+        };
+        let mut found: Vec<(SystemTime, u64)> = entries
+            .filter_map(|e| {
+                let e = e.ok()?;
+                let name = e.file_name();
+                let hex = name
+                    .to_str()?
+                    .strip_prefix("study-")?
+                    .strip_suffix(".mwcc")?;
+                let key = u64::from_str_radix(hex, 16).ok()?;
+                Some((e.metadata().ok()?.modified().ok()?, key))
+            })
+            .collect();
+        found.sort();
+        found
+            .into_iter()
+            .filter_map(|(stored_at, key)| {
+                let study = self.load_study(key)?;
+                Some(StoredStudy {
+                    key,
+                    stored_at,
+                    study,
+                })
+            })
+            .collect()
+    }
+
     /// Look up a per-unit capture+derive artifact (memory, then disk).
     /// Capture-stage counters mirror the derive ones: a hit means the
     /// unit's simulation was skipped, a miss means it executed.
     pub(crate) fn unit_artifact(&self, key: u64) -> Option<UnitArtifact> {
-        if !self.stage_entries_enabled() {
+        if !self.enabled {
             return None;
         }
         if let Some(hit) = self
@@ -676,7 +702,7 @@ impl StudyCache {
     /// disk traffic is accounted to the derive [`StageStats`] only — the
     /// legacy [`CacheStats`] keep counting whole-study entries.
     pub(crate) fn store_unit_artifact(&self, key: u64, artifact: &UnitArtifact) {
-        if !self.stage_entries_enabled() {
+        if !self.enabled {
             return;
         }
         let bytes = encode_unit(key, artifact);
@@ -747,8 +773,11 @@ impl StudyCache {
         }
     }
 
-    /// Drop the oldest-modified entries once the directory exceeds the
-    /// entry cap.
+    /// Drop entries once the directory exceeds the entry cap: per-unit
+    /// artifacts first, then study and sweep entries, oldest-modified
+    /// first within each class. By age alone, each new study's 18 unit
+    /// writes would evict older study entries — the finished points an
+    /// interrupted sweep is about to replay.
     fn evict_excess(&self) {
         let Some(dir) = &self.dir else {
             return;
@@ -756,15 +785,17 @@ impl StudyCache {
         let Ok(entries) = fs::read_dir(dir) else {
             return;
         };
-        let mut files: Vec<(SystemTime, PathBuf)> = entries
+        // `false` (a unit entry) sorts first.
+        let mut files: Vec<(bool, SystemTime, PathBuf)> = entries
             .filter_map(|e| {
                 let e = e.ok()?;
                 let path = e.path();
                 if path.extension().and_then(|x| x.to_str()) != Some("mwcc") {
                     return None;
                 }
+                let is_unit = e.file_name().to_string_lossy().starts_with("unit-");
                 let modified = e.metadata().ok()?.modified().ok()?;
-                Some((modified, path))
+                Some((!is_unit, modified, path))
             })
             .collect();
         if files.len() <= self.max_entries {
@@ -772,7 +803,7 @@ impl StudyCache {
         }
         files.sort();
         let excess = files.len() - self.max_entries;
-        for (_, path) in files.into_iter().take(excess) {
+        for (_, _, path) in files.into_iter().take(excess) {
             if fs::remove_file(&path).is_ok() {
                 self.bump("cache.evictions", |s| s.evictions += 1);
             }
@@ -993,7 +1024,7 @@ fn encode_profile(e: &mut Enc, p: &UnitProfile) {
     }
 }
 
-pub(crate) fn encode_study(key: u64, study: &Characterization) -> Vec<u8> {
+fn encode_study(key: u64, study: &Characterization) -> Vec<u8> {
     let mut e = Enc(Vec::new());
     e.raw(STUDY_MAGIC);
     e.u32(CACHE_SCHEMA_VERSION);
@@ -1096,7 +1127,7 @@ fn decode_profile(d: &mut Dec<'_>) -> Option<UnitProfile> {
 /// Decode a study entry. Returns `None` — never an error, never a panic —
 /// unless the buffer fully parses under `expected_key` and the rebuilt
 /// study's digest matches the digest stored at encode time.
-pub(crate) fn decode_study(expected_key: u64, bytes: &[u8]) -> Option<Characterization> {
+fn decode_study(expected_key: u64, bytes: &[u8]) -> Option<Characterization> {
     let mut d = Dec::new(bytes);
     if d.take(4)? != STUDY_MAGIC {
         return None;
@@ -1149,7 +1180,7 @@ pub(crate) fn decode_study(expected_key: u64, bytes: &[u8]) -> Option<Characteri
 const UNIT_TAG_FAILED: u32 = 0;
 const UNIT_TAG_PROFILED: u32 = 1;
 
-pub(crate) fn encode_unit(key: u64, artifact: &UnitArtifact) -> Vec<u8> {
+fn encode_unit(key: u64, artifact: &UnitArtifact) -> Vec<u8> {
     let mut e = Enc(Vec::new());
     e.raw(UNIT_MAGIC);
     e.u32(CACHE_SCHEMA_VERSION);
@@ -1177,7 +1208,7 @@ pub(crate) fn encode_unit(key: u64, artifact: &UnitArtifact) -> Vec<u8> {
 /// Decode a unit artifact. Returns `None` — never an error, never a
 /// panic — unless the checksum, key, and (for profiles) the stored
 /// profile digest all verify.
-pub(crate) fn decode_unit(expected_key: u64, bytes: &[u8]) -> Option<UnitArtifact> {
+fn decode_unit(expected_key: u64, bytes: &[u8]) -> Option<UnitArtifact> {
     if bytes.len() < 8 {
         return None;
     }
@@ -1215,7 +1246,7 @@ pub(crate) fn decode_unit(expected_key: u64, bytes: &[u8]) -> Option<UnitArtifac
     }
 }
 
-pub(crate) fn encode_sweep(key: u64, s: &ValidationSweep) -> Vec<u8> {
+fn encode_sweep(key: u64, s: &ValidationSweep) -> Vec<u8> {
     let mut e = Enc(Vec::new());
     e.raw(SWEEP_MAGIC);
     e.u32(CACHE_SCHEMA_VERSION);
@@ -1237,7 +1268,7 @@ pub(crate) fn encode_sweep(key: u64, s: &ValidationSweep) -> Vec<u8> {
     e.0
 }
 
-pub(crate) fn decode_sweep(expected_key: u64, bytes: &[u8]) -> Option<ValidationSweep> {
+fn decode_sweep(expected_key: u64, bytes: &[u8]) -> Option<ValidationSweep> {
     if bytes.len() < 8 {
         return None;
     }
@@ -1769,20 +1800,50 @@ mod tests {
     }
 
     #[test]
-    fn stage_entry_layer_can_be_disabled_independently() {
+    fn eviction_drops_unit_entries_before_study_entries() {
         let tmp = TempDir::new();
         let mut cache = StudyCache::with_dir(&tmp.0);
-        cache.stage_entries = false;
-        assert!(cache.is_enabled());
-        assert!(!cache.stage_entries_enabled());
-        let artifact = UnitArtifact::Failed("x".to_owned());
-        cache.store_unit_artifact(1, &artifact);
-        assert!(cache.unit_artifact(1).is_none(), "layer is inert when off");
-        assert_eq!(cache.stage(StageKind::Derive), StageStats::default());
+        cache.max_entries = 4;
+        let study = tiny_study();
+        let artifact = UnitArtifact::Profiled(Arc::new(study.profiles()[0].clone()));
+        // Each study entry lands after its unit entries, as in the stage
+        // executor: 9 writes against a cap of 4.
+        for key in 0..3u64 {
+            for unit in 0..2u64 {
+                cache.store_unit_artifact(100 + 2 * key + unit, &artifact);
+            }
+            cache.persist("study", key, &encode_study(key, &study));
+        }
+        assert_eq!(cache.stats().evictions, 5);
+        let fresh = StudyCache::with_dir(&tmp.0);
+        for key in 0..3u64 {
+            assert!(fresh.load_study(key).is_some(), "study {key} was evicted");
+        }
+        assert_eq!(fresh.stats().disk_hits, 3);
+    }
+
+    #[test]
+    fn stored_studies_lists_valid_study_entries_and_skips_corrupt_ones() {
+        let tmp = TempDir::new();
+        let cache = StudyCache::with_dir(&tmp.0);
+        let study = tiny_study();
+        for key in [1u64, 2, 3] {
+            cache.persist("study", key, &encode_study(key, &study));
+        }
+        cache.store_unit_artifact(4, &UnitArtifact::Failed("x".to_owned()));
+        let bad = cache.entry_path("study", 2).expect("disk layer");
+        fs::write(&bad, b"not a cache entry").expect("overwrite");
+
+        let listed = StudyCache::with_dir(&tmp.0);
+        let mut keys: Vec<u64> = listed.stored_studies().iter().map(|s| s.key).collect();
+        keys.sort_unstable();
         assert_eq!(
-            fs::read_dir(&tmp.0).expect("cache dir").count(),
-            0,
-            "nothing written"
+            keys,
+            vec![1, 3],
+            "unit entries and corrupt studies are not listed"
         );
+        assert_eq!(listed.stats().corrupt_entries, 1);
+        assert!(!bad.exists(), "the corrupt entry is dropped");
+        assert!(StudyCache::in_memory().stored_studies().is_empty());
     }
 }

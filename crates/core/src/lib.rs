@@ -19,14 +19,12 @@
 //!   seed, runs, platform, fault model (with per-unit overrides) and
 //!   unit selection;
 //! * [`cache`] — a persistent, content-addressed cache of study, per-unit
-//!   stage and sweep results, so warm runs skip simulation entirely and a
-//!   one-unit change re-simulates only that unit;
-//! * [`exec`] — the fleet execution layer: the `Exec` trait with an
-//!   in-process pool and a subprocess-sharding backend (`MWC_EXEC`),
-//!   both bit-identical by contract;
-//! * [`studydb`] — the append-only study database (`MWC_STUDY_DB`):
-//!   every completed study persisted with spec, timings and capture
-//!   health, enabling resumable sweeps and historical reports.
+//!   stage and sweep results, so warm runs skip simulation entirely, a
+//!   one-unit change re-simulates only that unit, and an interrupted
+//!   sweep resumes from its finished points.
+//!
+//! Every study runs in-process: the per-unit stage fans out over the
+//! `mwc_parallel` worker pool, bit-identical at any thread count.
 //!
 //! ## Quickstart
 //!
@@ -47,23 +45,19 @@
 
 pub mod cache;
 pub mod error;
-pub mod exec;
 pub mod features;
 pub mod figures;
 pub mod observations;
 pub mod pipeline;
 pub mod spec;
 mod stages;
-pub mod studydb;
 pub mod subsets;
 pub mod tables;
 pub mod wire;
 
 pub use cache::{CacheStats, StageKind, StageStats, StudyCache};
 pub use error::PipelineError;
-pub use exec::{Exec, LocalExec, SubprocessExec};
 pub use features::FeatureSet;
 pub use pipeline::{Characterization, DegradationReport, UnitProfile};
 pub use spec::{StudySpec, UnitSelection};
-pub use studydb::{StudyDb, StudyRecord};
-pub use wire::{from_wire, to_wire, to_wire_with_threads, WireError};
+pub use wire::{from_wire, to_wire, WireError};

@@ -10,26 +10,21 @@
 //!                        keyed by unit_key)              featurize ─▶ analyze
 //! ```
 //!
-//! [`execute`] runs the graph. The per-unit stage is fanned out through
-//! the process-wide [`crate::exec::Exec`] backend — the in-process pool
-//! by default, subprocess shards under `MWC_EXEC=subprocess` — and
-//! every backend is bit-identical by contract. When handed a
-//! [`StudyCache`], each unit's capture+derive work is memoized as a
-//! content-addressed *unit artifact* keyed by [`StudySpec::unit_key`] —
-//! so changing one unit's fault config re-simulates exactly that unit,
-//! and the other artifacts are replayed from cache. Failed captures are
-//! cached too (as their rendered error), which keeps a warm degraded
-//! study bit-identical to its cold run.
-//!
-//! Completed studies are additionally persisted into the append-only
-//! study database when `MWC_STUDY_DB` is set (see [`crate::studydb`]).
+//! [`execute`] runs the graph in-process: the per-unit stage fans out
+//! over the `mwc_parallel` worker pool, which is bit-identical at any
+//! thread count. When handed a [`StudyCache`], each unit's
+//! capture+derive work is memoized as a content-addressed *unit
+//! artifact* keyed by [`StudySpec::unit_key`] — so changing one unit's
+//! fault config re-simulates exactly that unit, and the other artifacts
+//! are replayed from cache. Failed captures are cached too (as their
+//! rendered error), which keeps a warm degraded study bit-identical to
+//! its cold run.
 //!
 //! Without a cache the executor is the plain pipeline: bit-identical to
 //! the pre-stage-graph implementation (the digest tests are the
 //! oracle).
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use mwc_profiler::capture::Profiler;
 use mwc_soc::engine::Engine;
@@ -37,29 +32,40 @@ use mwc_workloads::registry::BenchmarkUnit;
 
 use crate::cache::StudyCache;
 use crate::error::PipelineError;
-use crate::exec::{Exec, UnitArtifact, UnitOutcome};
 use crate::pipeline::{
     capture_stage, derive_stage, stage, Characterization, DegradationReport, FailedUnit,
+    UnitProfile,
 };
 use crate::spec::StudySpec;
 
-/// Run the stage graph for `spec` through the process-wide execution
-/// backend. With `cache` set, per-unit artifacts are consulted and
-/// stored; without it every stage computes.
+/// The cached outcome of one unit's capture+derive stages. Failures are
+/// first-class artifacts: a warm replay of a degraded study must
+/// rebuild the same `DegradationReport` without re-simulating.
+#[derive(Debug, Clone)]
+pub(crate) enum UnitArtifact {
+    /// The unit produced a usable profile.
+    Profiled(Arc<UnitProfile>),
+    /// Every capture attempt failed; the rendered error.
+    Failed(String),
+}
+
+/// One unit's artifact plus whether it was computed in this study run
+/// (vs. replayed from a cache layer) — the collect stage only records
+/// capture-health metrics for work actually done.
+#[derive(Debug)]
+struct UnitOutcome {
+    /// The capture+derive result.
+    artifact: UnitArtifact,
+    /// `true` if the artifact was computed, not replayed from cache.
+    computed: bool,
+}
+
+/// Run the stage graph for `spec`. With `cache` set, per-unit artifacts
+/// are consulted and stored; without it every stage computes.
 pub(crate) fn execute(
     spec: &StudySpec,
     cache: Option<&StudyCache>,
 ) -> Result<Characterization, PipelineError> {
-    execute_with(crate::exec::global(), spec, cache)
-}
-
-/// [`execute`] with an explicit execution backend.
-pub(crate) fn execute_with(
-    exec: &dyn Exec,
-    spec: &StudySpec,
-    cache: Option<&StudyCache>,
-) -> Result<Characterization, PipelineError> {
-    let started = Instant::now();
     let mut study_span = mwc_obs::span("pipeline.study");
     study_span.field("seed", spec.seed);
     study_span.field("runs", spec.runs);
@@ -69,19 +75,17 @@ pub(crate) fn execute_with(
     let selected = stage("pipeline.validate", || {
         spec.validate()?;
         // Validate the platform once up front so the common path never
-        // pays per-unit engine failures; a mismatch that still reaches
-        // a shard worker degrades to per-unit Failed artifacts (see
-        // `run_units_local`).
+        // pays per-unit engine failures (see `run_units_local`).
         Engine::new(spec.config.clone(), spec.seed)?;
         spec.selected()
     })?;
     study_span.field("units", selected.len());
 
     let outcomes = stage("pipeline.capture", || {
-        exec.run_units(spec, &selected, cache)
-    })?;
+        run_units_local(spec, &selected, cache)
+    });
 
-    let study = stage("pipeline.collect", || {
+    stage("pipeline.collect", || {
         let units_requested = selected.len();
         let mut profiles = Vec::with_capacity(units_requested);
         let mut failed_units = Vec::new();
@@ -117,16 +121,12 @@ pub(crate) fn execute_with(
                 failed_units,
             },
         ))
-    })?;
-
-    crate::studydb::record_completed(spec, &study, &exec.describe(), started.elapsed());
-    Ok(study)
+    })
 }
 
-/// The in-process per-unit fan-out: the `mwc_parallel` worker pool,
-/// artifact-cache first. This is both the [`crate::exec::LocalExec`]
-/// backend and the compute path inside every subprocess worker.
-pub(crate) fn run_units_local(
+/// The per-unit fan-out: the `mwc_parallel` worker pool, artifact-cache
+/// first.
+fn run_units_local(
     spec: &StudySpec,
     selected: &[(usize, BenchmarkUnit)],
     cache: Option<&StudyCache>,
@@ -135,10 +135,9 @@ pub(crate) fn run_units_local(
         selected,
         spec.threads,
         || {
-            // Engine construction is validated before the fan-out on
-            // the coordinator path, but a shard worker builds engines
-            // from a shipped spec: surface a mismatch as typed per-unit
-            // failures, not a worker abort.
+            // `execute` validates engine construction before the
+            // fan-out, but `Engine::new` is fallible per worker: surface
+            // a mismatch as typed per-unit failures, not a panic.
             Engine::new(spec.config.clone(), spec.seed)
                 .map(|engine| Profiler::new(engine, spec.seed))
                 .map_err(|e| PipelineError::from(e).to_string())
@@ -191,5 +190,30 @@ fn unit_task(
     UnitOutcome {
         artifact,
         computed: true,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mwc_soc::config::SocConfig;
+
+    #[test]
+    fn engine_mismatch_fails_units_with_a_typed_error() {
+        // An invalid platform reaching the per-unit fan-out must surface
+        // as typed per-unit failures, not a panic.
+        let mut config = SocConfig::snapdragon_888();
+        config.clusters.clear();
+        let spec = StudySpec::new(config, 7, 1).with_units(["Aitutu"]);
+        let selected = spec.selected().unwrap();
+        let outcomes = run_units_local(&spec, &selected, None);
+        assert_eq!(outcomes.len(), 1);
+        match &outcomes[0].artifact {
+            UnitArtifact::Failed(msg) => {
+                assert!(msg.contains("platform error"), "typed rendering: {msg}");
+            }
+            other => panic!("expected a failed artifact, got {other:?}"),
+        }
+        assert!(outcomes[0].computed);
     }
 }

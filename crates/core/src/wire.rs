@@ -163,20 +163,6 @@ pub fn to_wire(spec: &StudySpec) -> Result<String, WireError> {
     Ok(out)
 }
 
-/// [`to_wire`] plus an explicit `threads = N` line.
-///
-/// This is the form the fleet coordinator ships to subprocess workers:
-/// `threads` is scheduling-only (never part of a content key, and
-/// omitted by [`to_wire`] so cache-facing documents stay canonical), but
-/// the worker should still honour the coordinator's per-shard thread
-/// budget, so the hint has to survive the hop.
-pub fn to_wire_with_threads(spec: &StudySpec) -> Result<String, WireError> {
-    use fmt::Write as _;
-    let mut out = to_wire(spec)?;
-    let _ = writeln!(out, "threads = {}", spec.threads);
-    Ok(out)
-}
-
 /// Parse a wire document into a [`StudySpec`].
 ///
 /// The result is *not* validated beyond the grammar — callers run

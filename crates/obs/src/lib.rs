@@ -62,9 +62,7 @@ pub mod metrics;
 pub mod summary;
 pub mod trace;
 
-pub use trace::{
-    event, event_with, set_process_field, span, span_with_parent, SpanGuard, SpanHandle, Value,
-};
+pub use trace::{event, event_with, span, span_with_parent, SpanGuard, SpanHandle, Value};
 
 /// Environment variable naming the trace output path (enables collection).
 pub const TRACE_ENV: &str = "MWC_TRACE";

@@ -195,34 +195,6 @@ static BUFFERS: OnceLock<Mutex<Vec<RegisteredBuffer>>> = OnceLock::new();
 /// Next span id; 0 is reserved for "no span".
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Process-wide span fields, attached to every span opened after
-/// registration. A fleet worker labels all of its spans with its shard
-/// id here, so traces merged from several worker processes stay
-/// attributable to the shard that produced them.
-static PROCESS_FIELDS: OnceLock<Mutex<Vec<(String, Value)>>> = OnceLock::new();
-
-/// Attach `key = value` to every span opened in this process from now
-/// on. Registering the same key again replaces the earlier value.
-pub fn set_process_field(key: &str, value: impl Into<Value>) {
-    let mut fields = PROCESS_FIELDS
-        .get_or_init(|| Mutex::new(Vec::new()))
-        .lock()
-        .expect("process span fields poisoned");
-    let value = value.into();
-    match fields.iter_mut().find(|(k, _)| k == key) {
-        Some((_, v)) => *v = value,
-        None => fields.push((key.to_owned(), value)),
-    }
-}
-
-/// Snapshot of the process-wide fields (empty when none registered).
-fn process_fields() -> Vec<(String, Value)> {
-    PROCESS_FIELDS
-        .get()
-        .map(|m| m.lock().expect("process span fields poisoned").clone())
-        .unwrap_or_default()
-}
-
 /// Next observability thread id; 0 is reserved.
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
@@ -361,7 +333,7 @@ fn open_span(name: &str, explicit_parent: Option<SpanHandle>) -> SpanGuard {
             parent,
             name: name.to_owned(),
             start_ns,
-            fields: process_fields(),
+            fields: Vec::new(),
         }
     });
     SpanGuard { open: Some(open) }

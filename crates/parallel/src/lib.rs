@@ -121,24 +121,6 @@ where
         .collect()
 }
 
-/// Partition item indices `0..items` round-robin into at most `shards`
-/// non-empty groups: shard `s` holds indices `s, s + n, s + 2n, …`.
-///
-/// Round-robin (rather than contiguous blocks) spreads the expensive
-/// items — which cluster together in the registry's canonical order —
-/// across shards, so the fleet coordinator's workers finish at similar
-/// times. The grouping affects scheduling only: results are merged back
-/// by item index, so any partition yields bit-identical output.
-pub fn round_robin_shards(items: usize, shards: usize) -> Vec<Vec<usize>> {
-    let shards = shards.max(1).min(items.max(1));
-    let mut out = vec![Vec::new(); shards];
-    for index in 0..items {
-        out[index % shards].push(index);
-    }
-    out.retain(|shard| !shard.is_empty());
-    out
-}
-
 /// Map `f` over `items` with stateless workers; see [`ordered_map_with`].
 pub fn ordered_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
@@ -152,28 +134,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn round_robin_covers_every_index_once() {
-        for items in 0..12usize {
-            for shards in 1..6usize {
-                let parts = round_robin_shards(items, shards);
-                let mut seen: Vec<usize> = parts.iter().flatten().copied().collect();
-                seen.sort_unstable();
-                assert_eq!(seen, (0..items).collect::<Vec<_>>());
-                assert!(parts.iter().all(|p| !p.is_empty()));
-                assert!(parts.len() <= shards.max(1));
-                // Balanced: sizes differ by at most one.
-                if let (Some(max), Some(min)) = (
-                    parts.iter().map(Vec::len).max(),
-                    parts.iter().map(Vec::len).min(),
-                ) {
-                    assert!(max - min <= 1);
-                }
-            }
-        }
-        assert!(round_robin_shards(0, 3).is_empty());
-    }
 
     #[test]
     fn results_come_back_in_item_order() {

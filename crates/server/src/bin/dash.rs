@@ -193,18 +193,6 @@ fn render(addr: &str, metrics: &BTreeMap<String, f64>, debug_body: Option<&str>)
         m("server_slo_violations_total"),
         m("server_slo_threshold_ms"),
     ));
-    // Fleet execution layer: shard traffic and study-DB replays, so
-    // cache-hit vs DB-replay is distinguishable at a glance.
-    out.push_str(&format!(
-        "  fleet     shards={:.0} shipped={:.0} fail={:.0} retry={:.0}   studydb   app={:.0} hit={:.0} miss={:.0}\n",
-        m("exec_shards"),
-        m("exec_units_shipped"),
-        m("exec_worker_failures"),
-        m("exec_shard_retries"),
-        m("studydb_appends"),
-        m("studydb_hits"),
-        m("studydb_misses"),
-    ));
     out.push('\n');
     out.push_str(&format!(
         "  queue     {}\n",

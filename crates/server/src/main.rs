@@ -12,10 +12,6 @@ use mwc_server::server::Server;
 use mwc_server::signal;
 
 fn main() -> ExitCode {
-    // Under MWC_EXEC=subprocess the server's shard workers are re-spawns
-    // of this binary: enter worker mode (and exit) before binding
-    // anything.
-    mwc_core::exec::worker_guard();
     // The server is an observability citizen by default: its counters and
     // request histograms are what /metrics serves.
     mwc_obs::set_enabled(true);

@@ -10,9 +10,11 @@
 //! 2. A worker pops the job, derives its [`Deadline`] from the accept
 //!    stamp, and serves exactly one request under panic isolation. The
 //!    deadline is checked after queueing, after parsing, before compute
-//!    and after compute; expiry answers `504`. The response is rendered
-//!    to bytes, the request's telemetry record is published, and only
-//!    then is the response written, in one write.
+//!    and after compute; expiry answers `504`. A study is computed
+//!    in-process, through the server's own [`StudyCache`] (memory-only
+//!    unless `MWC_SERVER_CACHE_DIR` is set).
+//!    The response is rendered to bytes, the request's telemetry record
+//!    is published, and only then is the response written, in one write.
 //! 3. Shutdown ([`Server::request_shutdown`], which the binary calls on
 //!    SIGTERM/ctrl-c, or `POST /admin/shutdown`) latches one atomic and
 //!    wakes the acceptor out of `accept` with a connection to the
@@ -172,15 +174,6 @@ impl Server {
     pub fn bind(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-
-        // Studies are served through the process-wide Exec backend
-        // (MWC_EXEC); publish the fleet configuration on /metrics
-        // (exec_shards, studydb_enabled) before any study runs.
-        let exec = mwc_core::exec::announce();
-        mwc_obs::event_with(
-            "server.exec",
-            vec![("backend".to_owned(), mwc_obs::Value::Str(exec))],
-        );
 
         let cache = match &config.cache_dir {
             Some(dir) => StudyCache::with_dir(dir.clone()),

@@ -35,6 +35,22 @@ if [ -n "$panic_sites" ]; then
 fi
 echo "    zero panic sites"
 
+# Knob inventory: every "MWC_*" name the code reads must have a row in
+# README's environment table, and every row must name a knob that exists.
+echo "==> knob inventory (MWC_* names in code vs README environment table)"
+knobs_code="target/verify-knobs-code.txt"
+knobs_readme="target/verify-knobs-readme.txt"
+mkdir -p target
+grep -rhoE --include='*.rs' '"MWC_[A-Z0-9_]+"' crates src | tr -d '"' | sort -u >"$knobs_code"
+sed -n 's/^| `\(MWC_[A-Z0-9_]*\)`.*/\1/p' README.md | sort -u >"$knobs_readme"
+if ! diff "$knobs_code" "$knobs_readme" >/dev/null; then
+    echo "error: MWC_* names in code (<) and README's environment table (>) differ:" >&2
+    diff "$knobs_code" "$knobs_readme" >&2
+    exit 1
+fi
+echo "    $(wc -l <"$knobs_code" | tr -d ' ') names, all in README's table"
+rm -f "$knobs_code" "$knobs_readme"
+
 echo "==> cargo build --release"
 cargo build --release || exit $?
 
@@ -226,76 +242,58 @@ fi
 rm -rf "$incr_dir" "$incr_cold_dir"
 echo "    one-knob change: sims=$flip_sims reused=$flip_reused; digest matches cold run ($digest_flip)"
 
-echo "==> fleet execution gate (subprocess shards vs local, resumable sweep)"
-# A 3-point sweep over 3 units: the subprocess backend (2 worker
-# processes per point) must reproduce the in-process sweep digest
-# bit-for-bit, with every unit arriving from a shard and zero worker
-# failures. MWC_CACHE=off so every digest comes from a real computation.
-fleet_units="Aitutu, Antutu CPU, Antutu GPU"
-fleet_db="target/verify-fleet.mwdb"
-rm -f "$fleet_db"
+echo "==> resumable sweep gate (interrupt, then resume from the result cache)"
+# A 6-point sweep over the full registry writes 6 x 19 = 114 cache
+# entries, past the default 64-entry cap. Interrupted after 5 points and
+# re-run, it must replay those 5 from their study entries (unit entries
+# are evicted first) and simulate only the sixth (soc_runs = 18 units x
+# 1 run), with the sweep digest of a clean uncached sweep.
+sweep_dir="target/verify-sweep-cache"
+rm -rf "$sweep_dir"
 
-fleet_local_out=$(MWC_CACHE=off ./target/release/sweep \
-    --seeds 3 --base-seed 4100 --units "$fleet_units") || exit 1
-fleet_digest_local=$(printf '%s\n' "$fleet_local_out" | awk '/^sweep digest:/ { print $3 }')
+sweep_clean_out=$(MWC_CACHE=off ./target/release/sweep --seeds 6 --base-seed 4100) || exit 1
+sweep_digest_clean=$(printf '%s\n' "$sweep_clean_out" | awk '/^sweep digest:/ { print $3 }')
 
-fleet_sub_out=$(MWC_CACHE=off MWC_EXEC=subprocess MWC_EXEC_SHARDS=2 ./target/release/sweep \
-    --seeds 3 --base-seed 4100 --units "$fleet_units") || exit 1
-fleet_digest_sub=$(printf '%s\n' "$fleet_sub_out" | awk '/^sweep digest:/ { print $3 }')
-fleet_shipped=$(printf '%s\n' "$fleet_sub_out" \
-    | awk '/^exec stats:/ { for (i = 1; i <= NF; i++) if (sub("^shipped=", "", $i)) print $i }')
-fleet_failures=$(printf '%s\n' "$fleet_sub_out" \
-    | awk '/^exec stats:/ { for (i = 1; i <= NF; i++) if (sub("^failures=", "", $i)) print $i }')
-
-if [ -z "$fleet_digest_local" ] || [ -z "$fleet_digest_sub" ]; then
-    echo "error: fleet sweep passes printed no sweep digest" >&2
-    exit 1
-fi
-if [ "$fleet_digest_local" != "$fleet_digest_sub" ]; then
-    echo "error: subprocess sweep diverged: $fleet_digest_local (local) vs $fleet_digest_sub (subprocess:2)" >&2
-    exit 1
-fi
-if [ -z "$fleet_shipped" ] || [ "$fleet_shipped" -ne 9 ]; then
-    echo "error: subprocess sweep shipped $fleet_shipped of 9 units from workers" >&2
-    exit 1
-fi
-if [ -z "$fleet_failures" ] || [ "$fleet_failures" -ne 0 ]; then
-    echo "error: subprocess sweep recorded worker failures=$fleet_failures" >&2
-    exit 1
-fi
-
-# Interrupt-then-resume against the study database: the first pass
-# completes one point and stops (--limit 1); the rerun must replay that
-# point from the DB and simulate only the remaining two (soc_runs is
-# the oracle: 2 points x 3 units x 1 run).
-MWC_CACHE=off MWC_STUDY_DB="$fleet_db" ./target/release/sweep \
-    --seeds 3 --base-seed 4100 --units "$fleet_units" --limit 1 >/dev/null || exit 1
-fleet_resume_out=$(MWC_CACHE=off MWC_STUDY_DB="$fleet_db" ./target/release/sweep \
-    --seeds 3 --base-seed 4100 --units "$fleet_units") || exit 1
-fleet_digest_resume=$(printf '%s\n' "$fleet_resume_out" | awk '/^sweep digest:/ { print $3 }')
-fleet_replayed=$(printf '%s\n' "$fleet_resume_out" \
-    | awk '/^sweep stats:/ { for (i = 1; i <= NF; i++) if (sub("^replayed_db=", "", $i)) print $i }')
-fleet_soc_runs=$(printf '%s\n' "$fleet_resume_out" \
+MWC_CACHE_DIR="$sweep_dir" ./target/release/sweep \
+    --seeds 6 --base-seed 4100 --limit 5 >/dev/null || exit 1
+sweep_resume_out=$(MWC_CACHE_DIR="$sweep_dir" ./target/release/sweep \
+    --seeds 6 --base-seed 4100) || exit 1
+sweep_digest_resume=$(printf '%s\n' "$sweep_resume_out" | awk '/^sweep digest:/ { print $3 }')
+sweep_replayed=$(printf '%s\n' "$sweep_resume_out" \
+    | awk '/^sweep stats:/ { for (i = 1; i <= NF; i++) if (sub("^replayed=", "", $i)) print $i }')
+sweep_soc_runs=$(printf '%s\n' "$sweep_resume_out" \
     | awk '/^sweep stats:/ { for (i = 1; i <= NF; i++) if (sub("^soc_runs=", "", $i)) print $i }')
 
-if [ "$fleet_digest_resume" != "$fleet_digest_local" ]; then
-    echo "error: resumed sweep diverged: $fleet_digest_local (clean) vs $fleet_digest_resume (resumed)" >&2
+if [ -z "$sweep_digest_clean" ] || [ -z "$sweep_digest_resume" ]; then
+    echo "error: sweep passes printed no sweep digest" >&2
     exit 1
 fi
-if [ -z "$fleet_replayed" ] || [ "$fleet_replayed" -ne 1 ]; then
-    echo "error: resume replayed $fleet_replayed points from the study DB (want 1)" >&2
+if [ "$sweep_digest_resume" != "$sweep_digest_clean" ]; then
+    echo "error: resumed sweep diverged: $sweep_digest_clean (uncached) vs $sweep_digest_resume (resumed)" >&2
     exit 1
 fi
-if [ -z "$fleet_soc_runs" ] || [ "$fleet_soc_runs" -ne 6 ]; then
-    echo "error: resume ran $fleet_soc_runs simulations (want 6 = 2 points x 3 units)" >&2
+if [ -z "$sweep_replayed" ] || [ "$sweep_replayed" -ne 5 ]; then
+    echo "error: resume replayed ${sweep_replayed:-?} points from the cache (want 5)" >&2
     exit 1
 fi
-MWC_STUDY_DB="$fleet_db" ./target/release/report | grep -q "(3 records)" || {
-    echo "error: report did not list the 3 sweep records in $fleet_db" >&2
+if [ -z "$sweep_soc_runs" ] || [ "$sweep_soc_runs" -ne 18 ]; then
+    echo "error: resume ran ${sweep_soc_runs:-?} simulations (want 18 = 1 point x 18 units)" >&2
+    exit 1
+fi
+
+report_out=$(MWC_CACHE_DIR="$sweep_dir" ./target/release/report) || exit 1
+if ! printf '%s\n' "$report_out" | grep -q "(6 study entries"; then
+    echo "error: report did not list the 6 sweep points as study entries; output follows" >&2
+    printf '%s\n' "$report_out" >&2
+    exit 1
+fi
+report_digests=$(printf '%s\n' "$report_out" | awk '$1 ~ /^[0-9]+$/ && NF >= 5 { print $3 }' | head -n 2)
+MWC_CACHE_DIR="$sweep_dir" ./target/release/report --diff $report_digests >/dev/null || {
+    echo "error: report --diff of two listed digests failed ($report_digests)" >&2
     exit 1
 }
-rm -f "$fleet_db"
-echo "    subprocess:2 sweep bit-identical ($fleet_digest_sub, shipped=$fleet_shipped); resume replayed 1 point, simulated 6 runs"
+rm -rf "$sweep_dir"
+echo "    resume replayed $sweep_replayed points, simulated $sweep_soc_runs runs; digest matches uncached sweep ($sweep_digest_clean)"
 
 echo "==> kernel bench smoke pass (MWC_BENCH_FAST=1)"
 bench_json="$PWD/target/verify-bench.json"
