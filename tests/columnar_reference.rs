@@ -60,3 +60,23 @@ fn study_digest_matches_the_row_oriented_baseline() {
 /// Digest of the seed-2024 single-run study as produced by the
 /// row-oriented code at the commit preceding the columnar storage rework.
 const EXPECTED_DIGEST: &str = "e58b2946ff34a629";
+
+/// The paper-default study (seed 2024, three runs per unit averaged, as
+/// the paper does) is pinned too: the single-run pin above never
+/// exercises the multi-run capture and averaging path. Uncached, so the
+/// digest comes from a real simulation.
+#[test]
+fn paper_default_study_digest_is_pinned() {
+    use mwc_core::pipeline::Characterization;
+    use mwc_core::StudySpec;
+    let study = Characterization::try_run_spec(&StudySpec::paper_default()).expect("study");
+    assert_eq!(
+        format!("{:016x}", study.digest()),
+        EXPECTED_PAPER_DEFAULT_DIGEST,
+        "paper-default study digest moved"
+    );
+}
+
+/// Digest of the paper-default three-run study, as the `profile` binary
+/// prints it.
+const EXPECTED_PAPER_DEFAULT_DIGEST: &str = "568a6638913d7d44";

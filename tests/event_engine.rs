@@ -191,6 +191,92 @@ fn study_digest_identical_across_cores() {
     );
 }
 
+/// FNV-1a over 64-bit words.
+fn fnv1a(mut h: u64, word: u64) -> u64 {
+    for byte in word.to_le_bytes() {
+        h ^= u64::from(byte);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// Fold every field of every sample, by `to_bits`, into an FNV-1a hash.
+fn fold_trace(mut h: u64, trace: &Trace) -> u64 {
+    h = fnv1a(h, trace.samples.len() as u64);
+    for s in &trace.samples {
+        h = fnv1a(h, s.time_s.to_bits());
+        h = fnv1a(h, s.clusters.len() as u64);
+        for c in &s.clusters {
+            h = fnv1a(h, c.kind as u64);
+            for v in [
+                c.utilization,
+                c.frequency_mhz,
+                c.load,
+                c.instructions,
+                c.cycles,
+            ] {
+                h = fnv1a(h, v.to_bits());
+            }
+        }
+        for v in [
+            s.instructions,
+            s.cycles,
+            s.cache_misses,
+            s.branches,
+            s.branch_misses,
+            s.dram_accesses,
+            s.gpu_utilization,
+            s.gpu_frequency_mhz,
+            s.gpu_load,
+            s.gpu_shaders_busy,
+            s.gpu_bus_busy,
+            s.gpu_l1_texture_misses_m,
+            s.aie_utilization,
+            s.aie_frequency_mhz,
+            s.aie_load,
+            s.memory_used_mib,
+            s.memory_used_fraction,
+            s.memory_bandwidth_utilization,
+            s.storage_busy,
+            s.storage_read_mbps,
+            s.storage_write_mbps,
+        ] {
+            h = fnv1a(h, v.to_bits());
+        }
+    }
+    h
+}
+
+/// The raw simulator output of the whole paper protocol — every registry
+/// unit, runs 0–2, with the study's stream seeding — is pinned bit for
+/// bit. The dense-vs-event checks above compare two cores that share
+/// `step` and the scheduler, so a change to arithmetic or summation order
+/// in that shared code passes them; this pin does not. It also covers raw
+/// fields no study digest sees (`dram_accesses`, `branches`, per-cluster
+/// `cycles`, `storage_read_mbps`, …). One engine runs every capture in
+/// sequence, so state carried from one run to the next must not change
+/// the output either.
+#[test]
+fn raw_traces_of_the_paper_protocol_are_pinned() {
+    let mut engine = engine_in(EngineMode::Event, 0);
+    let mut h = 0xCBF2_9CE4_8422_2325;
+    for (i, unit) in all_units().iter().enumerate() {
+        for run in 0..3u64 {
+            engine.reset_for(STUDY_SEED, i as u64, run);
+            h = fold_trace(h, &engine.run(&unit.workload));
+        }
+    }
+    assert_eq!(
+        format!("{h:016x}"),
+        EXPECTED_RAW_TRACE_DIGEST,
+        "raw simulator output moved"
+    );
+}
+
+/// FNV-1a of the raw traces above, at the commit before the simulator's
+/// per-thread CPI memo and allocation-free tick.
+const EXPECTED_RAW_TRACE_DIGEST: &str = "d06a1d6a5fbb5d52";
+
 /// An idle-heavy workload coasts: the trace still has one sample per tick
 /// and matches the dense core, while the samples across the idle tail are
 /// replicas (the property that makes the event core fast).
