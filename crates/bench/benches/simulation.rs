@@ -6,7 +6,7 @@ use mwc_soc::config::SocConfig;
 use mwc_soc::cpu::CpuDemand;
 use mwc_soc::engine::Engine;
 use mwc_soc::gpu::GpuDemand;
-use mwc_soc::sched::Scheduler;
+use mwc_soc::sched::{Placement, Scheduler};
 use mwc_soc::workload::{ConstantWorkload, Demand};
 
 fn busy_workload(seconds: f64) -> ConstantWorkload {
@@ -29,8 +29,9 @@ fn bench_scheduler(c: &mut Criterion) {
     let soc = SocConfig::snapdragon_888();
     let sched = Scheduler::new(&soc);
     let demand = CpuDemand::multi_thread(12, 0.7);
+    let mut placement = Placement::default();
     c.bench_function("scheduler_place_12_threads", |b| {
-        b.iter(|| sched.place(&demand))
+        b.iter(|| sched.place(&demand, &mut placement))
     });
 }
 

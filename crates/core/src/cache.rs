@@ -1050,7 +1050,13 @@ fn decode_series(d: &mut Dec<'_>) -> Option<TimeSeries> {
     if len > d.remaining() / 8 {
         return None;
     }
-    let values = (0..len).map(|_| d.f64()).collect::<Option<Vec<_>>>()?;
+    // One bounds check for the whole series, not one per value: a
+    // per-value reader dominated warm loads in unoptimized builds.
+    let values = d
+        .take(len * 8)?
+        .chunks_exact(8)
+        .map(|b| f64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+        .collect();
     Some(TimeSeries::new(tick_seconds, values))
 }
 

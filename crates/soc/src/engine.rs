@@ -33,7 +33,7 @@ use crate::error::SocError;
 use crate::event::{DeviceId, EventKind, EventQueue, SimClock};
 use crate::gpu::Gpu;
 use crate::memory::Memory;
-use crate::sched::Scheduler;
+use crate::sched::{Placement, Scheduler};
 use crate::storage::Storage;
 use crate::workload::{Demand, Workload};
 use crate::TICK_SECONDS;
@@ -61,6 +61,27 @@ pub fn stream_seed(study_seed: u64, unit_index: u64, run_index: u64) -> u64 {
     h = mix64(h ^ unit_index.wrapping_add(0xD1B5_4A32_D192_ED03));
     h = mix64(h ^ run_index.wrapping_add(0x8CB9_2BA7_2F3D_8DD7));
     h
+}
+
+/// Multiplicative noise factor around 1.0.
+fn noise(rng: &mut StdRng) -> f64 {
+    1.0 + rng.gen_range(-NOISE_AMPLITUDE..=NOISE_AMPLITUDE)
+}
+
+/// Overwrite `dst` with `src`, reusing `dst`'s thread buffer.
+fn copy_demand(dst: &mut Demand, src: &Demand) {
+    let Demand {
+        cpu,
+        gpu,
+        aie,
+        memory,
+        io,
+    } = src;
+    dst.cpu.threads.clone_from(&cpu.threads);
+    dst.gpu = *gpu;
+    dst.aie = *aie;
+    dst.memory = *memory;
+    dst.io = *io;
 }
 
 /// Bytes transferred per DRAM access (one cache line).
@@ -112,6 +133,11 @@ pub struct Engine {
     scheduler: Scheduler,
     rng: StdRng,
     mode: EngineMode,
+    /// The current tick's perturbed demand and its placement: buffers
+    /// reused from tick to tick, so a stepped tick allocates nothing but
+    /// the sample it returns.
+    demand: Demand,
+    placement: Placement,
 }
 
 impl Engine {
@@ -160,6 +186,8 @@ impl Engine {
             scheduler,
             rng: StdRng::seed_from_u64(seed),
             mode: EngineMode::from_env(),
+            demand: Demand::idle(),
+            placement: Placement::default(),
         })
     }
 
@@ -202,11 +230,6 @@ impl Engine {
         self.reset(stream_seed(study_seed, unit_index, run_index));
     }
 
-    /// Multiplicative noise factor around 1.0.
-    fn noise(&mut self) -> f64 {
-        1.0 + self.rng.gen_range(-NOISE_AMPLITUDE..=NOISE_AMPLITUDE)
-    }
-
     /// Run a workload to completion and return the counter trace.
     ///
     /// Workloads with a non-positive duration yield an empty trace; any
@@ -218,7 +241,8 @@ impl Engine {
     /// When `mwc-obs` collection is enabled the run is wrapped in a
     /// `soc.run` span (fields: workload name, tick count, engine mode)
     /// and the tick count feeds the `soc.ticks` counter; the event core
-    /// additionally reports `soc.ticks_stepped` / `soc.ticks_coasted`.
+    /// additionally reports `soc.ticks_stepped` / `soc.ticks_coasted` and
+    /// its CPI-memo lookups as `soc.cpi_memo_hits` / `soc.cpi_memo_misses`.
     /// The simulation itself never reads any observability state, so
     /// traced and untraced runs are bit-identical.
     pub fn run(&mut self, workload: &dyn Workload) -> Trace {
@@ -251,9 +275,9 @@ impl Engine {
     fn run_dense(&mut self, workload: &dyn Workload, clock: &SimClock) -> Vec<TickSample> {
         let mut samples = Vec::with_capacity(clock.ticks() as usize);
         for tick in 0..clock.ticks() {
-            let mut demand = workload.demand_at(clock.t_norm(tick));
-            self.perturb(&mut demand);
-            samples.push(self.step(clock.time_s(tick), demand));
+            self.demand = workload.demand_at(clock.t_norm(tick));
+            self.perturb();
+            samples.push(self.step(clock.time_s(tick)));
         }
         samples
     }
@@ -305,9 +329,9 @@ impl Engine {
                 }
             }
 
-            let mut demand = held_demand.clone();
-            self.perturb(&mut demand);
-            samples.push(self.step(clock.time_s(tick), demand));
+            copy_demand(&mut self.demand, &held_demand);
+            self.perturb();
+            samples.push(self.step(clock.time_s(tick)));
             stepped += 1;
 
             // Decide what must wake the model next.
@@ -336,37 +360,45 @@ impl Engine {
             // sample just taken (same fixpoint state, same inputs, zero
             // RNG draws), so materialize those samples by replication.
             let resume = queue.next_tick().unwrap_or(ticks).min(ticks);
-            if resume > tick + 1 {
-                if let Some(last) = samples.last().cloned() {
-                    for coast_tick in (tick + 1)..resume {
-                        let mut sample = last.clone();
-                        sample.time_s = clock.time_s(coast_tick);
-                        samples.push(sample);
-                    }
-                }
+            let last = samples.len() - 1;
+            for coast_tick in (tick + 1)..resume {
+                let mut sample = samples[last].clone();
+                sample.time_s = clock.time_s(coast_tick);
+                samples.push(sample);
             }
         }
 
+        let (mut memo_hits, mut memo_misses) = (0, 0);
+        for cluster in &mut self.clusters {
+            let (hits, misses) = cluster.take_memo_counts();
+            memo_hits += hits;
+            memo_misses += misses;
+        }
         mwc_obs::metrics::counter_add("soc.ticks_stepped", stepped);
         mwc_obs::metrics::counter_add("soc.ticks_coasted", ticks.saturating_sub(stepped));
+        mwc_obs::metrics::counter_add("soc.cpi_memo_hits", memo_hits);
+        mwc_obs::metrics::counter_add("soc.cpi_memo_misses", memo_misses);
         samples
     }
 
-    /// Apply seeded run-to-run noise to a demand.
-    fn perturb(&mut self, demand: &mut Demand) {
+    /// Apply seeded run-to-run noise to the current tick's demand.
+    fn perturb(&mut self) {
+        let rng = &mut self.rng;
+        let demand = &mut self.demand;
         for thread in &mut demand.cpu.threads {
-            thread.intensity = (thread.intensity * self.noise()).clamp(0.0, 1.0);
+            thread.intensity = (thread.intensity * noise(rng)).clamp(0.0, 1.0);
         }
         if let Some(gpu) = &mut demand.gpu {
-            gpu.intensity = (gpu.intensity * self.noise()).clamp(0.0, 1.0);
+            gpu.intensity = (gpu.intensity * noise(rng)).clamp(0.0, 1.0);
         }
         if let Some(aie) = &mut demand.aie {
-            aie.intensity = (aie.intensity * self.noise()).clamp(0.0, 1.0);
+            aie.intensity = (aie.intensity * noise(rng)).clamp(0.0, 1.0);
         }
     }
 
-    /// Advance the whole SoC by one tick under the given demand.
-    fn step(&mut self, time_s: f64, mut demand: Demand) -> TickSample {
+    /// Advance the whole SoC by one tick under the current tick's demand.
+    fn step(&mut self, time_s: f64) -> TickSample {
+        let demand = &mut self.demand;
         // 1. AIE first: unsupported work falls back to the CPU.
         let aie_result = match &mut self.aie {
             Some(aie) => aie.tick(demand.aie.as_ref(), TICK_SECONDS),
@@ -403,8 +435,12 @@ impl Engine {
         let slc_contention = gpu_result.cache_residency_kib * 0.7;
         let l3_contention = gpu_result.cache_residency_kib * 0.3;
 
-        // 3. CPU: place threads and tick every cluster.
-        let placement = self.scheduler.place(&demand.cpu);
+        // 3. CPU: place threads and tick every cluster. Only the event
+        // core memoizes per-thread CPI stacks; the dense core computes
+        // them directly and stays the reference.
+        let memoize = self.mode == EngineMode::Event;
+        self.scheduler.place(&demand.cpu, &mut self.placement);
+        let threads = &demand.cpu.threads;
         let mut cluster_samples = Vec::with_capacity(self.clusters.len());
         let mut instructions = 0.0;
         let mut cycles = 0.0;
@@ -412,9 +448,10 @@ impl Engine {
         let mut branches = 0.0;
         let mut branch_misses = 0.0;
         let mut dram_accesses = 0.0;
-        for (cluster, assigned) in self.clusters.iter_mut().zip(&placement.assignments) {
+        for (cluster, assigned) in self.clusters.iter_mut().zip(&self.placement.assignments) {
             cluster.set_shared_contention(l3_contention, slc_contention);
-            let r = cluster.tick(assigned, TICK_SECONDS);
+            let assigned = assigned.iter().map(|&i| &threads[i]);
+            let r = cluster.tick(assigned, TICK_SECONDS, memoize);
             instructions += r.counters.instructions;
             cycles += r.counters.cycles;
             cache_misses += r.counters.cache_misses;

@@ -14,7 +14,7 @@
 //!   clusters concurrently.
 
 use crate::config::{ClusterKind, SocConfig};
-use crate::cpu::{CpuDemand, ThreadDemand};
+use crate::cpu::CpuDemand;
 
 /// Intensity at or above which a thread is considered "heavy" and promoted
 /// to the biggest available core.
@@ -25,17 +25,29 @@ pub const HEAVY_THRESHOLD: f64 = 0.70;
 pub const LIGHT_THRESHOLD: f64 = 0.30;
 
 /// The per-cluster thread assignment produced by the scheduler, indexed
-/// like `SocConfig::clusters`.
-#[derive(Debug, Clone, PartialEq)]
+/// like `SocConfig::clusters`. A caller keeps one and lets
+/// [`Scheduler::place`] refill it every tick, so placement reuses its
+/// buffers instead of allocating.
+#[derive(Debug, Clone, Default)]
 pub struct Placement {
-    /// `assignments[i]` holds the threads placed on `clusters[i]`.
-    pub assignments: Vec<Vec<ThreadDemand>>,
+    /// `assignments[i]` holds the indices, into the placed
+    /// `CpuDemand::threads`, of the threads on `clusters[i]`, in placement
+    /// order (descending intensity, stable).
+    pub assignments: Vec<Vec<usize>>,
+    /// Runnable thread indices in placement order (scratch).
+    order: Vec<usize>,
+}
+
+impl PartialEq for Placement {
+    fn eq(&self, other: &Self) -> bool {
+        self.assignments == other.assignments
+    }
 }
 
 impl Placement {
-    /// Threads assigned to the cluster of the given kind (empty if the
-    /// platform has no such cluster).
-    pub fn for_kind<'a>(&'a self, soc: &SocConfig, kind: ClusterKind) -> &'a [ThreadDemand] {
+    /// Indices of the threads assigned to the cluster of the given kind
+    /// (empty if the platform has no such cluster).
+    pub fn for_kind<'a>(&'a self, soc: &SocConfig, kind: ClusterKind) -> &'a [usize] {
         soc.clusters
             .iter()
             .position(|c| c.kind == kind)
@@ -108,35 +120,34 @@ impl Scheduler {
         self.clusters.iter().position(|&(k, _)| k == kind)
     }
 
-    /// Place the runnable threads onto clusters for one tick.
+    /// Place the runnable threads onto clusters for one tick, overwriting
+    /// `placement`.
     ///
     /// Placement is deterministic: threads are considered in descending
     /// intensity order; a cluster has one slot per core, and when every
     /// preferred cluster is full the thread time-shares on the last
     /// preference (the cluster model handles oversubscription).
-    pub fn place(&self, demand: &CpuDemand) -> Placement {
-        let mut assignments: Vec<Vec<ThreadDemand>> = vec![Vec::new(); self.clusters.len()];
-        if demand.threads.is_empty() {
-            // Nothing runnable: the full algorithm below would produce the
-            // same all-empty placement; skip its allocations on the idle
-            // path the event engine leans on.
-            return Placement { assignments };
+    pub fn place(&self, demand: &CpuDemand, placement: &mut Placement) {
+        let Placement { assignments, order } = placement;
+        assignments.resize_with(self.clusters.len(), Vec::new);
+        for assigned in assignments.iter_mut() {
+            assigned.clear();
         }
-        let mut free: Vec<usize> = self.clusters.iter().map(|&(_, cores)| cores).collect();
+        order.clear();
+        order.extend((0..demand.threads.len()).filter(|&i| demand.threads[i].intensity > 0.0));
+        order.sort_by(|&a, &b| {
+            demand.threads[b]
+                .intensity
+                .total_cmp(&demand.threads[a].intensity)
+        });
 
-        let mut threads: Vec<&ThreadDemand> = demand
-            .threads
-            .iter()
-            .filter(|t| t.intensity > 0.0)
-            .collect();
-        threads.sort_by(|a, b| b.intensity.total_cmp(&a.intensity));
-
-        for thread in threads {
+        for &i in order.iter() {
+            let intensity = demand.threads[i].intensity;
             let preference: &[ClusterKind] = match self.policy {
                 PlacementPolicy::EnergyAware => {
-                    if thread.intensity >= HEAVY_THRESHOLD {
+                    if intensity >= HEAVY_THRESHOLD {
                         &[ClusterKind::Big, ClusterKind::Mid, ClusterKind::Little]
-                    } else if thread.intensity >= LIGHT_THRESHOLD {
+                    } else if intensity >= LIGHT_THRESHOLD {
                         &[ClusterKind::Little, ClusterKind::Mid, ClusterKind::Big]
                     } else {
                         &[ClusterKind::Little]
@@ -148,44 +159,45 @@ impl Scheduler {
                 PlacementPolicy::LittleOnly => &[ClusterKind::Little],
             };
 
-            let mut chosen = None;
-            for &kind in preference {
-                if let Some(i) = self.index_of(kind) {
-                    if free[i] > 0 {
-                        chosen = Some(i);
-                        break;
-                    }
-                }
-            }
+            // A cluster has a free slot while it holds fewer threads than
+            // it has cores.
+            let has_free = |c: usize| assignments[c].len() < self.clusters[c].1;
+            let chosen = preference
+                .iter()
+                .filter_map(|&kind| self.index_of(kind))
+                .find(|&c| has_free(c));
             // Everything full (or the preferred kinds do not exist on this
             // platform): time-share on the last existing preference, or on
             // cluster 0 as the final fallback.
             let idx = chosen
                 .or_else(|| preference.iter().rev().find_map(|&k| self.index_of(k)))
                 .unwrap_or(0);
-            if free[idx] > 0 {
-                free[idx] -= 1;
-            }
-            assignments[idx].push(thread.clone());
+            assignments[idx].push(i);
         }
-
-        Placement { assignments }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cpu::ThreadDemand;
 
     fn sched() -> (Scheduler, SocConfig) {
         let soc = SocConfig::snapdragon_888();
         (Scheduler::new(&soc), soc)
     }
 
+    /// Place `demand` into a fresh placement.
+    fn place(s: &Scheduler, demand: &CpuDemand) -> Placement {
+        let mut p = Placement::default();
+        s.place(demand, &mut p);
+        p
+    }
+
     #[test]
     fn heavy_thread_goes_to_big() {
         let (s, soc) = sched();
-        let p = s.place(&CpuDemand::single_thread(0.95));
+        let p = place(&s, &CpuDemand::single_thread(0.95));
         assert_eq!(p.for_kind(&soc, ClusterKind::Big).len(), 1);
         assert!(p.for_kind(&soc, ClusterKind::Mid).is_empty());
         assert!(p.for_kind(&soc, ClusterKind::Little).is_empty());
@@ -194,7 +206,7 @@ mod tests {
     #[test]
     fn light_threads_pack_on_little() {
         let (s, soc) = sched();
-        let p = s.place(&CpuDemand::multi_thread(6, 0.2));
+        let p = place(&s, &CpuDemand::multi_thread(6, 0.2));
         assert_eq!(p.for_kind(&soc, ClusterKind::Little).len(), 6);
         assert!(p.for_kind(&soc, ClusterKind::Big).is_empty());
         assert!(p.for_kind(&soc, ClusterKind::Mid).is_empty());
@@ -203,7 +215,7 @@ mod tests {
     #[test]
     fn medium_threads_spill_little_then_mid() {
         let (s, soc) = sched();
-        let p = s.place(&CpuDemand::multi_thread(6, 0.5));
+        let p = place(&s, &CpuDemand::multi_thread(6, 0.5));
         assert_eq!(p.for_kind(&soc, ClusterKind::Little).len(), 4);
         assert_eq!(p.for_kind(&soc, ClusterKind::Mid).len(), 2);
     }
@@ -211,7 +223,7 @@ mod tests {
     #[test]
     fn multicore_burst_loads_all_clusters() {
         let (s, soc) = sched();
-        let p = s.place(&CpuDemand::multi_thread(8, 0.9));
+        let p = place(&s, &CpuDemand::multi_thread(8, 0.9));
         assert_eq!(p.for_kind(&soc, ClusterKind::Big).len(), 1);
         assert_eq!(p.for_kind(&soc, ClusterKind::Mid).len(), 3);
         assert_eq!(p.for_kind(&soc, ClusterKind::Little).len(), 4);
@@ -220,7 +232,7 @@ mod tests {
     #[test]
     fn oversubscribed_heavy_threads_timeshare_on_little() {
         let (s, soc) = sched();
-        let p = s.place(&CpuDemand::multi_thread(12, 0.9));
+        let p = place(&s, &CpuDemand::multi_thread(12, 0.9));
         assert_eq!(p.thread_count(), 12);
         assert_eq!(p.for_kind(&soc, ClusterKind::Little).len(), 8);
     }
@@ -228,7 +240,7 @@ mod tests {
     #[test]
     fn zero_intensity_threads_are_dropped() {
         let (s, _) = sched();
-        let p = s.place(&CpuDemand::multi_thread(4, 0.0));
+        let p = place(&s, &CpuDemand::multi_thread(4, 0.0));
         assert_eq!(p.thread_count(), 0);
     }
 
@@ -238,10 +250,10 @@ mod tests {
         let mut demand = CpuDemand::default();
         demand.threads.push(ThreadDemand::new(0.8));
         demand.threads.push(ThreadDemand::new(0.99));
-        let p = s.place(&demand);
+        let p = place(&s, &demand);
         let big = p.for_kind(&soc, ClusterKind::Big);
         assert_eq!(big.len(), 1);
-        assert!((big[0].intensity - 0.99).abs() < 1e-12);
+        assert!((demand.threads[big[0]].intensity - 0.99).abs() < 1e-12);
         // The other heavy thread spills to mid.
         assert_eq!(p.for_kind(&soc, ClusterKind::Mid).len(), 1);
     }
@@ -264,7 +276,7 @@ mod tests {
             .build()
             .unwrap();
         let s = Scheduler::new(&soc);
-        let p = s.place(&CpuDemand::multi_thread(5, 0.9));
+        let p = place(&s, &CpuDemand::multi_thread(5, 0.9));
         assert_eq!(p.assignments[0].len(), 5);
     }
 
@@ -272,7 +284,7 @@ mod tests {
     fn performance_first_races_to_the_big_core() {
         let soc = SocConfig::snapdragon_888();
         let s = Scheduler::with_policy(&soc, PlacementPolicy::PerformanceFirst);
-        let p = s.place(&CpuDemand::multi_thread(2, 0.2));
+        let p = place(&s, &CpuDemand::multi_thread(2, 0.2));
         assert_eq!(p.for_kind(&soc, ClusterKind::Big).len(), 1);
         assert_eq!(p.for_kind(&soc, ClusterKind::Mid).len(), 1);
         assert!(p.for_kind(&soc, ClusterKind::Little).is_empty());
@@ -282,7 +294,7 @@ mod tests {
     fn little_only_keeps_big_and_mid_dark() {
         let soc = SocConfig::snapdragon_888();
         let s = Scheduler::with_policy(&soc, PlacementPolicy::LittleOnly);
-        let p = s.place(&CpuDemand::multi_thread(8, 0.95));
+        let p = place(&s, &CpuDemand::multi_thread(8, 0.95));
         assert_eq!(p.for_kind(&soc, ClusterKind::Little).len(), 8);
         assert!(p.for_kind(&soc, ClusterKind::Big).is_empty());
         assert!(p.for_kind(&soc, ClusterKind::Mid).is_empty());
@@ -293,18 +305,21 @@ mod tests {
     fn placement_is_deterministic() {
         let (s, _) = sched();
         let d = CpuDemand::multi_thread(7, 0.6);
-        assert_eq!(s.place(&d), s.place(&d));
+        assert_eq!(place(&s, &d), place(&s, &d));
     }
 
     #[test]
-    fn empty_demand_early_out_matches_full_path() {
+    fn refilling_a_placement_overwrites_the_previous_tick() {
         let (s, _) = sched();
-        let empty = s.place(&CpuDemand::default());
-        assert_eq!(empty.assignments.len(), s.clusters.len());
-        assert_eq!(empty.thread_count(), 0);
-        // Identical to what the full algorithm produces for an equivalent
-        // no-runnable-threads demand (all intensities zero).
-        let zeros = s.place(&CpuDemand::multi_thread(3, 0.0));
-        assert_eq!(empty, zeros);
+        let mut reused = Placement::default();
+        s.place(&CpuDemand::multi_thread(12, 0.9), &mut reused);
+        s.place(&CpuDemand::multi_thread(3, 0.5), &mut reused);
+        assert_eq!(reused, place(&s, &CpuDemand::multi_thread(3, 0.5)));
+        // An empty demand and one with no runnable thread both leave every
+        // cluster empty.
+        s.place(&CpuDemand::default(), &mut reused);
+        assert_eq!(reused.assignments.len(), s.clusters.len());
+        assert_eq!(reused.thread_count(), 0);
+        assert_eq!(reused, place(&s, &CpuDemand::multi_thread(3, 0.0)));
     }
 }

@@ -78,11 +78,12 @@ if [ "$tests_faulted" -ne 0 ]; then
     exit "$tests_faulted"
 fi
 
-echo "==> serving races (telemetry + server_robustness, 10 release runs each)"
-# A response racing its debug-ring record, or a shed racing its client,
-# only shows on repetition.
+echo "==> races (telemetry + server_robustness + incremental, 10 release runs each)"
+# A response racing its debug-ring record, a shed racing its client, or a
+# study leaking into another test's global metrics only shows on
+# repetition.
 race_log="target/verify-race.log"
-for suite in telemetry server_robustness; do
+for suite in telemetry server_robustness incremental; do
     run=1
     while [ "$run" -le 10 ]; do
         cargo test -q --release -p mobile-workload-characterization --test "$suite" \
@@ -95,7 +96,7 @@ for suite in telemetry server_robustness; do
     done
 done
 rm -f "$race_log"
-echo "    20 release runs passed"
+echo "    30 release runs passed"
 
 echo "==> observability neutrality (traced vs untraced study digest)"
 # MWC_CACHE=off so both digests come from real computations — the cache

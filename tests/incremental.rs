@@ -48,8 +48,9 @@ impl Drop for TempDir {
     }
 }
 
-/// Collection state is process-global, so tests that flip it must not
-/// interleave.
+/// Collection state is process-global: a study running in one test while
+/// the other collects would land in its counts. Each test therefore holds
+/// this lock from its first line to its last.
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -75,6 +76,7 @@ fn jitter_only() -> FaultConfig {
 
 #[test]
 fn one_unit_fault_flip_resimulates_exactly_that_unit() {
+    let _g = lock();
     let tmp = TempDir::new();
     let base = base_spec();
     let patched = base.clone().with_unit_faults(FLIPPED_UNIT, jitter_only());
@@ -92,7 +94,6 @@ fn one_unit_fault_flip_resimulates_exactly_that_unit() {
     // so the simulation counters are visible.
     let warm = StudyCache::with_dir(&tmp.0);
     let (study, data, metrics) = {
-        let _g = lock();
         mwc_obs::reset();
         mwc_obs::set_enabled(true);
         let study = warm.study_spec(&patched).expect("incremental study");
@@ -156,6 +157,7 @@ fn one_unit_fault_flip_resimulates_exactly_that_unit() {
 
 #[test]
 fn analysis_only_change_runs_with_zero_simulation() {
+    let _g = lock();
     let tmp = TempDir::new();
     let base = base_spec();
 
@@ -170,7 +172,6 @@ fn analysis_only_change_runs_with_zero_simulation() {
     // engine runs anywhere.
     let warm = StudyCache::with_dir(&tmp.0);
     let (first, second, metrics) = {
-        let _g = lock();
         mwc_obs::reset();
         mwc_obs::set_enabled(true);
         let study = warm.study_spec(&base).expect("warm study");

@@ -18,7 +18,7 @@ use mwc_soc::cpu::{CpuDemand, InstructionMix, ThreadDemand};
 use mwc_soc::engine::Engine;
 use mwc_soc::freq::Governor;
 use mwc_soc::gpu::GpuDemand;
-use mwc_soc::sched::Scheduler;
+use mwc_soc::sched::{Placement, Scheduler};
 use mwc_soc::workload::{ConstantWorkload, Demand};
 use mwc_workloads::kernels::{compress, crypto, fft, psnr, raytrace};
 
@@ -312,14 +312,15 @@ proptest! {
         let demand = CpuDemand {
             threads: intensities.iter().map(|&i| ThreadDemand::new(i)).collect(),
         };
-        let placement = sched.place(&demand);
+        let mut placement = Placement::default();
+        sched.place(&demand, &mut placement);
         prop_assert_eq!(placement.thread_count(), intensities.len());
         // Total placed intensity equals total demanded intensity.
         let placed: f64 = placement
             .assignments
             .iter()
             .flatten()
-            .map(|t| t.intensity)
+            .map(|&i| demand.threads[i].intensity)
             .sum();
         let demanded: f64 = intensities.iter().sum();
         prop_assert!((placed - demanded).abs() < 1e-9);
@@ -757,25 +758,69 @@ proptest! {
         seed in 0u64..100,
     ) {
         use mwc_workloads::phase::PhasedWorkload;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
 
-        // Phase menu: idle (pure coasting), CPU-noisy, GPU-noisy and
-        // stateless-device-only phases, mixed in random order — the
-        // exact interleavings the event scheduler must survive.
+        // Phase menu: idle (pure coasting), CPU-noisy, GPU-noisy,
+        // stateless-device-only and mixed CPU+GPU phases, in random order
+        // — the exact interleavings the event scheduler must survive.
         let mut b = PhasedWorkload::builder("prop-phased", duration);
         for (i, chunk) in raw.chunks_exact(3).enumerate() {
             let (weight, intensity, kind) =
-                (0.2 + 2.8 * chunk[0], chunk[1], (chunk[2] * 4.0) as u8);
+                (0.2 + 2.8 * chunk[0], chunk[1], (chunk[2] * 5.0) as u8);
             let mut d = Demand::idle();
             match kind {
                 0 => {} // idle
                 1 => d.cpu = CpuDemand::single_thread(intensity),
                 2 => d.gpu = Some(GpuDemand::scene(intensity)),
-                _ => {
+                3 => {
                     d.memory.footprint_mib = 256.0 + 1000.0 * intensity;
                     d.io = Some(mwc_soc::storage::IoDemand::sequential(
                         500.0 * intensity,
                         100.0 * intensity,
                     ));
+                }
+                _ => {
+                    // 1–8 threads beside a scene whose textures fall on
+                    // either side of the shared-cache residency cap, so the
+                    // event core's CPI memo sees contention that repeats
+                    // and contention that changes every tick. The threads
+                    // are variants of one random base thread, each with at
+                    // most one CPI-stack input redrawn: a memo key missing
+                    // any input would hand one thread another's cost.
+                    let mut rng = StdRng::seed_from_u64(chunk[0].to_bits() ^ chunk[2].to_bits());
+                    let mut base = ThreadDemand::new(0.5);
+                    base.mix = InstructionMix::new(
+                        rng.gen_range(0.0..1.0),
+                        rng.gen_range(0.0..1.0),
+                        rng.gen_range(0.0..1.0),
+                        rng.gen_range(0.0..1.0),
+                        rng.gen_range(0.0..1.0),
+                    );
+                    base.working_set_kib = rng.gen_range(16.0..65536.0);
+                    base.locality = rng.gen_range(0.0..1.0);
+                    base.ilp = rng.gen_range(0.0..1.0);
+                    base.branch_predictability = rng.gen_range(0.0..1.0);
+                    for _ in 0..rng.gen_range(1..=8usize) {
+                        let mut t = base.clone();
+                        t.intensity = rng.gen_range(0.05..1.0);
+                        let x = rng.gen_range(0.0..1.0);
+                        match rng.gen_range(0..9usize) {
+                            0 => t.mix.fp_ops = x,
+                            1 => t.mix.simd_ops = x,
+                            2 => t.mix.load_store = x,
+                            3 => t.mix.branches = x,
+                            4 => t.working_set_kib = 65536.0 * x,
+                            5 => t.locality = x,
+                            6 => t.ilp = x,
+                            7 => t.branch_predictability = x,
+                            _ => {}
+                        }
+                        d.cpu.threads.push(t);
+                    }
+                    let mut scene = GpuDemand::scene(intensity);
+                    scene.texture_mib = rng.gen_range(2.0..64.0);
+                    d.gpu = Some(scene);
                 }
             }
             b = b.phase(format!("p{i}"), weight, d);
@@ -786,9 +831,15 @@ proptest! {
         dense.set_mode(mwc_soc::EngineMode::Dense);
         let mut event = Engine::new(SocConfig::snapdragon_888(), seed).expect("preset");
         event.set_mode(mwc_soc::EngineMode::Event);
-        let td = dense.run(&w);
-        let te = event.run(&w);
-        prop_assert_eq!(td.samples.len(), te.samples.len());
-        prop_assert_eq!(td, te);
+        // The second pass reruns on engines that keep their state from the
+        // first, so the event core's memo starts warm.
+        for _ in 0..2 {
+            dense.reset(seed);
+            event.reset(seed);
+            let td = dense.run(&w);
+            let te = event.run(&w);
+            prop_assert_eq!(td.samples.len(), te.samples.len());
+            prop_assert_eq!(td, te);
+        }
     }
 }
