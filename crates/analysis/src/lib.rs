@@ -38,6 +38,5 @@ pub mod validation;
 
 pub use cluster::Clustering;
 pub use error::AnalysisError;
-pub use kernels::KERNEL_VARIANT;
 pub use matrix::Matrix;
 pub use sym::SymMatrix;

@@ -39,17 +39,20 @@
 //!
 //! ## Corruption handling
 //!
-//! A disk entry is trusted only if it fully parses *and* its recomputed
-//! content digest matches the stored one. Anything else — bad magic,
-//! version skew, short file, flipped byte — is treated as a plain miss:
-//! the entry is deleted, the result recomputed and re-stored. Corrupt
-//! entries can degrade a warm run to a cold one but can never surface
-//! wrong numbers or errors.
+//! Every entry file is one frame, `MWCC | u32 schema | u32 kind | u64 key
+//! | u64 check | payload`. A frame is trusted only if its header matches
+//! the lookup, its payload fully parses, *and* the check recomputed from
+//! the decoded value equals the stored one. Anything else — bad magic,
+//! version skew, another kind's entry, short file, flipped byte — is
+//! treated as a plain miss: the entry is deleted, the result recomputed
+//! and re-stored. Corrupt entries can degrade a warm run to a cold one
+//! but can never surface wrong numbers or errors.
 
 use std::collections::HashMap;
 use std::env;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::SystemTime;
 
@@ -81,15 +84,14 @@ pub const CACHE_MAX_ENV: &str = "MWC_CACHE_MAX";
 /// memoizes. Bump on any change to the simulation, capture, merge or
 /// analysis arithmetic — or to the encoding itself — so stale entries
 /// from older builds are invalidated instead of replayed.
-pub const CACHE_SCHEMA_VERSION: u32 = 1;
+pub const CACHE_SCHEMA_VERSION: u32 = 2;
 
 /// Default cap on on-disk entries (unit entries evicted first, then
 /// oldest-modified first).
 const DEFAULT_MAX_ENTRIES: usize = 64;
 
-const STUDY_MAGIC: &[u8; 4] = b"MWCC";
-const SWEEP_MAGIC: &[u8; 4] = b"MWCS";
-const UNIT_MAGIC: &[u8; 4] = b"MWCU";
+/// The magic that opens every entry frame, whatever its kind.
+const MAGIC: &[u8; 4] = b"MWCC";
 
 /// The content-addressed key of a study: a stable digest of everything
 /// that can change a [`Characterization`]. Stable across processes and
@@ -114,16 +116,12 @@ pub fn study_key(config: &SocConfig, seed: u64, runs: usize, faults: &FaultConfi
 }
 
 /// The content-addressed key of a Fig-4 validation sweep over a feature
-/// matrix (`matrix_digest` from [`Matrix::digest`]) and a k range. The
-/// analysis kernel arithmetic variant (`f64`, or `f32` under the
-/// `f32-kernels` feature) is keyed so a sweep cached by one build is never
-/// served to a build whose kernels round differently.
+/// matrix (`matrix_digest` from [`Matrix::digest`]) and a k range.
 pub fn sweep_key(matrix_digest: u64, ks: &[usize]) -> u64 {
     let mut h = Fnv1a::new();
     h.write_str("mwc-sweep");
     h.write_u64(u64::from(CACHE_SCHEMA_VERSION));
     h.write_str(env!("CARGO_PKG_VERSION"));
-    h.write_str(mwc_analysis::KERNEL_VARIANT);
     h.write_u64(matrix_digest);
     h.write_usize(ks.len());
     for &k in ks {
@@ -202,8 +200,7 @@ impl StageKind {
         StageKind::Analyze,
     ];
 
-    /// Stable lowercase name, used in the `cache.stage.<name>.*`
-    /// observability counters.
+    /// Stable lowercase name of the stage.
     pub fn name(self) -> &'static str {
         match self {
             StageKind::Capture => "capture",
@@ -212,15 +209,11 @@ impl StageKind {
             StageKind::Analyze => "analyze",
         }
     }
-
-    fn index(self) -> usize {
-        self as usize
-    }
 }
 
-/// Per-stage cache counters. Unit-artifact traffic lands here — never in
-/// [`CacheStats`] — so the legacy study/sweep numbers stay comparable
-/// across versions.
+/// Per-stage cache counters. Unit-artifact hits, misses and stores land
+/// here — never in [`CacheStats`] — so the legacy study/sweep numbers
+/// stay comparable across versions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageStats {
     /// Artifacts served from the in-process memory layer.
@@ -245,6 +238,64 @@ impl StageStats {
         self.mem_hits + self.disk_hits
     }
 }
+
+/// What the cache keeps: the three kinds of disk entry, plus the
+/// memory-only feature memo. Each kind is one row of the counter table;
+/// a disk kind also names its entry files and is stored in its frames.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Study,
+    Unit,
+    Sweep,
+    Features,
+}
+
+impl Kind {
+    /// The kinds with disk entries.
+    const STORED: [Kind; 3] = [Kind::Study, Kind::Unit, Kind::Sweep];
+
+    fn name(self) -> &'static str {
+        match self {
+            Kind::Study => "study",
+            Kind::Unit => "unit",
+            Kind::Sweep => "sweep",
+            Kind::Features => "features",
+        }
+    }
+}
+
+/// One cache event; with a [`Kind`], one cell of the counter table.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    MemHit,
+    DiskHit,
+    Miss,
+    Store,
+    Corrupt,
+    Evicted,
+    StoreFailed,
+    BytesRead,
+    BytesWritten,
+}
+
+impl Event {
+    fn name(self) -> &'static str {
+        match self {
+            Event::MemHit => "mem_hits",
+            Event::DiskHit => "disk_hits",
+            Event::Miss => "misses",
+            Event::Store => "stores",
+            Event::Corrupt => "corrupt_entries",
+            Event::Evicted => "evictions",
+            Event::StoreFailed => "store_failures",
+            Event::BytesRead => "bytes_read",
+            Event::BytesWritten => "bytes_written",
+        }
+    }
+}
+
+/// Every event count, one row per [`Kind`], indexed by [`Event`].
+type Counts = [[u64; 9]; 4];
 
 /// A whole-study disk entry, as listed by [`StudyCache::stored_studies`].
 #[derive(Debug)]
@@ -273,8 +324,7 @@ pub struct StudyCache {
     units: Mutex<HashMap<u64, UnitArtifact>>,
     features: Mutex<HashMap<u64, Arc<FeatureSet>>>,
     sweeps: Mutex<HashMap<u64, ValidationSweep>>,
-    stats: Mutex<CacheStats>,
-    stage_stats: Mutex<[StageStats; 4]>,
+    counts: Mutex<Counts>,
 }
 
 impl StudyCache {
@@ -288,8 +338,7 @@ impl StudyCache {
             units: Mutex::new(HashMap::new()),
             features: Mutex::new(HashMap::new()),
             sweeps: Mutex::new(HashMap::new()),
-            stats: Mutex::new(CacheStats::default()),
-            stage_stats: Mutex::new([StageStats::default(); 4]),
+            counts: Mutex::new(Counts::default()),
         }
     }
 
@@ -353,19 +402,59 @@ impl StudyCache {
         self.dir.as_deref()
     }
 
-    /// A snapshot of the counters.
+    /// A snapshot of the counters: study and sweep traffic, plus the
+    /// evictions and store failures of every kind of entry.
     pub fn stats(&self) -> CacheStats {
-        *self.stats.lock().expect("cache stats lock poisoned")
+        let counts = self.counts();
+        let studies_and_sweeps = |e: Event| {
+            counts[Kind::Study as usize][e as usize] + counts[Kind::Sweep as usize][e as usize]
+        };
+        let every_kind = |e: Event| counts.iter().map(|row| row[e as usize]).sum();
+        CacheStats {
+            mem_hits: studies_and_sweeps(Event::MemHit),
+            disk_hits: studies_and_sweeps(Event::DiskHit),
+            misses: studies_and_sweeps(Event::Miss),
+            stores: studies_and_sweeps(Event::Store),
+            corrupt_entries: studies_and_sweeps(Event::Corrupt),
+            evictions: every_kind(Event::Evicted),
+            store_failures: every_kind(Event::StoreFailed),
+        }
     }
 
     /// A snapshot of the per-stage counters, indexed as [`StageKind::ALL`].
     pub fn stage_stats(&self) -> [StageStats; 4] {
-        *self.stage_stats.lock().expect("stage stats lock poisoned")
+        StageKind::ALL.map(|kind| self.stage(kind))
     }
 
     /// The counters of one stage.
     pub fn stage(&self, kind: StageKind) -> StageStats {
-        self.stage_stats()[kind.index()]
+        let counts = self.counts();
+        let row = |k: Kind| {
+            let r = counts[k as usize];
+            StageStats {
+                mem_hits: r[Event::MemHit as usize],
+                disk_hits: r[Event::DiskHit as usize],
+                misses: r[Event::Miss as usize],
+                stores: r[Event::Store as usize],
+                corrupt_entries: r[Event::Corrupt as usize],
+                bytes_read: r[Event::BytesRead as usize],
+                bytes_written: r[Event::BytesWritten as usize],
+            }
+        };
+        match kind {
+            StageKind::Capture => {
+                let unit = row(Kind::Unit);
+                StageStats {
+                    mem_hits: unit.mem_hits,
+                    disk_hits: unit.disk_hits,
+                    misses: unit.misses,
+                    ..StageStats::default()
+                }
+            }
+            StageKind::Derive => row(Kind::Unit),
+            StageKind::Featurize => row(Kind::Features),
+            StageKind::Analyze => row(Kind::Sweep),
+        }
     }
 
     /// One-line machine-greppable per-stage rendering (used by
@@ -443,24 +532,18 @@ impl StudyCache {
         let key = spec.study_key();
         let mut span = mwc_obs::span("cache.study");
         span.field("key", key);
-        if let Some(hit) = self
-            .studies
-            .lock()
-            .expect("study cache lock poisoned")
-            .get(&key)
-            .cloned()
-        {
-            self.bump("cache.mem_hits", |s| s.mem_hits += 1);
+        if let Some(hit) = self.recall(Kind::Study, &self.studies, key) {
             return Ok(hit);
         }
-        if let Some(study) = self.load_study(key) {
-            let study = Arc::new(study);
-            self.index_study(key, &study);
-            return Ok(study);
-        }
-        self.bump("cache.misses", |s| s.misses += 1);
-        let study = Arc::new(crate::stages::execute(spec, Some(self))?);
-        self.persist("study", key, &encode_study(key, &study));
+        let study = match self.load(key) {
+            Some(study) => Arc::new(study),
+            None => {
+                self.count(Kind::Study, Event::Miss, 1);
+                let study = Arc::new(crate::stages::execute(spec, Some(self))?);
+                self.store(key, &*study);
+                study
+            }
+        };
         self.index_study(key, &study);
         Ok(study)
     }
@@ -518,17 +601,10 @@ impl StudyCache {
             return Ok(Arc::new(crate::features::featurize(study)?));
         }
         let digest = study.digest();
-        if let Some(hit) = self
-            .features
-            .lock()
-            .expect("feature cache lock poisoned")
-            .get(&digest)
-            .cloned()
-        {
-            self.stage_bump(StageKind::Featurize, "mem_hits", 1, |s| s.mem_hits += 1);
+        if let Some(hit) = self.recall(Kind::Features, &self.features, digest) {
             return Ok(hit);
         }
-        self.stage_bump(StageKind::Featurize, "misses", 1, |s| s.misses += 1);
+        self.count(Kind::Features, Event::Miss, 1);
         let mut span = mwc_obs::span("stage.featurize");
         span.field("study", digest);
         let set = Arc::new(crate::features::featurize(study)?);
@@ -549,48 +625,18 @@ impl StudyCache {
         let key = sweep_key(m.digest(), ks);
         let mut span = mwc_obs::span("cache.sweep");
         span.field("key", key);
-        if let Some(hit) = self
-            .sweeps
-            .lock()
-            .expect("sweep cache lock poisoned")
-            .get(&key)
-            .cloned()
-        {
-            self.bump("cache.mem_hits", |s| s.mem_hits += 1);
-            self.stage_bump(StageKind::Analyze, "mem_hits", 1, |s| s.mem_hits += 1);
+        if let Some(hit) = self.recall(Kind::Sweep, &self.sweeps, key) {
             return Ok(hit);
         }
-        if let Some(path) = self.entry_path("sweep", key) {
-            if let Ok(bytes) = fs::read(&path) {
-                if let Some(s) = decode_sweep(key, &bytes) {
-                    let n = bytes.len() as u64;
-                    self.bump("cache.disk_hits", |st| st.disk_hits += 1);
-                    self.stage_bump(StageKind::Analyze, "disk_hits", 1, |st| st.disk_hits += 1);
-                    self.stage_bump(StageKind::Analyze, "bytes_read", n, |st| st.bytes_read += n);
-                    self.sweeps
-                        .lock()
-                        .expect("sweep cache lock poisoned")
-                        .insert(key, s.clone());
-                    return Ok(s);
-                }
-                self.bump("cache.corrupt_entries", |st| st.corrupt_entries += 1);
-                self.stage_bump(StageKind::Analyze, "corrupt_entries", 1, |st| {
-                    st.corrupt_entries += 1
-                });
-                let _ = fs::remove_file(&path);
+        let s = match self.load(key) {
+            Some(s) => s,
+            None => {
+                self.count(Kind::Sweep, Event::Miss, 1);
+                let s = run_sweep(m, ks)?;
+                self.store(key, &s);
+                s
             }
-        }
-        self.bump("cache.misses", |s| s.misses += 1);
-        self.stage_bump(StageKind::Analyze, "misses", 1, |s| s.misses += 1);
-        let s = run_sweep(m, ks)?;
-        let bytes = encode_sweep(key, &s);
-        if self.persist("sweep", key, &bytes) {
-            let n = bytes.len() as u64;
-            self.stage_bump(StageKind::Analyze, "stores", 1, |st| st.stores += 1);
-            self.stage_bump(StageKind::Analyze, "bytes_written", n, |st| {
-                st.bytes_written += n
-            });
-        }
+        };
         self.sweeps
             .lock()
             .expect("sweep cache lock poisoned")
@@ -598,59 +644,25 @@ impl StudyCache {
         Ok(s)
     }
 
-    fn entry_path(&self, kind: &str, key: u64) -> Option<PathBuf> {
-        self.dir
-            .as_ref()
-            .map(|d| d.join(format!("{kind}-{key:016x}.mwcc")))
-    }
-
-    /// Read and validate a study entry; any defect is a miss, never an
-    /// error. A corrupt entry is deleted so the recompute re-stores it.
-    fn load_study(&self, key: u64) -> Option<Characterization> {
-        let path = self.entry_path("study", key)?;
-        let bytes = fs::read(&path).ok()?;
-        match decode_study(key, &bytes) {
-            Some(study) => {
-                self.bump("cache.disk_hits", |s| s.disk_hits += 1);
-                Some(study)
-            }
-            None => {
-                self.bump("cache.corrupt_entries", |s| s.corrupt_entries += 1);
-                let _ = fs::remove_file(&path);
-                None
-            }
-        }
-    }
-
     /// Every whole-study entry in the disk layer, oldest first. Each is
     /// read like a lookup (digest re-verified on load), so a corrupt
     /// entry is counted in [`CacheStats::corrupt_entries`], deleted and
     /// skipped — never returned. Empty without a disk layer.
     pub fn stored_studies(&self) -> Vec<StoredStudy> {
-        let Some(entries) = self.dir.as_ref().and_then(|d| fs::read_dir(d).ok()) else {
-            return Vec::new();
-        };
-        let mut found: Vec<(SystemTime, u64)> = entries
-            .filter_map(|e| {
-                let e = e.ok()?;
-                let name = e.file_name();
-                let hex = name
-                    .to_str()?
-                    .strip_prefix("study-")?
-                    .strip_suffix(".mwcc")?;
-                let key = u64::from_str_radix(hex, 16).ok()?;
-                Some((e.metadata().ok()?.modified().ok()?, key))
-            })
+        let mut found: Vec<(SystemTime, u64)> = self
+            .entry_files()
+            .into_iter()
+            .filter(|&(kind, ..)| kind == Kind::Study)
+            .map(|(_, key, modified, _)| (modified, key))
             .collect();
         found.sort();
         found
             .into_iter()
             .filter_map(|(stored_at, key)| {
-                let study = self.load_study(key)?;
                 Some(StoredStudy {
                     key,
                     stored_at,
-                    study,
+                    study: self.load(key)?,
                 })
             })
             .collect()
@@ -663,102 +675,111 @@ impl StudyCache {
         if !self.enabled {
             return None;
         }
-        if let Some(hit) = self
-            .units
-            .lock()
-            .expect("unit cache lock poisoned")
-            .get(&key)
-            .cloned()
-        {
-            self.stage_bump(StageKind::Derive, "mem_hits", 1, |s| s.mem_hits += 1);
-            self.stage_bump(StageKind::Capture, "mem_hits", 1, |s| s.mem_hits += 1);
+        if let Some(hit) = self.recall(Kind::Unit, &self.units, key) {
             return Some(hit);
         }
-        if let Some(path) = self.entry_path("unit", key) {
-            if let Ok(bytes) = fs::read(&path) {
-                if let Some(artifact) = decode_unit(key, &bytes) {
-                    let n = bytes.len() as u64;
-                    self.stage_bump(StageKind::Derive, "disk_hits", 1, |s| s.disk_hits += 1);
-                    self.stage_bump(StageKind::Derive, "bytes_read", n, |s| s.bytes_read += n);
-                    self.stage_bump(StageKind::Capture, "disk_hits", 1, |s| s.disk_hits += 1);
-                    self.units
-                        .lock()
-                        .expect("unit cache lock poisoned")
-                        .insert(key, artifact.clone());
-                    return Some(artifact);
-                }
-                self.stage_bump(StageKind::Derive, "corrupt_entries", 1, |s| {
-                    s.corrupt_entries += 1
-                });
-                let _ = fs::remove_file(&path);
-            }
-        }
-        self.stage_bump(StageKind::Derive, "misses", 1, |s| s.misses += 1);
-        self.stage_bump(StageKind::Capture, "misses", 1, |s| s.misses += 1);
-        None
+        let Some(artifact) = self.load::<UnitArtifact>(key) else {
+            self.count(Kind::Unit, Event::Miss, 1);
+            return None;
+        };
+        self.units
+            .lock()
+            .expect("unit cache lock poisoned")
+            .insert(key, artifact.clone());
+        Some(artifact)
     }
 
-    /// Store a freshly computed unit artifact in both layers. Unit-entry
-    /// disk traffic is accounted to the derive [`StageStats`] only — the
-    /// legacy [`CacheStats`] keep counting whole-study entries.
+    /// Store a freshly computed unit artifact in both layers.
     pub(crate) fn store_unit_artifact(&self, key: u64, artifact: &UnitArtifact) {
         if !self.enabled {
             return;
         }
-        let bytes = encode_unit(key, artifact);
-        let n = bytes.len() as u64;
-        if self.write_entry("unit", key, &bytes) {
-            self.stage_bump(StageKind::Derive, "stores", 1, |s| s.stores += 1);
-            self.stage_bump(StageKind::Derive, "bytes_written", n, |s| {
-                s.bytes_written += n
-            });
-        }
+        self.store(key, artifact);
         self.units
             .lock()
             .expect("unit cache lock poisoned")
             .insert(key, artifact.clone());
     }
 
-    /// Atomically write an entry (temp file + rename) and bump the legacy
-    /// counters. Failure degrades to "not cached" — the computed result is
-    /// unaffected. Returns whether the entry landed on disk.
-    fn persist(&self, kind: &str, key: u64, bytes: &[u8]) -> bool {
-        if self.dir.is_none() {
-            return false;
-        }
-        if self.write_entry(kind, key, bytes) {
-            self.bump("cache.stores", |s| s.stores += 1);
-            true
-        } else {
-            self.bump("cache.store_failures", |s| s.store_failures += 1);
-            false
-        }
+    /// The memory layer's value under `key`, counted as a memory hit.
+    fn recall<V: Clone>(&self, kind: Kind, memo: &Mutex<HashMap<u64, V>>, key: u64) -> Option<V> {
+        let hit = memo
+            .lock()
+            .expect("cache memo lock poisoned")
+            .get(&key)
+            .cloned()?;
+        self.count(kind, Event::MemHit, 1);
+        Some(hit)
     }
 
-    /// The raw atomic write (temp file + rename), shared by the legacy
-    /// entries and the stage artifacts; bumps no counters itself.
-    ///
-    /// The temp name is unique per process *and* per write (pid plus a
-    /// process-wide sequence number), so concurrent writers of the same
-    /// key — two worker threads, or a server and a CLI bin sharing the
-    /// cache directory — each stage into a private file and race only on
-    /// the final atomic rename. Whichever rename lands last wins with a
-    /// complete entry; readers can never observe a torn file. A failed
-    /// rename cleans up its temp file so crashes don't strand debris.
-    fn write_entry(&self, kind: &str, key: u64, bytes: &[u8]) -> bool {
-        static TEMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let Some(path) = self.entry_path(kind, key) else {
-            return false;
+    fn entry_path(&self, kind: Kind, key: u64) -> Option<PathBuf> {
+        self.dir
+            .as_ref()
+            .map(|d| d.join(format!("{}-{key:016x}.mwcc", kind.name())))
+    }
+
+    /// Every entry file in the disk layer: kind, key, modification time
+    /// and path. Temp files and foreign names are skipped.
+    fn entry_files(&self) -> Vec<(Kind, u64, SystemTime, PathBuf)> {
+        let Some(entries) = self.dir.as_ref().and_then(|d| fs::read_dir(d).ok()) else {
+            return Vec::new();
         };
+        entries
+            .filter_map(|e| {
+                let e = e.ok()?;
+                let name = e.file_name();
+                let (kind, hex) = name.to_str()?.strip_suffix(".mwcc")?.split_once('-')?;
+                let kind = Kind::STORED.into_iter().find(|k| k.name() == kind)?;
+                let key = u64::from_str_radix(hex, 16).ok()?;
+                Some((kind, key, e.metadata().ok()?.modified().ok()?, e.path()))
+            })
+            .collect()
+    }
+
+    /// Read the `T` entry under `key` from disk. A missing file is a plain
+    /// `None`; a file that fails [`read_frame`] is counted corrupt and
+    /// deleted, so the recompute re-stores it. Never an error.
+    fn load<T: Entry>(&self, key: u64) -> Option<T> {
+        let path = self.entry_path(T::KIND, key)?;
+        let bytes = fs::read(&path).ok()?;
+        let Some(value) = read_frame(key, &bytes) else {
+            self.count(T::KIND, Event::Corrupt, 1);
+            let _ = fs::remove_file(&path);
+            return None;
+        };
+        self.count(T::KIND, Event::DiskHit, 1);
+        self.count(T::KIND, Event::BytesRead, bytes.len() as u64);
+        Some(value)
+    }
+
+    /// Write `value` as the `T` entry under `key`, then evict past the
+    /// entry cap. Failure is counted and degrades to "not cached" — the
+    /// computed result is unaffected.
+    ///
+    /// The write is atomic: the frame is staged in a temp file whose name
+    /// is unique per process *and* per write (pid plus a process-wide
+    /// sequence number), then renamed over the entry. Concurrent writers
+    /// of the same key — two worker threads, or a server and a CLI bin
+    /// sharing the cache directory — race only on the final rename, so
+    /// whichever lands last wins with a complete entry and readers can
+    /// never observe a torn file. A failed rename cleans up its temp file
+    /// so crashes don't strand debris.
+    fn store<T: Entry>(&self, key: u64, value: &T) {
+        static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
+        let Some(path) = self.entry_path(T::KIND, key) else {
+            return;
+        };
+        let bytes = write_frame(key, value);
         let write = || -> std::io::Result<()> {
             let dir = path.parent().expect("cache entry path has a parent");
             fs::create_dir_all(dir)?;
-            let seq = TEMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
             let tmp = dir.join(format!(
-                ".tmp-{kind}-{key:016x}-{}-{seq}",
+                ".tmp-{}-{key:016x}-{}-{seq}",
+                T::KIND.name(),
                 std::process::id()
             ));
-            fs::write(&tmp, bytes)?;
+            fs::write(&tmp, &bytes)?;
             if let Err(e) = fs::rename(&tmp, &path) {
                 let _ = fs::remove_file(&tmp);
                 return Err(e);
@@ -766,10 +787,11 @@ impl StudyCache {
             Ok(())
         };
         if write().is_ok() {
+            self.count(T::KIND, Event::Store, 1);
+            self.count(T::KIND, Event::BytesWritten, bytes.len() as u64);
             self.evict_excess();
-            true
         } else {
-            false
+            self.count(T::KIND, Event::StoreFailed, 1);
         }
     }
 
@@ -779,48 +801,33 @@ impl StudyCache {
     /// writes would evict older study entries — the finished points an
     /// interrupted sweep is about to replay.
     fn evict_excess(&self) {
-        let Some(dir) = &self.dir else {
-            return;
-        };
-        let Ok(entries) = fs::read_dir(dir) else {
-            return;
-        };
-        // `false` (a unit entry) sorts first.
-        let mut files: Vec<(bool, SystemTime, PathBuf)> = entries
-            .filter_map(|e| {
-                let e = e.ok()?;
-                let path = e.path();
-                if path.extension().and_then(|x| x.to_str()) != Some("mwcc") {
-                    return None;
-                }
-                let is_unit = e.file_name().to_string_lossy().starts_with("unit-");
-                let modified = e.metadata().ok()?.modified().ok()?;
-                Some((!is_unit, modified, path))
-            })
-            .collect();
+        let mut files = self.entry_files();
         if files.len() <= self.max_entries {
             return;
         }
-        files.sort();
+        // `false` (a unit entry) sorts first.
+        files.sort_by(|a, b| (a.0 != Kind::Unit, a.2, &a.3).cmp(&(b.0 != Kind::Unit, b.2, &b.3)));
         let excess = files.len() - self.max_entries;
-        for (_, _, path) in files.into_iter().take(excess) {
+        for (kind, _, _, path) in files.into_iter().take(excess) {
             if fs::remove_file(&path).is_ok() {
-                self.bump("cache.evictions", |s| s.evictions += 1);
+                self.count(kind, Event::Evicted, 1);
             }
         }
     }
 
-    fn bump(&self, counter: &str, f: impl FnOnce(&mut CacheStats)) {
-        f(&mut self.stats.lock().expect("cache stats lock poisoned"));
-        mwc_obs::metrics::counter_add(counter, 1);
+    fn counts(&self) -> Counts {
+        *self.counts.lock().expect("cache counter lock poisoned")
     }
 
-    /// Bump one per-stage counter and its `cache.stage.<stage>.<counter>`
-    /// observability twin by `n` (the closure applies the same delta to
-    /// the [`StageStats`] slot).
-    fn stage_bump(&self, kind: StageKind, counter: &str, n: u64, f: impl FnOnce(&mut StageStats)) {
-        f(&mut self.stage_stats.lock().expect("stage stats lock poisoned")[kind.index()]);
-        mwc_obs::metrics::counter_add(&format!("cache.stage.{}.{counter}", kind.name()), n);
+    /// Count `n` of `event` for `kind`, and mirror it into the
+    /// `cache.<kind>.<event>` observability counter.
+    fn count(&self, kind: Kind, event: Event, n: u64) {
+        if mwc_obs::enabled() {
+            let name = format!("cache.{}.{}", kind.name(), event.name());
+            mwc_obs::metrics::counter_add(&name, n);
+        }
+        let mut counts = self.counts.lock().expect("cache counter lock poisoned");
+        counts[kind as usize][event as usize] += n;
     }
 }
 
@@ -839,9 +846,174 @@ fn default_dir() -> PathBuf {
 }
 
 // ---------------------------------------------------------------------------
-// Binary codec. Fixed little-endian layout; f64 round-trips by bit pattern
-// (NaN gap payloads included), so decode(encode(x)).digest() == x.digest().
+// The entry frame and the payload codecs. Fixed little-endian layout; f64
+// round-trips by bit pattern (NaN gap payloads included), so
+// decode(encode(x)).digest() == x.digest().
 // ---------------------------------------------------------------------------
+
+/// A value the disk layer keeps: its kind, its payload codec, and the
+/// check its frame carries.
+trait Entry: Sized {
+    const KIND: Kind;
+
+    fn encode(&self, e: &mut Enc);
+
+    /// Decode one payload; `None` — never a panic — on any defect. The
+    /// caller rejects trailing bytes.
+    fn decode(d: &mut Dec<'_>) -> Option<Self>;
+
+    /// The integrity check, always recomputed from the value itself.
+    fn check(&self) -> u64;
+}
+
+/// Frame `value` under `key`: `MWCC | u32 schema | u32 kind | u64 key |
+/// u64 check | payload`.
+fn write_frame<T: Entry>(key: u64, value: &T) -> Vec<u8> {
+    let mut e = Enc(Vec::new());
+    e.raw(MAGIC);
+    e.u32(CACHE_SCHEMA_VERSION);
+    e.u32(T::KIND as u32);
+    e.u64(key);
+    e.u64(value.check());
+    value.encode(&mut e);
+    e.0
+}
+
+/// Read a frame of `T` under `key`, decoding its payload in place.
+/// `None` — never an error, never a panic — unless the header matches,
+/// the payload decodes with no byte left over, and the check recomputed
+/// from the decoded value equals the stored one. There is no byte
+/// checksum over the frame: the check covers the whole decoded value.
+fn read_frame<T: Entry>(key: u64, bytes: &[u8]) -> Option<T> {
+    let mut d = Dec::new(bytes);
+    if d.take(4)? != MAGIC
+        || d.u32()? != CACHE_SCHEMA_VERSION
+        || d.u32()? != T::KIND as u32
+        || d.u64()? != key
+    {
+        return None;
+    }
+    let check = d.u64()?;
+    let value = T::decode(&mut d)?;
+    (d.done() && value.check() == check).then_some(value)
+}
+
+/// FNV-1a over `value`'s payload encoding: the check of values with no
+/// content digest of their own.
+fn content_hash<T: Entry>(value: &T) -> u64 {
+    let mut e = Enc(Vec::new());
+    value.encode(&mut e);
+    let mut h = Fnv1a::new();
+    h.write_bytes(&e.0);
+    h.finish()
+}
+
+impl Entry for Characterization {
+    const KIND: Kind = Kind::Study;
+
+    fn encode(&self, e: &mut Enc) {
+        e.list(self.profiles(), encode_profile);
+        let report = self.report();
+        e.usize(report.units_requested);
+        e.list(&report.failed_units, |e, f| {
+            e.str(&f.name);
+            e.str(&f.error);
+        });
+    }
+
+    fn decode(d: &mut Dec<'_>) -> Option<Self> {
+        let profiles = d.list(decode_profile)?;
+        let units_requested = d.usize()?;
+        let failed_units = d.list(|d| {
+            Some(FailedUnit {
+                name: d.str()?,
+                error: d.str()?,
+            })
+        })?;
+        Some(Characterization::new(
+            profiles,
+            DegradationReport {
+                units_requested,
+                failed_units,
+            },
+        ))
+    }
+
+    /// The study digest. On a decoded study this fills the memo with a
+    /// verified value, never one copied from the frame.
+    fn check(&self) -> u64 {
+        self.digest()
+    }
+}
+
+/// Unit payload tags: a failed capture stores its rendered error, a
+/// profiled unit its profile.
+const UNIT_TAG_FAILED: u32 = 0;
+const UNIT_TAG_PROFILED: u32 = 1;
+
+impl Entry for UnitArtifact {
+    const KIND: Kind = Kind::Unit;
+
+    fn encode(&self, e: &mut Enc) {
+        match self {
+            UnitArtifact::Failed(error) => {
+                e.u32(UNIT_TAG_FAILED);
+                e.str(error);
+            }
+            UnitArtifact::Profiled(p) => {
+                e.u32(UNIT_TAG_PROFILED);
+                encode_profile(e, p);
+            }
+        }
+    }
+
+    fn decode(d: &mut Dec<'_>) -> Option<Self> {
+        match d.u32()? {
+            UNIT_TAG_FAILED => Some(UnitArtifact::Failed(d.str()?)),
+            UNIT_TAG_PROFILED => Some(UnitArtifact::Profiled(Arc::new(decode_profile(d)?))),
+            _ => None,
+        }
+    }
+
+    fn check(&self) -> u64 {
+        match self {
+            UnitArtifact::Profiled(p) => p.digest(),
+            UnitArtifact::Failed(_) => content_hash(self),
+        }
+    }
+}
+
+impl Entry for ValidationSweep {
+    const KIND: Kind = Kind::Sweep;
+
+    fn encode(&self, e: &mut Enc) {
+        e.list(&self.points, |e, p| {
+            e.u32(code(&Algorithm::ALL, &p.algorithm));
+            e.usize(p.k);
+            for v in [p.dunn, p.silhouette, p.apn, p.ad] {
+                e.f64(v);
+            }
+        });
+    }
+
+    fn decode(d: &mut Dec<'_>) -> Option<Self> {
+        let points = d.list(|d| {
+            Some(SweepPoint {
+                algorithm: *Algorithm::ALL.get(d.u32()? as usize)?,
+                k: d.usize()?,
+                dunn: d.f64()?,
+                silhouette: d.f64()?,
+                apn: d.f64()?,
+                ad: d.f64()?,
+            })
+        })?;
+        Some(ValidationSweep { points })
+    }
+
+    fn check(&self) -> u64 {
+        content_hash(self)
+    }
+}
 
 struct Enc(Vec<u8>);
 
@@ -869,6 +1041,14 @@ impl Enc {
     fn str(&mut self, s: &str) {
         self.usize(s.len());
         self.raw(s.as_bytes());
+    }
+
+    /// A count-prefixed list.
+    fn list<T>(&mut self, items: &[T], mut item: impl FnMut(&mut Self, &T)) {
+        self.usize(items.len());
+        for x in items {
+            item(self, x);
+        }
     }
 }
 
@@ -915,10 +1095,17 @@ impl<'a> Dec<'a> {
 
     fn str(&mut self) -> Option<String> {
         let len = self.usize()?;
-        if len > self.remaining() {
+        String::from_utf8(self.take(len)?.to_vec()).ok()
+    }
+
+    /// A count-prefixed list. Every item takes at least one byte, so a
+    /// count beyond the remaining bytes is rejected before allocating.
+    fn list<T>(&mut self, mut item: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+        let n = self.usize()?;
+        if n > self.remaining() {
             return None;
         }
-        String::from_utf8(self.take(len)?.to_vec()).ok()
+        (0..n).map(|_| item(self)).collect()
     }
 
     fn done(&self) -> bool {
@@ -926,25 +1113,11 @@ impl<'a> Dec<'a> {
     }
 }
 
-fn suite_index(s: Suite) -> u32 {
-    Suite::ALL
-        .iter()
-        .position(|&x| x == s)
-        .expect("every suite is in Suite::ALL") as u32
-}
-
-fn label_index(l: ClusterLabel) -> u32 {
-    ClusterLabel::ALL
-        .iter()
-        .position(|&x| x == l)
-        .expect("every label is in ClusterLabel::ALL") as u32
-}
-
-fn algorithm_index(a: Algorithm) -> u32 {
-    Algorithm::ALL
-        .iter()
-        .position(|&x| x == a)
-        .expect("every algorithm is in Algorithm::ALL") as u32
+/// `x`'s position in its enum's `ALL` list: the variant's stable code.
+fn code<T: PartialEq>(all: &[T], x: &T) -> u32 {
+    all.iter()
+        .position(|a| a == x)
+        .expect("every variant is in its ALL list") as u32
 }
 
 /// The 19 scalar metrics, in the fixed order shared by encode and decode
@@ -1006,8 +1179,8 @@ fn health_values(h: &CaptureHealth) -> [usize; 9] {
 
 fn encode_profile(e: &mut Enc, p: &UnitProfile) {
     e.str(&p.name);
-    e.u32(suite_index(p.suite));
-    e.u32(label_index(p.label));
+    e.u32(code(&Suite::ALL, &p.suite));
+    e.u32(code(&ClusterLabel::ALL, &p.label));
     e.str(&p.metrics.name);
     for v in metric_values(&p.metrics) {
         e.f64(v);
@@ -1022,26 +1195,6 @@ fn encode_profile(e: &mut Enc, p: &UnitProfile) {
     for v in health_values(&p.health) {
         e.usize(v);
     }
-}
-
-fn encode_study(key: u64, study: &Characterization) -> Vec<u8> {
-    let mut e = Enc(Vec::new());
-    e.raw(STUDY_MAGIC);
-    e.u32(CACHE_SCHEMA_VERSION);
-    e.u64(key);
-    e.u64(study.digest());
-    e.usize(study.profiles().len());
-    for p in study.profiles() {
-        encode_profile(&mut e, p);
-    }
-    let report = study.report();
-    e.usize(report.units_requested);
-    e.usize(report.failed_units.len());
-    for f in &report.failed_units {
-        e.str(&f.name);
-        e.str(&f.error);
-    }
-    e.0
 }
 
 fn decode_series(d: &mut Dec<'_>) -> Option<TimeSeries> {
@@ -1130,203 +1283,11 @@ fn decode_profile(d: &mut Dec<'_>) -> Option<UnitProfile> {
     })
 }
 
-/// Decode a study entry. Returns `None` — never an error, never a panic —
-/// unless the buffer fully parses under `expected_key` and the rebuilt
-/// study's digest matches the digest stored at encode time.
-fn decode_study(expected_key: u64, bytes: &[u8]) -> Option<Characterization> {
-    let mut d = Dec::new(bytes);
-    if d.take(4)? != STUDY_MAGIC {
-        return None;
-    }
-    if d.u32()? != CACHE_SCHEMA_VERSION {
-        return None;
-    }
-    if d.u64()? != expected_key {
-        return None;
-    }
-    let stored_digest = d.u64()?;
-    let n = d.usize()?;
-    if n > d.remaining() {
-        return None;
-    }
-    let profiles = (0..n)
-        .map(|_| decode_profile(&mut d))
-        .collect::<Option<Vec<_>>>()?;
-    let units_requested = d.usize()?;
-    let failed = d.usize()?;
-    if failed > d.remaining() {
-        return None;
-    }
-    let failed_units = (0..failed)
-        .map(|_| {
-            Some(FailedUnit {
-                name: d.str()?,
-                error: d.str()?,
-            })
-        })
-        .collect::<Option<Vec<_>>>()?;
-    if !d.done() {
-        return None;
-    }
-    let study = Characterization::new(
-        profiles,
-        DegradationReport {
-            units_requested,
-            failed_units,
-        },
-    );
-    // Recomputed from the decoded content, never copied from the header:
-    // this fills the memo with a verified value.
-    (study.digest() == stored_digest).then_some(study)
-}
-
-/// Artifact payload tags (after magic/version/key): a failed capture
-/// stores its rendered error, a profiled unit stores its digest-verified
-/// profile.
-const UNIT_TAG_FAILED: u32 = 0;
-const UNIT_TAG_PROFILED: u32 = 1;
-
-fn encode_unit(key: u64, artifact: &UnitArtifact) -> Vec<u8> {
-    let mut e = Enc(Vec::new());
-    e.raw(UNIT_MAGIC);
-    e.u32(CACHE_SCHEMA_VERSION);
-    e.u64(key);
-    match artifact {
-        UnitArtifact::Failed(error) => {
-            e.u32(UNIT_TAG_FAILED);
-            e.str(error);
-        }
-        UnitArtifact::Profiled(p) => {
-            e.u32(UNIT_TAG_PROFILED);
-            e.u64(p.digest());
-            encode_profile(&mut e, p);
-        }
-    }
-    // Failed artifacts carry no semantic digest, so integrity comes from a
-    // trailing checksum over the whole payload (profiles get both).
-    let mut h = Fnv1a::new();
-    h.write_bytes(&e.0);
-    let checksum = h.finish();
-    e.u64(checksum);
-    e.0
-}
-
-/// Decode a unit artifact. Returns `None` — never an error, never a
-/// panic — unless the checksum, key, and (for profiles) the stored
-/// profile digest all verify.
-fn decode_unit(expected_key: u64, bytes: &[u8]) -> Option<UnitArtifact> {
-    if bytes.len() < 8 {
-        return None;
-    }
-    let (payload, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().ok()?);
-    let mut h = Fnv1a::new();
-    h.write_bytes(payload);
-    if h.finish() != stored {
-        return None;
-    }
-    let mut d = Dec::new(payload);
-    if d.take(4)? != UNIT_MAGIC {
-        return None;
-    }
-    if d.u32()? != CACHE_SCHEMA_VERSION {
-        return None;
-    }
-    if d.u64()? != expected_key {
-        return None;
-    }
-    match d.u32()? {
-        UNIT_TAG_FAILED => {
-            let error = d.str()?;
-            d.done().then_some(UnitArtifact::Failed(error))
-        }
-        UNIT_TAG_PROFILED => {
-            let stored_digest = d.u64()?;
-            let profile = decode_profile(&mut d)?;
-            if !d.done() || profile.digest() != stored_digest {
-                return None;
-            }
-            Some(UnitArtifact::Profiled(Arc::new(profile)))
-        }
-        _ => None,
-    }
-}
-
-fn encode_sweep(key: u64, s: &ValidationSweep) -> Vec<u8> {
-    let mut e = Enc(Vec::new());
-    e.raw(SWEEP_MAGIC);
-    e.u32(CACHE_SCHEMA_VERSION);
-    e.u64(key);
-    e.usize(s.points.len());
-    for p in &s.points {
-        e.u32(algorithm_index(p.algorithm));
-        e.usize(p.k);
-        for v in [p.dunn, p.silhouette, p.apn, p.ad] {
-            e.f64(v);
-        }
-    }
-    // Sweeps have no semantic digest of their own, so integrity comes from
-    // a trailing checksum over the entire payload.
-    let mut h = Fnv1a::new();
-    h.write_bytes(&e.0);
-    let checksum = h.finish();
-    e.u64(checksum);
-    e.0
-}
-
-fn decode_sweep(expected_key: u64, bytes: &[u8]) -> Option<ValidationSweep> {
-    if bytes.len() < 8 {
-        return None;
-    }
-    let (payload, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().ok()?);
-    let mut h = Fnv1a::new();
-    h.write_bytes(payload);
-    if h.finish() != stored {
-        return None;
-    }
-    let mut d = Dec::new(payload);
-    if d.take(4)? != SWEEP_MAGIC {
-        return None;
-    }
-    if d.u32()? != CACHE_SCHEMA_VERSION {
-        return None;
-    }
-    if d.u64()? != expected_key {
-        return None;
-    }
-    let n = d.usize()?;
-    if n > d.remaining() {
-        return None;
-    }
-    let points = (0..n)
-        .map(|_| {
-            let algorithm = *Algorithm::ALL.get(d.u32()? as usize)?;
-            let k = d.usize()?;
-            let dunn = d.f64()?;
-            let silhouette = d.f64()?;
-            let apn = d.f64()?;
-            let ad = d.f64()?;
-            Some(SweepPoint {
-                algorithm,
-                k,
-                dunn,
-                silhouette,
-                apn,
-                ad,
-            })
-        })
-        .collect::<Option<Vec<_>>>()?;
-    if !d.done() {
-        return None;
-    }
-    Some(ValidationSweep { points })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use proptest::prelude::*;
+    use std::sync::atomic::AtomicUsize;
 
     /// A unique throwaway directory per test (removed on drop).
     struct TempDir(PathBuf);
@@ -1449,29 +1410,132 @@ mod tests {
         }
     }
 
-    #[test]
-    fn study_roundtrip_is_bit_identical() {
+    /// Reads `bytes` as a frame of `T`: `Some(true)` if it decodes to
+    /// exactly the value framed in `clean` (re-encoding gives `clean`
+    /// back bit for bit), `Some(false)` if it decodes to anything else,
+    /// `None` on a miss.
+    type Reader = fn(u64, &[u8], &[u8]) -> Option<bool>;
+
+    fn reads_back<T: Entry>(key: u64, bytes: &[u8], clean: &[u8]) -> Option<bool> {
+        read_frame::<T>(key, bytes).map(|v| write_frame(key, &v) == clean)
+    }
+
+    /// One clean frame of each kind the disk layer keeps, under `key`,
+    /// with its reader.
+    fn sample_frames(key: u64) -> [(&'static str, Vec<u8>, Reader); 4] {
         let study = tiny_study();
-        let key = 0x1234_5678_9abc_def0;
-        let bytes = encode_study(key, &study);
-        let back = decode_study(key, &bytes).expect("well-formed entry decodes");
-        assert_eq!(back.digest(), study.digest());
-        assert_eq!(back.report(), study.report());
-        assert_eq!(back.profiles().len(), study.profiles().len());
+        let profiled = UnitArtifact::Profiled(Arc::new(study.profiles()[1].clone()));
+        let failed = UnitArtifact::Failed("capture of 'Unit A' exhausted".to_owned());
+        let unit: Reader = reads_back::<UnitArtifact>;
+        [
+            (
+                "study",
+                write_frame(key, &study),
+                reads_back::<Characterization>,
+            ),
+            ("profiled unit", write_frame(key, &profiled), unit),
+            ("failed unit", write_frame(key, &failed), unit),
+            (
+                "sweep",
+                write_frame(key, &tiny_sweep()),
+                reads_back::<ValidationSweep>,
+            ),
+        ]
     }
 
     #[test]
-    fn every_single_byte_corruption_is_detected() {
-        let study = tiny_study();
-        let key = 42;
-        let bytes = encode_study(key, &study);
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0xFF;
-            assert!(
-                decode_study(key, &bad).is_none(),
-                "flip at byte {i} went undetected"
+    fn every_frame_defect_is_a_miss() {
+        let key = 0x1234_5678_9abc_def0;
+        for (what, bytes, read) in sample_frames(key) {
+            assert_eq!(
+                read(key, &bytes, &bytes),
+                Some(true),
+                "{what}: a clean frame round-trips bit for bit"
             );
+            for i in 0..bytes.len() {
+                for mask in [0x01, 0xFF] {
+                    let mut bad = bytes.clone();
+                    bad[i] ^= mask;
+                    assert_eq!(
+                        read(key, &bad, &bytes),
+                        None,
+                        "{what}: flip {mask:#x} at byte {i} went undetected"
+                    );
+                }
+            }
+            for len in [0, 1, 4, bytes.len() / 2, bytes.len() - 1] {
+                let prefix = &bytes[..len];
+                assert_eq!(read(key, prefix, &bytes), None, "{what}: prefix {len}");
+            }
+            assert_eq!(read(key ^ 1, &bytes, &bytes), None, "{what}: wrong key");
+            let mut extended = bytes.clone();
+            extended.push(0);
+            assert_eq!(read(key, &extended, &bytes), None, "{what}: trailing byte");
+        }
+    }
+
+    #[test]
+    fn a_frame_read_as_another_kind_is_a_miss() {
+        let tmp = TempDir::new();
+        let cache = StudyCache::with_dir(&tmp.0);
+        let key = 5;
+        cache.store_unit_artifact(key, &UnitArtifact::Failed("boom".to_owned()));
+        let unit = cache.entry_path(Kind::Unit, key).expect("disk layer");
+        for kind in [Kind::Sweep, Kind::Study] {
+            fs::copy(&unit, cache.entry_path(kind, key).expect("disk layer")).expect("copy");
+        }
+        assert!(
+            cache.load::<ValidationSweep>(key).is_none(),
+            "unit frame read as a sweep"
+        );
+        assert!(
+            cache.load::<Characterization>(key).is_none(),
+            "unit frame read as a study"
+        );
+        assert_eq!(cache.stats().corrupt_entries, 2);
+        assert_eq!(cache.stats().disk_hits, 0);
+        assert!(
+            cache.load::<UnitArtifact>(key).is_some(),
+            "the unit entry itself still reads"
+        );
+    }
+
+    proptest! {
+        #[test]
+        fn frame_readers_never_panic_on_hostile_bytes(
+            noise in prop::collection::vec(any::<u8>(), 0..64),
+            at: usize,
+            byte: u8,
+        ) {
+            let key = 3;
+            for (what, clean, read) in sample_frames(key) {
+                let at = at % (clean.len() + 1);
+                let mut flipped = clean.clone();
+                if let Some(b) = flipped.get_mut(at) {
+                    *b ^= byte;
+                }
+                let mut inserted = clean.clone();
+                inserted.insert(at, byte);
+                let mut appended = clean.clone();
+                appended.extend_from_slice(&noise);
+                // A valid 28-byte header over random bytes drives the
+                // payload decoder itself, not just the header checks.
+                let mut random_payload = clean[..28].to_vec();
+                random_payload.extend_from_slice(&noise);
+                for bytes in [
+                    noise.clone(),
+                    clean[..at].to_vec(),
+                    flipped,
+                    inserted,
+                    appended,
+                    random_payload,
+                ] {
+                    prop_assert!(
+                        read(key, &bytes, &clean) != Some(false),
+                        "{what}: a mutated frame read as another value"
+                    );
+                }
+            }
         }
     }
 
@@ -1503,7 +1567,8 @@ mod tests {
         let unhashed_clone = study.clone();
         assert_eq!(study, unhashed_clone, "neither side hashed");
         // Decoding verifies the stored digest, which hashes the copy.
-        let decoded = decode_study(key, &encode_study(key, &finite_study())).expect("decodes");
+        let decoded = read_frame::<Characterization>(key, &write_frame(key, &finite_study()))
+            .expect("decodes");
         assert_eq!(study, decoded, "only the decoded side hashed");
         assert_eq!(decoded, study);
         study.digest();
@@ -1517,7 +1582,8 @@ mod tests {
     fn decoded_digest_equals_a_fresh_recompute() {
         let key = 9;
         for study in [tiny_study(), finite_study()] {
-            let decoded = decode_study(key, &encode_study(key, &study)).expect("decodes");
+            let decoded =
+                read_frame::<Characterization>(key, &write_frame(key, &study)).expect("decodes");
             assert_eq!(decoded.digest(), recomputed_digest(&study));
             assert_eq!(decoded.digest(), recomputed_digest(&decoded));
         }
@@ -1545,34 +1611,6 @@ mod tests {
                 .collect()
         });
         assert_eq!(digests, vec![expected; 8]);
-    }
-
-    #[test]
-    fn truncated_and_mismatched_entries_are_rejected() {
-        let study = tiny_study();
-        let key = 7;
-        let bytes = encode_study(key, &study);
-        for len in [0, 1, 4, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decode_study(key, &bytes[..len]).is_none(), "prefix {len}");
-        }
-        assert!(decode_study(8, &bytes).is_none(), "wrong key accepted");
-        let mut extended = bytes.clone();
-        extended.push(0);
-        assert!(decode_study(key, &extended).is_none(), "trailing garbage");
-    }
-
-    #[test]
-    fn sweep_roundtrip_and_corruption() {
-        let s = tiny_sweep();
-        let key = 99;
-        let bytes = encode_sweep(key, &s);
-        assert_eq!(decode_sweep(key, &bytes).expect("decodes"), s);
-        assert!(decode_sweep(100, &bytes).is_none());
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x01;
-            assert!(decode_sweep(key, &bad).is_none(), "flip at byte {i}");
-        }
     }
 
     #[test]
@@ -1612,21 +1650,26 @@ mod tests {
         let cache = StudyCache::with_dir(&tmp.0);
         let study = tiny_study();
         let key = 0xfeed;
-        cache.persist("study", key, &encode_study(key, &study));
+        cache.store(key, &study);
         assert_eq!(cache.stats().stores, 1);
 
-        let loaded = cache.load_study(key).expect("warm entry loads");
+        let loaded = cache
+            .load::<Characterization>(key)
+            .expect("warm entry loads");
         assert_eq!(loaded.digest(), study.digest());
         assert_eq!(cache.stats().disk_hits, 1);
 
         // Scribble over the entry: the next load degrades to a miss and
         // removes the bad file.
-        let path = cache.entry_path("study", key).expect("disk layer");
+        let path = cache.entry_path(Kind::Study, key).expect("disk layer");
         fs::write(&path, b"not a cache entry").expect("overwrite");
-        assert!(cache.load_study(key).is_none());
+        assert!(cache.load::<Characterization>(key).is_none());
         assert_eq!(cache.stats().corrupt_entries, 1);
         assert!(!path.exists(), "corrupt entry is dropped");
-        assert!(cache.load_study(key).is_none(), "gone after removal");
+        assert!(
+            cache.load::<Characterization>(key).is_none(),
+            "gone after removal"
+        );
     }
 
     #[test]
@@ -1636,7 +1679,7 @@ mod tests {
         cache.max_entries = 3;
         let study = tiny_study();
         for key in 0..5u64 {
-            cache.persist("study", key, &encode_study(key, &study));
+            cache.store(key, &study);
         }
         let remaining = fs::read_dir(&tmp.0)
             .expect("cache dir")
@@ -1661,45 +1704,6 @@ mod tests {
         assert!(cache.stats().summary().contains("disk_hits=0"));
         assert!(cache.stage_summary().contains("sims=0"));
         assert!(cache.stage_summary().contains("reused=0"));
-    }
-
-    #[test]
-    fn unit_artifact_roundtrip_both_variants() {
-        let study = tiny_study();
-        let key = 0xabcd;
-        let profiled = UnitArtifact::Profiled(Arc::new(study.profiles()[0].clone()));
-        let bytes = encode_unit(key, &profiled);
-        match decode_unit(key, &bytes).expect("profiled artifact decodes") {
-            UnitArtifact::Profiled(p) => assert_eq!(p.digest(), study.profiles()[0].digest()),
-            UnitArtifact::Failed(e) => panic!("decoded as failure: {e}"),
-        }
-        let failed = UnitArtifact::Failed("capture of 'Unit A' exhausted".to_owned());
-        let bytes = encode_unit(key, &failed);
-        match decode_unit(key, &bytes).expect("failed artifact decodes") {
-            UnitArtifact::Failed(e) => assert_eq!(e, "capture of 'Unit A' exhausted"),
-            UnitArtifact::Profiled(_) => panic!("decoded as profile"),
-        }
-        assert!(decode_unit(key + 1, &bytes).is_none(), "wrong key accepted");
-    }
-
-    #[test]
-    fn every_unit_entry_byte_corruption_is_detected() {
-        let study = tiny_study();
-        let key = 17;
-        for artifact in [
-            UnitArtifact::Profiled(Arc::new(study.profiles()[1].clone())),
-            UnitArtifact::Failed("boom".to_owned()),
-        ] {
-            let bytes = encode_unit(key, &artifact);
-            for i in 0..bytes.len() {
-                let mut bad = bytes.clone();
-                bad[i] ^= 0x01;
-                assert!(decode_unit(key, &bad).is_none(), "flip at byte {i}");
-            }
-            for len in [0, 1, 4, bytes.len() / 2, bytes.len() - 1] {
-                assert!(decode_unit(key, &bytes[..len]).is_none(), "prefix {len}");
-            }
-        }
     }
 
     #[test]
@@ -1736,12 +1740,30 @@ mod tests {
         assert!(derive.bytes_read > 0);
 
         // Corruption degrades to a miss and drops the entry.
-        let path = warm.entry_path("unit", key).expect("disk layer");
+        let path = warm.entry_path(Kind::Unit, key).expect("disk layer");
         fs::write(&path, b"junk").expect("overwrite");
         let corrupt = StudyCache::with_dir(&tmp.0);
         assert!(corrupt.unit_artifact(key).is_none());
         assert_eq!(corrupt.stage(StageKind::Derive).corrupt_entries, 1);
         assert!(!path.exists(), "corrupt unit entry is dropped");
+    }
+
+    #[test]
+    fn failed_writes_of_every_kind_are_counted() {
+        // The cache directory path names a regular file, so every write
+        // fails; results are still served from memory.
+        let tmp = TempDir::new();
+        let not_a_dir = tmp.0.join("not-a-dir");
+        fs::write(&not_a_dir, b"").expect("plain file");
+        let cache = StudyCache::with_dir(&not_a_dir);
+        cache.store_unit_artifact(1, &UnitArtifact::Failed("boom".to_owned()));
+        cache.store(2, &tiny_study());
+        let stats = cache.stats();
+        assert_eq!(stats.store_failures, 2, "the unit and the study write");
+        assert_eq!(stats.stores, 0);
+        assert_eq!(cache.stage(StageKind::Derive).stores, 0);
+        assert!(cache.unit_artifact(1).is_some(), "served from memory");
+        assert_eq!(cache.stage(StageKind::Derive).mem_hits, 1);
     }
 
     #[test]
@@ -1759,12 +1781,11 @@ mod tests {
         let digests = [study_a.digest(), study_b.digest()];
 
         std::thread::scope(|s| {
-            for (w, study) in [study_a.clone(), study_b.clone()].into_iter().enumerate() {
+            for study in [study_a.clone(), study_b.clone()] {
                 let cache = std::sync::Arc::clone(&cache);
                 s.spawn(move || {
-                    let bytes = encode_study(key, &study);
                     for _ in 0..100 {
-                        assert!(cache.write_entry("study", key, &bytes), "writer {w}");
+                        cache.store(key, &study);
                     }
                 });
             }
@@ -1772,7 +1793,7 @@ mod tests {
                 let cache = std::sync::Arc::clone(&cache);
                 s.spawn(move || {
                     for _ in 0..200 {
-                        if let Some(study) = cache.load_study(key) {
+                        if let Some(study) = cache.load::<Characterization>(key) {
                             assert!(
                                 digests.contains(&study.digest()),
                                 "read a study no writer produced"
@@ -1783,6 +1804,7 @@ mod tests {
             }
         });
 
+        assert_eq!(cache.stats().stores, 200, "every write landed");
         assert_eq!(cache.stats().corrupt_entries, 0, "no torn reads");
         let leftovers: Vec<_> = fs::read_dir(&tmp.0)
             .expect("cache dir")
@@ -1818,12 +1840,15 @@ mod tests {
             for unit in 0..2u64 {
                 cache.store_unit_artifact(100 + 2 * key + unit, &artifact);
             }
-            cache.persist("study", key, &encode_study(key, &study));
+            cache.store(key, &study);
         }
         assert_eq!(cache.stats().evictions, 5);
         let fresh = StudyCache::with_dir(&tmp.0);
         for key in 0..3u64 {
-            assert!(fresh.load_study(key).is_some(), "study {key} was evicted");
+            assert!(
+                fresh.load::<Characterization>(key).is_some(),
+                "study {key} was evicted"
+            );
         }
         assert_eq!(fresh.stats().disk_hits, 3);
     }
@@ -1834,10 +1859,10 @@ mod tests {
         let cache = StudyCache::with_dir(&tmp.0);
         let study = tiny_study();
         for key in [1u64, 2, 3] {
-            cache.persist("study", key, &encode_study(key, &study));
+            cache.store(key, &study);
         }
         cache.store_unit_artifact(4, &UnitArtifact::Failed("x".to_owned()));
-        let bad = cache.entry_path("study", 2).expect("disk layer");
+        let bad = cache.entry_path(Kind::Study, 2).expect("disk layer");
         fs::write(&bad, b"not a cache entry").expect("overwrite");
 
         let listed = StudyCache::with_dir(&tmp.0);

@@ -159,6 +159,20 @@ rm -rf "$cache_dir"
 
 cold_out=$(MWC_CACHE_DIR="$cache_dir" ./target/release/profile) || exit 1
 digest_cold=$(printf '%s\n' "$cold_out" | awk '/^study digest:/ { print $3 }')
+# Every entry is one frame, whatever its kind, and opens with its magic.
+found_entry=0
+for f in "$cache_dir"/*.mwcc; do
+    [ -e "$f" ] || break
+    found_entry=1
+    if [ "$(head -c 4 "$f")" != "MWCC" ]; then
+        echo "error: cache entry $f does not start with the MWCC frame magic" >&2
+        exit 1
+    fi
+done
+if [ "$found_entry" -eq 0 ]; then
+    echo "error: cold run left no cache entries in $cache_dir" >&2
+    exit 1
+fi
 warm_out=$(MWC_CACHE_DIR="$cache_dir" ./target/release/profile) || exit 1
 digest_warm=$(printf '%s\n' "$warm_out" | awk '/^study digest:/ { print $3 }')
 warm_hits=$(printf '%s\n' "$warm_out" \
@@ -177,18 +191,36 @@ if [ -z "$warm_hits" ] || [ "$warm_hits" -eq 0 ]; then
     exit 1
 fi
 
-# Scribble over every entry: the next run must still succeed, count the
-# corruption, and reproduce the digest by recomputing.
-found_entry=0
-for f in "$cache_dir"/*.mwcc; do
-    [ -e "$f" ] || break
-    found_entry=1
-    printf 'garbage' > "$f"
-done
-if [ "$found_entry" -eq 0 ]; then
-    echo "error: cold run left no cache entries in $cache_dir" >&2
+# Change one byte in the middle of the study entry: the digest recomputed
+# on load no longer matches, so the entry is a corrupt miss, and the study
+# rebuilds from its 18 unit entries without simulating.
+study_entry=$(ls "$cache_dir"/study-*.mwcc)
+offset=$(($(wc -c <"$study_entry") / 2))
+byte=$(od -An -tu1 -j "$offset" -N1 "$study_entry" | tr -d ' ')
+printf "\\$(printf '%03o' $((byte ^ 1)))" \
+    | dd of="$study_entry" bs=1 seek="$offset" conv=notrunc 2>/dev/null || exit 1
+bitflip_out=$(MWC_CACHE_DIR="$cache_dir" ./target/release/profile) || {
+    echo "error: a one-byte change in the study entry broke the run instead of degrading" >&2
+    exit 1
+}
+digest_bitflip=$(printf '%s\n' "$bitflip_out" | awk '/^study digest:/ { print $3 }')
+bitflip_corrupt=$(printf '%s\n' "$bitflip_out" \
+    | awk '/^cache stats:/ { for (i = 1; i <= NF; i++) if (sub("^corrupt=", "", $i)) print $i }')
+bitflip_stages=$(printf '%s\n' "$bitflip_out" | awk '/^stage stats:/ { print $3, $4 }')
+if [ "$digest_bitflip" != "$digest_cold" ]; then
+    echo "error: rebuild after a one-byte change diverged: $digest_cold vs $digest_bitflip" >&2
     exit 1
 fi
+if [ "$bitflip_corrupt" != "1" ] || [ "$bitflip_stages" != "sims=0 reused=18" ]; then
+    echo "error: one-byte change: corrupt=${bitflip_corrupt:-?}, ${bitflip_stages:-no stage stats} (want corrupt=1, sims=0 reused=18)" >&2
+    exit 1
+fi
+
+# Scribble over every entry: the next run must still succeed, count the
+# corruption, and reproduce the digest by recomputing.
+for f in "$cache_dir"/*.mwcc; do
+    printf 'garbage' > "$f"
+done
 corrupt_out=$(MWC_CACHE_DIR="$cache_dir" ./target/release/profile) || {
     echo "error: corrupted cache entries broke the run instead of degrading" >&2
     exit 1
@@ -205,7 +237,7 @@ if [ -z "$corrupt_count" ] || [ "$corrupt_count" -eq 0 ]; then
     exit 1
 fi
 rm -rf "$cache_dir"
-echo "    cold/warm digests match ($digest_cold); warm disk hits: $warm_hits; corruption degraded to recompute ($corrupt_count entries)"
+echo "    cold/warm digests match ($digest_cold); warm disk hits: $warm_hits; a one-byte change rebuilt from unit entries ($bitflip_stages); corruption degraded to recompute ($corrupt_count entries)"
 
 echo "==> incremental stage graph (one-knob change after warm capture)"
 # Warm the per-unit artifact layer, then flip one unit's fault config:
@@ -325,13 +357,6 @@ if [ ! -s "$soc_bench_json" ]; then
 fi
 rm -f "$soc_bench_json"
 echo "    soc_engine bench ran and wrote a JSON report"
-
-echo "==> f32-kernels feature (build + tests)"
-cargo test -q -p mwc-analysis --features f32-kernels || {
-    echo "error: mwc-analysis tests failed under --features f32-kernels" >&2
-    exit 1
-}
-echo "    f32 kernel path builds and passes its tolerance tests"
 
 echo "==> server smoke gate (boot, load, clean drain, zero panics)"
 cargo build --release -p mwc-server --bins || exit $?

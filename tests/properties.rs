@@ -62,10 +62,8 @@ proptest! {
     }
 
     // ---------- columnar kernels vs scalar references ----------
-    // The chunked kernels are layout rewrites, not numeric rewrites: on the
-    // default f64 path every output must match the scalar per-pair /
-    // per-column code bit for bit. (The opt-in `f32-kernels` feature
-    // deliberately breaks this; these tests cover the default build.)
+    // The chunked kernels are layout rewrites, not numeric rewrites: every
+    // output must match the scalar per-pair / per-column code bit for bit.
 
     #[test]
     fn columnar_pairwise_is_bit_identical_to_scalar(m in matrix_strategy(12, 5)) {
