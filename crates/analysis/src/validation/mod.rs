@@ -12,4 +12,4 @@ pub use internal::{
     dunn_index, dunn_index_with_distances, silhouette_width, silhouette_width_with_distances,
 };
 pub use stability::{ad_from, apn_from, average_distance, average_proportion_non_overlap};
-pub use sweep::{sweep, sweep_unshared, Algorithm, SweepPoint, ValidationSweep};
+pub use sweep::{sweep, Algorithm, SweepPoint, ValidationSweep};

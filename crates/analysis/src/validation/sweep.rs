@@ -12,8 +12,8 @@
 //!
 //! — and then evaluates the `(algorithm, k)` grid in parallel, each cell
 //! reading the shared state. The result is `PartialEq`-identical to the
-//! naive per-cell recomputation, which [`sweep_unshared`] retains as a
-//! reference (and benchmark baseline).
+//! naive per-cell recomputation, which this module's tests keep as a
+//! reference.
 
 use crate::cluster::{
     hierarchical, hierarchical_with_distances, kmeans, pam, pam_with_distances, Clustering,
@@ -23,12 +23,8 @@ use crate::distance::pairwise_euclidean;
 use crate::error::AnalysisError;
 use crate::matrix::Matrix;
 use crate::sym::SymMatrix;
-use crate::validation::internal::{
-    dunn_index, dunn_index_with_distances, silhouette_width, silhouette_width_with_distances,
-};
-use crate::validation::stability::{
-    ad_from, apn_from, average_distance, average_proportion_non_overlap,
-};
+use crate::validation::internal::{dunn_index_with_distances, silhouette_width_with_distances};
+use crate::validation::stability::{ad_from, apn_from};
 
 /// Seed used for every clustering run inside a sweep. All three algorithms
 /// are deterministic in this crate for a fixed seed, so the whole sweep is
@@ -245,7 +241,7 @@ impl SweepContext<'_> {
 /// dendrograms are computed once and shared by every cell, and the
 /// `(algorithm, k)` grid is evaluated in parallel (worker count from
 /// `MWC_THREADS`, see `mwc-parallel`). The result is identical to
-/// [`sweep_unshared`].
+/// reclustering every cell from scratch.
 pub fn sweep(m: &Matrix, ks: &[usize]) -> Result<ValidationSweep, AnalysisError> {
     let mut span = mwc_obs::span("analysis.sweep");
     span.field("ks", ks.len());
@@ -274,32 +270,11 @@ pub fn sweep(m: &Matrix, ks: &[usize]) -> Result<ValidationSweep, AnalysisError>
     Ok(ValidationSweep { points })
 }
 
-/// [`sweep`] without any sharing: every cell reclusters from scratch and
-/// every measure recomputes its own distances, serially. Kept as the
-/// reference implementation ([`sweep`] must match it exactly) and as the
-/// baseline for the `sweep_shared_distances` benchmark.
-pub fn sweep_unshared(m: &Matrix, ks: &[usize]) -> Result<ValidationSweep, AnalysisError> {
-    let mut points = Vec::with_capacity(ks.len() * Algorithm::ALL.len());
-    for &algorithm in &Algorithm::ALL {
-        for &k in ks {
-            let clustering = algorithm.run(m, k)?;
-            let clusterer = move |mm: &Matrix, kk: usize| algorithm.run(mm, kk);
-            points.push(SweepPoint {
-                algorithm,
-                k,
-                dunn: dunn_index(m, &clustering),
-                silhouette: silhouette_width(m, &clustering),
-                apn: average_proportion_non_overlap(m, k, &clusterer)?,
-                ad: average_distance(m, k, &clusterer)?,
-            });
-        }
-    }
-    Ok(ValidationSweep { points })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validation::internal::{dunn_index, silhouette_width};
+    use crate::validation::stability::{average_distance, average_proportion_non_overlap};
 
     /// Three clearly separated blobs in 4-D; every feature carries the
     /// separation, so stability measures behave.
@@ -318,6 +293,28 @@ mod tests {
             }
         }
         Matrix::from_rows(&rows).unwrap()
+    }
+
+    /// [`sweep`] without any sharing: every cell reclusters from scratch
+    /// and every measure recomputes its own distances, serially. The
+    /// reference [`sweep`] must match exactly.
+    fn sweep_unshared(m: &Matrix, ks: &[usize]) -> Result<ValidationSweep, AnalysisError> {
+        let mut points = Vec::with_capacity(ks.len() * Algorithm::ALL.len());
+        for &algorithm in &Algorithm::ALL {
+            for &k in ks {
+                let clustering = algorithm.run(m, k)?;
+                let clusterer = move |mm: &Matrix, kk: usize| algorithm.run(mm, kk);
+                points.push(SweepPoint {
+                    algorithm,
+                    k,
+                    dunn: dunn_index(m, &clustering),
+                    silhouette: silhouette_width(m, &clustering),
+                    apn: average_proportion_non_overlap(m, k, &clusterer)?,
+                    ad: average_distance(m, k, &clusterer)?,
+                });
+            }
+        }
+        Ok(ValidationSweep { points })
     }
 
     #[test]

@@ -5,7 +5,6 @@ use mwc_analysis::cluster::kmeans;
 use mwc_analysis::matrix::Matrix;
 use mwc_analysis::validation::{
     average_distance, average_proportion_non_overlap, dunn_index, silhouette_width, sweep,
-    sweep_unshared,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -42,15 +41,11 @@ fn bench_validation(c: &mut Criterion) {
 
 fn bench_sweep(c: &mut Criterion) {
     // The Figure-4 sweep over the paper's k range, with shared distance
-    // matrices / dendrograms vs. the naive per-cell recomputation. Both
-    // return PartialEq-identical results (asserted in mwc-analysis tests).
+    // matrices / dendrograms.
     let m = paper_sized_matrix();
     let ks = [2usize, 3, 4, 5, 6, 7];
     c.bench_function("sweep_shared_distances", |b| {
         b.iter(|| sweep(&m, &ks).expect("valid ks"))
-    });
-    c.bench_function("sweep_unshared", |b| {
-        b.iter(|| sweep_unshared(&m, &ks).expect("valid ks"))
     });
 }
 

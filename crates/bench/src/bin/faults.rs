@@ -3,16 +3,16 @@
 //! the fault-free study.
 //!
 //! ```sh
-//! # One faulty study, plan taken from the environment:
-//! MWC_FAULT_SEED=7 MWC_FAULT_DROPOUT=0.05 MWC_FAULT_TRUNCATION=0.055 \
-//!     cargo run --release -p mwc-bench --bin faults
+//! # One faulty study under the demo plan (seed 7, 5% dropout, 1% jitter,
+//! # ~1-in-18 truncated runs):
+//! cargo run --release -p mwc-bench --bin faults
 //!
 //! # Dropout sweep (drift vs dropout rate, fixed seed):
 //! cargo run --release -p mwc-bench --bin faults -- --sweep
 //! ```
 //!
-//! Without `MWC_FAULT_SEED` set, a representative demo plan is used
-//! (seed 7, 5% dropout, 1% jitter, ~1-in-18 truncated runs).
+//! Any other plan is a spec document: `fault.seed = 7` and friends in the
+//! `mwc-spec v1` grammar, run with `profile --spec-file <path>`.
 use mwc_core::pipeline::Characterization;
 use mwc_core::{PipelineError, StudySpec};
 use mwc_profiler::faults::FaultConfig;
@@ -145,16 +145,11 @@ fn run() -> Result<(), PipelineError> {
     if std::env::args().any(|a| a == "--sweep") {
         return sweep();
     }
-    let mut faults = FaultConfig::from_env().map_err(mwc_core::PipelineError::from)?;
-    if !faults.enabled() {
-        println!("MWC_FAULT_SEED unset; using the demo plan");
-        faults = FaultConfig {
-            seed: 7,
-            dropout_rate: 0.05,
-            jitter_amplitude: 0.01,
-            truncation_rate: 0.055,
-            ..FaultConfig::default()
-        };
-    }
-    single_study(&faults)
+    single_study(&FaultConfig {
+        seed: 7,
+        dropout_rate: 0.05,
+        jitter_amplitude: 0.01,
+        truncation_rate: 0.055,
+        ..FaultConfig::default()
+    })
 }

@@ -1,8 +1,10 @@
 //! Self-profiling run of the full characterization pipeline.
 //!
-//! Runs the default study (18 units, 3 runs, seed 2024), the k = 5
-//! clustering and the Figure 4 validation sweep with observability
-//! collection forced on, then reports where the wall time went:
+//! Runs the default study (18 units, 3 runs, seed 2024) — or the study a
+//! `mwc-spec v1` document describes (`profile --spec-file <path>`, the
+//! grammar `POST /study` takes) — the k = 5 clustering and the Figure 4
+//! validation sweep with observability collection forced on, then
+//! reports where the wall time went:
 //!
 //! * per-stage wall time (count / total / self / max per span name);
 //! * the slowest per-unit simulations (top-k `pipeline.unit` spans);
@@ -18,7 +20,7 @@
 //! Chrome `trace_event` file (or a JSONL log if the path ends in
 //! `.jsonl`) loadable in `chrome://tracing` / Perfetto.
 
-use mwc_core::PipelineError;
+use mwc_core::{from_wire, PipelineError, StudySpec};
 use mwc_obs::export;
 use mwc_obs::metrics::Metric;
 use mwc_obs::summary::{fmt_ns, top_spans_by_field, Summary};
@@ -28,20 +30,33 @@ use mwc_report::table::Table;
 const TOP_K_UNITS: usize = 8;
 
 fn main() {
-    mwc_bench::run_or_exit(run);
+    let spec = spec_from_args().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
+    mwc_bench::run_or_exit(|| run(&spec));
 }
 
-fn run() -> Result<(), PipelineError> {
+/// The paper-default spec, or the wire document `--spec-file` names.
+fn spec_from_args() -> Result<StudySpec, String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.as_slice() {
+        [] => Ok(StudySpec::paper_default()),
+        [flag, path] if flag == "--spec-file" => {
+            let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+            from_wire(&text).map_err(|e| format!("{path}: {e}"))
+        }
+        _ => Err("usage: profile [--spec-file <path>]".to_owned()),
+    }
+}
+
+fn run(spec: &StudySpec) -> Result<(), PipelineError> {
     // This binary exists to profile the pipeline, so collection is on
     // regardless of MWC_TRACE / MWC_PROFILE.
     mwc_obs::set_enabled(true);
 
     mwc_bench::header("Self-profile: study + clustering + validation sweep");
-    // Paper-default spec with the MWC_FAULT_* environment layered on —
-    // including per-unit overrides via MWC_FAULT_UNITS, which is what the
-    // incremental-recompute gate in scripts/verify.sh exercises.
-    let spec = mwc_core::StudySpec::paper_default().with_env_faults()?;
-    let study = mwc_core::cache::StudyCache::global().study_spec(&spec)?;
+    let study = mwc_core::cache::StudyCache::global().study_spec(spec)?;
     let study = &*study;
     let clustering = mwc_core::figures::fig6(study)?;
     let sweep = mwc_core::figures::fig4(study)?;

@@ -30,10 +30,11 @@
 //! ## Keys
 //!
 //! Entries are addressed by an FNV-1a digest over everything that can
-//! influence the result: the schema version and crate version, the study
-//! protocol (seed, run count), [`SocConfig::content_digest`],
-//! [`FaultConfig::content_digest`] and the unit registry (names, suites,
-//! labels). Worker-thread count is deliberately *excluded*: results are
+//! influence the result ([`StudySpec::study_key`], [`StudySpec::unit_key`]):
+//! the schema version and crate version, the study protocol (seed, run
+//! count), [`SocConfig::content_digest`], each unit's fault model
+//! ([`FaultConfig::content_digest`](mwc_profiler::faults::FaultConfig::content_digest))
+//! and the unit registry (names, suites, labels). Worker-thread count is deliberately *excluded*: results are
 //! bit-identical at any parallelism (see `mwc_parallel`), so thread count
 //! must not fragment the key space.
 //!
@@ -60,10 +61,10 @@ use mwc_analysis::error::AnalysisError;
 use mwc_analysis::matrix::Matrix;
 use mwc_analysis::validation::{sweep as run_sweep, Algorithm, SweepPoint, ValidationSweep};
 use mwc_profiler::derive::BenchmarkMetrics;
-use mwc_profiler::faults::{CaptureHealth, FaultConfig};
+use mwc_profiler::faults::CaptureHealth;
 use mwc_profiler::timeseries::TimeSeries;
 use mwc_soc::config::SocConfig;
-use mwc_workloads::registry::{all_units, ClusterLabel, Suite};
+use mwc_workloads::registry::{ClusterLabel, Suite};
 
 use crate::error::PipelineError;
 use crate::features::FeatureSet;
@@ -92,28 +93,6 @@ const DEFAULT_MAX_ENTRIES: usize = 64;
 
 /// The magic that opens every entry frame, whatever its kind.
 const MAGIC: &[u8; 4] = b"MWCC";
-
-/// The content-addressed key of a study: a stable digest of everything
-/// that can change a [`Characterization`]. Stable across processes and
-/// machines; changes whenever any keyed input changes.
-pub fn study_key(config: &SocConfig, seed: u64, runs: usize, faults: &FaultConfig) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write_str("mwc-study");
-    h.write_u64(u64::from(CACHE_SCHEMA_VERSION));
-    h.write_str(env!("CARGO_PKG_VERSION"));
-    h.write_u64(seed);
-    h.write_usize(runs);
-    h.write_u64(config.content_digest());
-    h.write_u64(faults.content_digest());
-    let units = all_units();
-    h.write_usize(units.len());
-    for u in &units {
-        h.write_str(u.name);
-        h.write_str(u.suite.name());
-        h.write_str(u.label.name());
-    }
-    h.finish()
-}
 
 /// The content-addressed key of a Fig-4 validation sweep over a feature
 /// matrix (`matrix_digest` from [`Matrix::digest`]) and a k range.
@@ -486,37 +465,16 @@ impl StudyCache {
 
     /// A fault-free study on `config` with the given protocol, served from
     /// the cache when warm (worker count from `MWC_THREADS`; excluded from
-    /// the key because results are parallelism-invariant).
+    /// the key because results are parallelism-invariant). A warm hit is
+    /// guaranteed bit-identical to the cold computation (the stored
+    /// [`Characterization::digest`] is re-verified on load).
     pub fn study(
         &self,
         config: &SocConfig,
         seed: u64,
         runs: usize,
     ) -> Result<Arc<Characterization>, PipelineError> {
-        self.study_with_faults(
-            config,
-            seed,
-            runs,
-            mwc_parallel::configured_threads(),
-            &FaultConfig::default(),
-        )
-    }
-
-    /// [`StudyCache::study`] with explicit worker count and fault model.
-    /// A warm hit is guaranteed bit-identical to the cold computation
-    /// (the stored [`Characterization::digest`] is re-verified on load).
-    pub fn study_with_faults(
-        &self,
-        config: &SocConfig,
-        seed: u64,
-        runs: usize,
-        threads: usize,
-        faults: &FaultConfig,
-    ) -> Result<Arc<Characterization>, PipelineError> {
-        let spec = StudySpec::new(config.clone(), seed, runs)
-            .with_faults(faults.clone())
-            .with_threads(threads);
-        self.study_spec(&spec)
+        self.study_spec(&StudySpec::new(config.clone(), seed, runs))
     }
 
     /// The study described by `spec`, served from the cache when warm.
@@ -1286,6 +1244,7 @@ fn decode_profile(d: &mut Dec<'_>) -> Option<UnitProfile> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mwc_profiler::faults::FaultConfig;
     use proptest::prelude::*;
     use std::sync::atomic::AtomicUsize;
 
@@ -1615,24 +1574,25 @@ mod tests {
 
     #[test]
     fn study_key_changes_with_every_input() {
+        let key = |cfg: &SocConfig, seed, runs, faults: &FaultConfig| {
+            StudySpec::new(cfg.clone(), seed, runs)
+                .with_faults(faults.clone())
+                .study_key()
+        };
         let cfg = SocConfig::snapdragon_888();
         let faults = FaultConfig::default();
-        let base = study_key(&cfg, 2024, 3, &faults);
-        assert_eq!(base, study_key(&cfg, 2024, 3, &faults), "key is stable");
-        assert_ne!(base, study_key(&cfg, 2025, 3, &faults), "seed is keyed");
-        assert_ne!(base, study_key(&cfg, 2024, 1, &faults), "runs are keyed");
+        let base = key(&cfg, 2024, 3, &faults);
+        assert_eq!(base, key(&cfg, 2024, 3, &faults), "key is stable");
+        assert_ne!(base, key(&cfg, 2025, 3, &faults), "seed is keyed");
+        assert_ne!(base, key(&cfg, 2024, 1, &faults), "runs are keyed");
         let mut other_cfg = SocConfig::snapdragon_888();
         other_cfg.memory.capacity_mib += 1.0;
-        assert_ne!(
-            base,
-            study_key(&other_cfg, 2024, 3, &faults),
-            "config is keyed"
-        );
+        assert_ne!(base, key(&other_cfg, 2024, 3, &faults), "config is keyed");
         let active = FaultConfig {
             dropout_rate: 0.05,
             ..FaultConfig::default()
         };
-        assert_ne!(base, study_key(&cfg, 2024, 3, &active), "faults are keyed");
+        assert_ne!(base, key(&cfg, 2024, 3, &active), "faults are keyed");
     }
 
     #[test]

@@ -27,6 +27,8 @@ pub enum PipelineError {
     },
     /// A study spec selected a unit name absent from the registry.
     UnknownUnit(String),
+    /// A study spec's protocol cannot produce a study (e.g. zero runs).
+    InvalidSpec(&'static str),
     /// Writing results to disk failed.
     Io(std::io::Error),
 }
@@ -43,6 +45,7 @@ impl fmt::Display for PipelineError {
             PipelineError::UnknownUnit(name) => {
                 write!(f, "unknown unit: {name:?} is not in the registry")
             }
+            PipelineError::InvalidSpec(why) => write!(f, "invalid spec: {why}"),
             PipelineError::Io(e) => write!(f, "i/o error: {e}"),
         }
     }
@@ -55,7 +58,7 @@ impl std::error::Error for PipelineError {
             PipelineError::Capture(e) => Some(e),
             PipelineError::Analysis(e) => Some(e),
             PipelineError::StudyEmpty { .. } => None,
-            PipelineError::UnknownUnit(_) => None,
+            PipelineError::UnknownUnit(_) | PipelineError::InvalidSpec(_) => None,
             PipelineError::Io(e) => Some(e),
         }
     }

@@ -14,12 +14,10 @@
 //!   runs, platform, registry identity, the unit's *effective* fault
 //!   config), so changing one unit's fault override invalidates exactly
 //!   one artifact.
-//! * [`StudySpec::study_key`] — the whole-study memo key. For a spec with
-//!   the full unit selection and no overrides it is byte-compatible with
-//!   the legacy [`crate::cache::study_key`], so entries written by earlier
-//!   versions of the cache stay valid.
+//! * [`StudySpec::study_key`] — the whole-study memo key: every input
+//!   that reaches any selected unit's simulation.
 
-use mwc_profiler::faults::{FaultConfig, FAULT_UNITS_ENV};
+use mwc_profiler::faults::FaultConfig;
 use mwc_soc::config::SocConfig;
 use mwc_workloads::registry::{all_units, BenchmarkUnit};
 
@@ -116,24 +114,6 @@ impl StudySpec {
         self
     }
 
-    /// Layer the `MWC_FAULT_*` environment onto this spec: the env-derived
-    /// fault config becomes the baseline, unless [`FAULT_UNITS_ENV`] names
-    /// specific units — then only those units get the env plan (as
-    /// overrides) and everything else stays on the current baseline.
-    pub fn with_env_faults(self) -> Result<Self, PipelineError> {
-        let faults = FaultConfig::from_env()?;
-        match std::env::var(FAULT_UNITS_ENV) {
-            Ok(list) if !list.trim().is_empty() => {
-                let mut spec = self;
-                for name in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-                    spec = spec.with_unit_faults(name, faults.clone());
-                }
-                Ok(spec)
-            }
-            _ => Ok(self.with_faults(faults)),
-        }
-    }
-
     /// The fault model unit `name` captures under: its override if one is
     /// set, else the baseline.
     pub fn effective_faults(&self, name: &str) -> &FaultConfig {
@@ -149,10 +129,13 @@ impl StudySpec {
         &self.unit_faults
     }
 
-    /// Validate the spec: every fault config (baseline and overrides) and
-    /// the unit selection. Platform validation happens at engine
-    /// construction inside the pipeline's validate stage.
+    /// Validate the spec: the run count, every fault config (baseline and
+    /// overrides) and the unit selection. Platform validation happens at
+    /// engine construction inside the pipeline's validate stage.
     pub fn validate(&self) -> Result<(), PipelineError> {
+        if self.runs == 0 {
+            return Err(PipelineError::InvalidSpec("runs must be at least 1"));
+        }
         self.faults.validate()?;
         for (_, f) in &self.unit_faults {
             f.validate()?;
@@ -205,11 +188,10 @@ impl StudySpec {
         h.finish()
     }
 
-    /// The whole-study memo key. Byte-compatible with the legacy
-    /// [`crate::cache::study_key`] whenever the selection is
-    /// [`UnitSelection::All`] and no selected unit's effective fault
-    /// config differs from the baseline; per-unit overrides append
-    /// `(name, digest)` pairs in registry order.
+    /// The whole-study memo key: the protocol, platform and baseline fault
+    /// model, the selected units, and a `(name, digest)` pair in registry
+    /// order for each selected unit whose effective fault config differs
+    /// from the baseline.
     pub fn study_key(&self) -> u64 {
         let mut h = Fnv1a::new();
         h.write_str("mwc-study");
@@ -243,7 +225,6 @@ impl StudySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::study_key as legacy_study_key;
 
     fn base() -> StudySpec {
         StudySpec::new(SocConfig::snapdragon_888(), 2024, 3)
@@ -255,20 +236,6 @@ mod tests {
             dropout_rate: 0.05,
             ..FaultConfig::default()
         }
-    }
-
-    #[test]
-    fn default_spec_key_matches_legacy_study_key() {
-        let spec = base();
-        assert_eq!(
-            spec.study_key(),
-            legacy_study_key(&spec.config, spec.seed, spec.runs, &spec.faults)
-        );
-        let faulted = base().with_faults(active_faults());
-        assert_eq!(
-            faulted.study_key(),
-            legacy_study_key(&faulted.config, 2024, 3, &active_faults())
-        );
     }
 
     #[test]
@@ -342,6 +309,20 @@ mod tests {
         let err = spec.validate().expect_err("unknown unit must fail");
         assert!(matches!(err, PipelineError::UnknownUnit(_)));
         assert!(err.to_string().contains("No Such Benchmark"));
+    }
+
+    #[test]
+    fn zero_runs_is_a_typed_error() {
+        let spec =
+            crate::from_wire("mwc-spec v1\nconfig = snapdragon_888\nseed = 2024\nruns = 0\n")
+                .expect("the grammar accepts any run count");
+        assert!(matches!(
+            spec.validate(),
+            Err(PipelineError::InvalidSpec(_))
+        ));
+        let err = crate::pipeline::Characterization::try_run_spec(&spec)
+            .expect_err("a zero-run study must fail typed, not panic");
+        assert!(err.to_string().contains("runs"), "{err}");
     }
 
     #[test]

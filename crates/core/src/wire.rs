@@ -263,6 +263,7 @@ pub fn from_wire(text: &str) -> Result<StudySpec, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn active() -> FaultConfig {
         FaultConfig {
@@ -373,6 +374,49 @@ mod tests {
     fn last_write_wins_per_key() {
         let text = "mwc-spec v1\nconfig = snapdragon_888\nseed = 1\nseed = 2\nruns = 3\n";
         assert_eq!(from_wire(text).expect("parses").seed, 2);
+    }
+
+    proptest! {
+        #[test]
+        fn from_wire_never_panics_on_hostile_bytes(
+            noise in prop::collection::vec(any::<u8>(), 0..256),
+            at: usize,
+            byte: u8,
+        ) {
+            let spec = StudySpec::paper_default()
+                .with_faults(active())
+                .with_units(["Antutu CPU", "Geekbench 5 CPU"])
+                .with_unit_faults("Antutu CPU", FaultConfig { truncation_rate: 0.055, ..active() });
+            let clean = to_wire(&spec).expect("serializes");
+            prop_assert_eq!(
+                from_wire(&clean).expect("parses").study_key(),
+                spec.study_key()
+            );
+
+            let clean = clean.into_bytes();
+            let at = at % (clean.len() + 1);
+            let mut flipped = clean.clone();
+            if let Some(b) = flipped.get_mut(at) {
+                *b ^= byte;
+            }
+            let mut inserted = clean.clone();
+            inserted.insert(at, byte);
+            for bytes in [noise, clean[..at].to_vec(), flipped, inserted] {
+                match from_wire(&String::from_utf8_lossy(&bytes)) {
+                    Err(e) => prop_assert!(!e.to_string().is_empty()),
+                    // A document the grammar accepts either fails
+                    // validation typed or is a study spec that survives
+                    // the round trip.
+                    Ok(parsed) => {
+                        if parsed.validate().is_ok() {
+                            let text = to_wire(&parsed).expect("a parsed config is a preset");
+                            let back = from_wire(&text).expect("re-parses");
+                            prop_assert_eq!(back.study_key(), parsed.study_key());
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

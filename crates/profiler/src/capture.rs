@@ -345,9 +345,11 @@ impl Profiler {
     /// parallel pipeline in `mwc-core` relies on.
     ///
     /// The capture is also independent of the engine's simulation core
-    /// ([`mwc_soc::engine::EngineMode`]): the event-driven core produces
-    /// bit-identical traces to the dense one, so profiles, digests and
-    /// cache keys never observe which core ran.
+    /// ([`mwc_soc::engine::EngineMode`]). [`mwc_soc::engine::Engine::new`]
+    /// always builds the event-driven core, and only tests and the
+    /// `soc_engine` bench switch to the dense one; the two produce
+    /// bit-identical traces, so profiles, digests and cache keys never
+    /// observe which core ran.
     pub fn capture_unit_runs(
         &mut self,
         workload: &dyn Workload,

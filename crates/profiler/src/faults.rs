@@ -27,26 +27,6 @@ const PLAN_SALT: u64 = 0xFA17_0001;
 /// Counter wrap modulus: a 32-bit instruction counter overflowing once.
 const WRAP_32: f64 = 4_294_967_296.0;
 
-/// Environment variable naming the fault seed (enables env-driven faults).
-pub const FAULT_SEED_ENV: &str = "MWC_FAULT_SEED";
-/// Environment variable for the per-tick sample dropout rate.
-pub const FAULT_DROPOUT_ENV: &str = "MWC_FAULT_DROPOUT";
-/// Environment variable for the counter jitter amplitude.
-pub const FAULT_JITTER_ENV: &str = "MWC_FAULT_JITTER";
-/// Environment variable for the per-tick counter-overflow rate.
-pub const FAULT_OVERFLOW_ENV: &str = "MWC_FAULT_OVERFLOW";
-/// Environment variable for the per-run truncation rate.
-pub const FAULT_TRUNCATION_ENV: &str = "MWC_FAULT_TRUNCATION";
-/// Environment variable for the whole-run failure rate.
-pub const FAULT_RUN_FAILURE_ENV: &str = "MWC_FAULT_RUN_FAILURE";
-/// Environment variable for the retry budget per run.
-pub const FAULT_ATTEMPTS_ENV: &str = "MWC_FAULT_ATTEMPTS";
-/// Environment variable listing comma-separated unit names the fault plan
-/// applies to. When unset the plan covers every unit; when set, only the
-/// named units capture under the plan and all others stay fault-free
-/// (consumed by `StudySpec::with_env_faults` in `mwc-core`).
-pub const FAULT_UNITS_ENV: &str = "MWC_FAULT_UNITS";
-
 /// SplitMix64 — the same generator family the engine's stream chain uses;
 /// local copy so the profiler stays dependency-light.
 #[derive(Debug, Clone)]
@@ -182,46 +162,6 @@ impl FaultConfig {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
         h
-    }
-
-    /// Build a config from `MWC_FAULT_*` environment variables. Returns the
-    /// default (faults off) unless [`FAULT_SEED_ENV`] is set. Unset knobs
-    /// fall back to a mild default profile (5% dropout, 1% jitter).
-    pub fn from_env() -> Result<Self, CaptureError> {
-        let seed = match std::env::var(FAULT_SEED_ENV) {
-            Ok(v) => v.parse::<u64>().map_err(|_| {
-                CaptureError::InvalidFaultConfig(format!("{FAULT_SEED_ENV} must be a u64, got {v}"))
-            })?,
-            Err(_) => return Ok(FaultConfig::default()),
-        };
-        let rate = |env: &str, default: f64| -> Result<f64, CaptureError> {
-            match std::env::var(env) {
-                Ok(v) => v.parse::<f64>().map_err(|_| {
-                    CaptureError::InvalidFaultConfig(format!("{env} must be a number, got {v}"))
-                }),
-                Err(_) => Ok(default),
-            }
-        };
-        let max_attempts = match std::env::var(FAULT_ATTEMPTS_ENV) {
-            Ok(v) => v.parse::<usize>().map_err(|_| {
-                CaptureError::InvalidFaultConfig(format!(
-                    "{FAULT_ATTEMPTS_ENV} must be a positive integer, got {v}"
-                ))
-            })?,
-            Err(_) => 3,
-        };
-        let cfg = FaultConfig {
-            seed,
-            dropout_rate: rate(FAULT_DROPOUT_ENV, 0.05)?,
-            jitter_amplitude: rate(FAULT_JITTER_ENV, 0.01)?,
-            overflow_rate: rate(FAULT_OVERFLOW_ENV, 0.0)?,
-            truncation_rate: rate(FAULT_TRUNCATION_ENV, 0.0)?,
-            run_failure_rate: rate(FAULT_RUN_FAILURE_ENV, 0.0)?,
-            max_attempts,
-            ..FaultConfig::default()
-        };
-        cfg.validate()?;
-        Ok(cfg)
     }
 }
 

@@ -22,10 +22,6 @@ pub const IO_TIMEOUT_ENV: &str = "MWC_SERVER_IO_TIMEOUT_MS";
 /// On-disk cache directory (`MWC_SERVER_CACHE_DIR`); unset keeps the
 /// cache in memory only.
 pub const CACHE_DIR_ENV: &str = "MWC_SERVER_CACHE_DIR";
-/// Enables the `x-mwc-test-*` request hooks (`MWC_SERVER_TEST_HOOKS=1`).
-/// Never enable in production: the hooks exist so the robustness suite
-/// can inject panics and latency deterministically.
-pub const TEST_HOOKS_ENV: &str = "MWC_SERVER_TEST_HOOKS";
 /// Capacity of the recent-request debug ring served at
 /// `GET /debug/requests` (`MWC_SERVER_DEBUG_RING`); unset or 0 disables
 /// the endpoint.
@@ -56,6 +52,8 @@ pub struct ServerConfig {
     /// Study-cache directory; `None` keeps results in memory only.
     pub cache_dir: Option<PathBuf>,
     /// Honor `x-mwc-test-panic` / `x-mwc-test-sleep-ms` request headers.
+    /// No environment variable sets it: only in-process tests turn it on,
+    /// to inject panics and latency deterministically.
     pub test_hooks: bool,
     /// Recent-request debug-ring capacity; 0 disables `GET
     /// /debug/requests`. Default 0.
@@ -119,7 +117,7 @@ impl ServerConfig {
             cache_dir: env::var_os(CACHE_DIR_ENV)
                 .filter(|v| !v.is_empty())
                 .map(PathBuf::from),
-            test_hooks: env::var(TEST_HOOKS_ENV).is_ok_and(|v| v == "1"),
+            test_hooks: false,
             debug_ring: env_usize(DEBUG_RING_ENV, d.debug_ring),
             slo: env_ms(SLO_ENV, d.slo),
         }

@@ -19,7 +19,7 @@
 //!   buffering without bound;
 //! * **panic isolation** ([`panics`]) — each request runs under
 //!   `catch_unwind`; a panicking handler answers `500` with a typed error
-//!   body, bumps `server.panics`, and the worker lives on;
+//!   body, bumps the `server_panics` counter, and the worker lives on;
 //! * **graceful shutdown** ([`server`]) — SIGTERM/ctrl-c (or
 //!   `POST /admin/shutdown`) stops the acceptor, drains admitted requests
 //!   up to a drain deadline, flushes observability, and exits 0;

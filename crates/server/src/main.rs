@@ -12,9 +12,6 @@ use mwc_server::server::Server;
 use mwc_server::signal;
 
 fn main() -> ExitCode {
-    // The server is an observability citizen by default: its counters and
-    // request histograms are what /metrics serves.
-    mwc_obs::set_enabled(true);
     signal::install();
 
     let config = ServerConfig::from_env();

@@ -34,6 +34,7 @@ use std::time::{Duration, Instant};
 
 use mwc_core::pipeline::Characterization;
 use mwc_core::{from_wire, PipelineError, StudyCache, StudySpec};
+use mwc_obs::metrics::Metric;
 
 use crate::config::ServerConfig;
 use crate::deadline::Deadline;
@@ -307,7 +308,6 @@ fn accept_loop(listener: TcpListener, state: &Arc<ServerState>) {
 /// Stamp, bound, and admit one connection — or shed it with `503`.
 fn admit(state: &Arc<ServerState>, stream: TcpStream) {
     state.stats.accepted.fetch_add(1, Ordering::Relaxed);
-    mwc_obs::metrics::counter_add("server.accepted", 1);
     let io_timeout = state.config.io_timeout;
     let _ = stream.set_read_timeout(Some(io_timeout));
     let _ = stream.set_write_timeout(Some(io_timeout));
@@ -318,9 +318,7 @@ fn admit(state: &Arc<ServerState>, stream: TcpStream) {
         queue_depth: state.queue.len(),
     };
     match state.queue.try_push(job) {
-        Ok(()) => {
-            mwc_obs::metrics::gauge_set("server.queue.depth", state.queue.len() as f64);
-        }
+        Ok(()) => {}
         Err(PushError::Full(job)) => shed(state, job.stream, "admission queue full"),
         Err(PushError::Closed(job)) => shed(state, job.stream, "server is shutting down"),
     }
@@ -329,7 +327,6 @@ fn admit(state: &Arc<ServerState>, stream: TcpStream) {
 /// Refuse one connection with `503` + `Retry-After` (best-effort write).
 fn shed(state: &Arc<ServerState>, mut stream: TcpStream, why: &str) {
     state.stats.shed.fetch_add(1, Ordering::Relaxed);
-    mwc_obs::metrics::counter_add("server.shed", 1);
     // A shed connection is refused before its bytes are read, so the
     // caller's ID (if any) is unknowable without buffering; a minted ID
     // is echoed instead so the refusal is still traceable server-side.
@@ -348,15 +345,13 @@ fn shed(state: &Arc<ServerState>, mut stream: TcpStream, why: &str) {
 /// Pop and serve jobs until the queue is closed and empty.
 fn worker_loop(state: &Arc<ServerState>) {
     while let Some(job) = state.queue.pop() {
-        mwc_obs::metrics::gauge_set("server.queue.depth", state.queue.len() as f64);
         handle_job(state, job);
     }
 }
 
 /// Serve one admitted connection under panic isolation.
 fn handle_job(state: &Arc<ServerState>, job: Job) {
-    let busy = state.busy.fetch_add(1, Ordering::Relaxed) + 1;
-    mwc_obs::metrics::gauge_set("server.workers.busy", busy as f64);
+    state.busy.fetch_add(1, Ordering::Relaxed);
     let deadline = Deadline::starting_at(job.accepted, state.config.deadline);
     let mut scope =
         RequestScope::admitted(job.accepted.elapsed().as_nanos() as u64, job.queue_depth);
@@ -367,7 +362,6 @@ fn handle_job(state: &Arc<ServerState>, job: Job) {
         Err(report) => {
             scope.panicked = true;
             state.stats.panics.fetch_add(1, Ordering::Relaxed);
-            mwc_obs::metrics::counter_add("server.panics", 1);
             Some(Response::error(
                 500,
                 "panic",
@@ -399,14 +393,12 @@ fn handle_job(state: &Arc<ServerState>, job: Job) {
         "server.request_ns",
         deadline.elapsed().as_nanos() as u64,
     );
-    let busy = state.busy.fetch_sub(1, Ordering::Relaxed) - 1;
-    mwc_obs::metrics::gauge_set("server.workers.busy", busy as f64);
+    state.busy.fetch_sub(1, Ordering::Relaxed);
 }
 
 /// The 504 every expiry checkpoint answers with.
 fn deadline_response(state: &Arc<ServerState>, deadline: &Deadline) -> Response {
     state.stats.deadline_expired.fetch_add(1, Ordering::Relaxed);
-    mwc_obs::metrics::counter_add("server.deadline_expired", 1);
     Response::error(
         504,
         "deadline",
@@ -465,7 +457,6 @@ fn serve_connection(
     scope.method = req.method.clone();
     scope.path = req.target.clone();
     state.stats.requests.fetch_add(1, Ordering::Relaxed);
-    mwc_obs::metrics::counter_add("server.requests", 1);
     Some(route(state, &req, deadline, scope))
 }
 
@@ -516,14 +507,23 @@ fn route(
     }
 }
 
-/// `GET /metrics` — the `mwc_obs` registry (when collection is on) plus
-/// the always-live rolling/SLO/utilization tail rendered from server
-/// state.
+/// `GET /metrics` — the serving counters, the `mwc_obs` registry (empty
+/// unless `MWC_TRACE` or `MWC_PROFILE` turned collection on), and the
+/// rolling/SLO/utilization tail, all but the registry rendered from
+/// server state.
 fn metrics_response(state: &Arc<ServerState>) -> Response {
-    let mut snap = mwc_obs::metrics::snapshot();
-    // The live gauges are re-rendered in the tail from server state;
-    // drop the registry copies so each series appears exactly once.
-    snap.retain(|(name, _)| name != "server.queue.depth" && name != "server.workers.busy");
+    let stats = state.stats.snapshot();
+    let mut snap: Vec<(String, Metric)> = [
+        ("server.accepted", stats.accepted),
+        ("server.requests", stats.requests),
+        ("server.shed", stats.shed),
+        ("server.panics", stats.panics),
+        ("server.deadline_expired", stats.deadline_expired),
+    ]
+    .into_iter()
+    .map(|(name, v)| (name.to_owned(), Metric::Counter(v)))
+    .collect();
+    snap.extend(mwc_obs::metrics::snapshot());
     let mut text = mwc_obs::export::metrics_text(&snap);
     text.push_str(&state.telemetry.metrics_tail(
         state.queue.len(),
@@ -657,7 +657,9 @@ fn decode_spec(body: &[u8]) -> Result<StudySpec, Response> {
 /// is a 500.
 fn pipeline_error_response(e: &PipelineError) -> Response {
     match e {
-        PipelineError::UnknownUnit(_) => Response::error(400, "spec", &e.to_string()),
+        PipelineError::UnknownUnit(_) | PipelineError::InvalidSpec(_) => {
+            Response::error(400, "spec", &e.to_string())
+        }
         PipelineError::Capture(_) | PipelineError::StudyEmpty { .. } => {
             Response::error(500, "capture", &e.to_string())
         }

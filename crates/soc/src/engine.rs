@@ -19,8 +19,10 @@
 //! and materializes the in-between samples by replication, because at
 //! those ticks the whole SoC is provably at a fixpoint and a dense tick
 //! would be a state-preserving identity. Both cores produce bit-identical
-//! traces; `tests/event_engine.rs` and the `MWC_SOC_ENGINE=dense` gate in
-//! `scripts/verify.sh` pin that equivalence. See `DESIGN.md` §15.
+//! traces; `tests/event_engine.rs` pins that equivalence on every trace
+//! the paper-default study consumes. [`Engine::new`] always builds the
+//! event core; [`Engine::set_mode`] selects the dense one for the
+//! equivalence tests and the `soc_engine` bench. See `DESIGN.md` §15.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -102,16 +104,6 @@ pub enum EngineMode {
 }
 
 impl EngineMode {
-    /// Resolve the mode from the `MWC_SOC_ENGINE` environment variable:
-    /// `dense` selects [`EngineMode::Dense`]; anything else (or unset)
-    /// selects the default event core.
-    pub fn from_env() -> Self {
-        match std::env::var("MWC_SOC_ENGINE") {
-            Ok(v) if v.eq_ignore_ascii_case("dense") => EngineMode::Dense,
-            _ => EngineMode::Event,
-        }
-    }
-
     /// Human-readable name.
     pub fn name(self) -> &'static str {
         match self {
@@ -185,7 +177,7 @@ impl Engine {
             storage,
             scheduler,
             rng: StdRng::seed_from_u64(seed),
-            mode: EngineMode::from_env(),
+            mode: EngineMode::Event,
             demand: Demand::idle(),
             placement: Placement::default(),
         })
@@ -201,8 +193,7 @@ impl Engine {
         self.mode
     }
 
-    /// Select the simulation core explicitly, overriding the
-    /// `MWC_SOC_ENGINE` environment resolution done at construction.
+    /// Select the simulation core; construction picks the event core.
     /// Both cores are bit-identical, so this is a performance knob (and
     /// the seam the equivalence tests switch on), never a semantic one.
     pub fn set_mode(&mut self, mode: EngineMode) {

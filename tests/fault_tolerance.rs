@@ -146,18 +146,36 @@ fn quorum_merge_rejects_counter_glitches() {
     assert!((clean - 10.0).abs() < 1e-9, "median of a clean quorum");
 }
 
-/// Driven by the `MWC_FAULT_*` environment (see `scripts/verify.sh`): with
-/// no fault seed set this re-checks the clean path; with one set it runs a
-/// whole faulted study end to end.
+/// A fixed faulted plan — the `faults` binary's demo plan: seed 7, 5%
+/// dropout, 1% jitter, ~1-in-18 truncated runs, 3 attempts — runs a whole
+/// study end to end on every test pass, and the same study with faults off
+/// is the historical pipeline.
 #[test]
 fn env_fault_plan_yields_a_usable_study() {
-    let faults = FaultConfig::from_env().expect("env fault plan parses");
+    let faults = FaultConfig {
+        seed: 7,
+        dropout_rate: 0.05,
+        jitter_amplitude: 0.01,
+        truncation_rate: 0.055,
+        max_attempts: 3,
+        ..FaultConfig::default()
+    };
     let study =
         Characterization::try_run_with(SocConfig::snapdragon_888(), 77, 1, THREADS, &faults)
-            .expect("study completes under the environment's plan");
+            .expect("study completes under the fixed plan");
     assert!(study.report().units_profiled() > 0);
-    if !faults.enabled() {
-        let plain = Characterization::run_with_threads(SocConfig::snapdragon_888(), 77, 1, 1);
-        assert_eq!(study, plain, "fault-off path is the historical pipeline");
-    }
+
+    let fault_off = Characterization::try_run_with(
+        SocConfig::snapdragon_888(),
+        77,
+        1,
+        THREADS,
+        &FaultConfig::default(),
+    )
+    .expect("fault-free study succeeds");
+    let plain = Characterization::run_with_threads(SocConfig::snapdragon_888(), 77, 1, 1);
+    assert_eq!(
+        fault_off, plain,
+        "fault-off path is the historical pipeline"
+    );
 }

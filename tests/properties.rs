@@ -556,9 +556,12 @@ proptest! {
         seed in 0u64..10_000,
         runs in 1usize..8,
     ) {
-        use mwc_core::cache::study_key;
+        use mwc_core::StudySpec;
         use mwc_profiler::FaultConfig;
 
+        let study_key = |cfg: &SocConfig, seed, runs, faults: &FaultConfig| {
+            StudySpec::new(cfg.clone(), seed, runs).with_faults(faults.clone()).study_key()
+        };
         let cfg = SocConfig::snapdragon_888();
         let faults = FaultConfig::default();
         let key = study_key(&cfg, seed, runs, &faults);

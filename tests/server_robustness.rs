@@ -115,9 +115,21 @@ fn malformed_and_unknown_specs_answer_400_with_typed_bodies() {
         unknown.body_str()
     );
 
+    let no_runs = post_study(
+        &addr,
+        "mwc-spec v1\nconfig = snapdragon_888\nseed = 1\nruns = 0\n",
+        &[],
+    );
+    assert_eq!(no_runs.status, 400, "{}", no_runs.body_str());
+    assert!(
+        no_runs.body_str().contains("\"kind\":\"spec\""),
+        "{}",
+        no_runs.body_str()
+    );
+
     server.request_shutdown();
     let stats = server.join();
-    assert_eq!(stats.responses_4xx, 2);
+    assert_eq!(stats.responses_4xx, 3);
     assert_eq!(stats.panics, 0);
 }
 

@@ -309,6 +309,46 @@ fn metrics_reports_rolling_quantiles_slo_and_utilization_gauges() {
 }
 
 #[test]
+fn serving_counters_are_in_metrics_with_collection_off() {
+    // Nothing in this suite turns `mwc-obs` collection on, so the registry
+    // holds no serving counters: every line below comes from server state.
+    let server = boot(|c| c.workers = 1);
+    let addr = server.local_addr().to_string();
+    for _ in 0..3 {
+        assert_eq!(get(&addr, "/healthz").status, 200);
+    }
+
+    // The scrape is itself the fourth request.
+    let text = get(&addr, "/metrics").body_str();
+    for line in [
+        "server_accepted 4",
+        "server_requests 4",
+        "server_shed 0",
+        "server_panics 0",
+        "server_deadline_expired 0",
+    ] {
+        assert!(
+            text.lines().any(|l| l == line),
+            "/metrics is missing {line:?}:\n{text}"
+        );
+    }
+    for name in [
+        "server_requests",
+        "server_queue_depth",
+        "server_workers_busy",
+    ] {
+        let series = text
+            .lines()
+            .filter(|l| l.split(' ').next() == Some(name))
+            .count();
+        assert_eq!(series, 1, "{name} appears once:\n{text}");
+    }
+
+    server.request_shutdown();
+    server.join();
+}
+
+#[test]
 fn debug_endpoints_are_404_until_the_ring_is_enabled() {
     let server = boot(|c| c.debug_ring = 0);
     let addr = server.local_addr().to_string();
