@@ -7,7 +7,7 @@
 //!
 //! Digests are the 16-hex `Characterization::digest` values printed by
 //! `profile`, `sweep`, and the list view. Entries are read through the
-//! cache's digest-verifying load path, so a corrupt entry is counted and
+//! cache's hash-verifying load path, so a corrupt entry is counted and
 //! skipped, never shown.
 
 use std::time::UNIX_EPOCH;

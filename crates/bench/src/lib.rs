@@ -40,7 +40,7 @@ pub fn study() -> &'static Characterization {
 /// [`StudyCache`], so a warm process skips simulation entirely and every
 /// binary in a session after the first starts from the on-disk entry
 /// (disable with `MWC_CACHE=off`). Results are bit-identical either way —
-/// the cache re-verifies [`Characterization::digest`] on load.
+/// the cache verifies each entry's payload hash on load.
 pub fn study_with(seed: u64, runs: usize) -> &'static Characterization {
     let cache = STUDIES.get_or_init(|| Mutex::new(HashMap::new()));
     let mut studies = cache.lock().expect("study cache lock poisoned");

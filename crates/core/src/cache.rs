@@ -41,13 +41,22 @@
 //! ## Corruption handling
 //!
 //! Every entry file is one frame, `MWCC | u32 schema | u32 kind | u64 key
-//! | u64 check | payload`. A frame is trusted only if its header matches
-//! the lookup, its payload fully parses, *and* the check recomputed from
-//! the decoded value equals the stored one. Anything else — bad magic,
-//! version skew, another kind's entry, short file, flipped byte — is
-//! treated as a plain miss: the entry is deleted, the result recomputed
-//! and re-stored. Corrupt entries can degrade a warm run to a cold one
-//! but can never surface wrong numbers or errors.
+//! | u64 check | payload`, whose check is a word-wise hash of the payload
+//! bytes. A frame is trusted only if its header matches the lookup, its
+//! payload fully parses, *and* the hash recomputed from the payload
+//! bytes equals the stored one. Anything else — bad magic, version skew,
+//! another kind's entry, short file, flipped byte — is treated as a
+//! plain miss: the entry is deleted, the result recomputed and
+//! re-stored. Corrupt entries can degrade a warm run to a cold one but
+//! can never surface wrong numbers or errors.
+//!
+//! A study payload opens with the study's [`Characterization::digest`],
+//! computed once when the entry is written; a load fills the decoded
+//! study's digest memo from it instead of hashing every series again.
+//! That stored value is trusted because the hash covers it and every
+//! byte after it, the writer computed it from exactly the values it
+//! encoded, and [`CACHE_SCHEMA_VERSION`] — in both the key and the
+//! header — changes whenever the digest or the encoding does.
 
 use std::collections::HashMap;
 use std::env;
@@ -85,7 +94,7 @@ pub const CACHE_MAX_ENV: &str = "MWC_CACHE_MAX";
 /// memoizes. Bump on any change to the simulation, capture, merge or
 /// analysis arithmetic — or to the encoding itself — so stale entries
 /// from older builds are invalidated instead of replayed.
-pub const CACHE_SCHEMA_VERSION: u32 = 2;
+pub const CACHE_SCHEMA_VERSION: u32 = 3;
 
 /// Default cap on on-disk entries (unit entries evicted first, then
 /// oldest-modified first).
@@ -283,7 +292,7 @@ pub struct StoredStudy {
     pub key: u64,
     /// When the entry was written (the file's modification time).
     pub stored_at: SystemTime,
-    /// The decoded, digest-verified study.
+    /// The decoded study, its entry's payload hash verified.
     pub study: Characterization,
 }
 
@@ -466,8 +475,9 @@ impl StudyCache {
     /// A fault-free study on `config` with the given protocol, served from
     /// the cache when warm (worker count from `MWC_THREADS`; excluded from
     /// the key because results are parallelism-invariant). A warm hit is
-    /// guaranteed bit-identical to the cold computation (the stored
-    /// [`Characterization::digest`] is re-verified on load).
+    /// guaranteed bit-identical to the cold computation (a load verifies
+    /// the entry's payload hash, which covers the stored
+    /// [`Characterization::digest`] and every value after it).
     pub fn study(
         &self,
         config: &SocConfig,
@@ -603,7 +613,7 @@ impl StudyCache {
     }
 
     /// Every whole-study entry in the disk layer, oldest first. Each is
-    /// read like a lookup (digest re-verified on load), so a corrupt
+    /// read like a lookup (payload hash verified on load), so a corrupt
     /// entry is counted in [`CacheStats::corrupt_entries`], deleted and
     /// skipped — never returned. Empty without a disk layer.
     pub fn stored_studies(&self) -> Vec<StoredStudy> {
@@ -809,8 +819,7 @@ fn default_dir() -> PathBuf {
 // decode(encode(x)).digest() == x.digest().
 // ---------------------------------------------------------------------------
 
-/// A value the disk layer keeps: its kind, its payload codec, and the
-/// check its frame carries.
+/// A value the disk layer keeps: its kind and its payload codec.
 trait Entry: Sized {
     const KIND: Kind;
 
@@ -819,29 +828,30 @@ trait Entry: Sized {
     /// Decode one payload; `None` — never a panic — on any defect. The
     /// caller rejects trailing bytes.
     fn decode(d: &mut Dec<'_>) -> Option<Self>;
-
-    /// The integrity check, always recomputed from the value itself.
-    fn check(&self) -> u64;
 }
 
+/// Frame bytes before the payload: magic, schema, kind, key and check.
+const HEADER_LEN: usize = 28;
+
 /// Frame `value` under `key`: `MWCC | u32 schema | u32 kind | u64 key |
-/// u64 check | payload`.
+/// u64 check | payload`, the check being [`payload_hash`].
 fn write_frame<T: Entry>(key: u64, value: &T) -> Vec<u8> {
     let mut e = Enc(Vec::new());
     e.raw(MAGIC);
     e.u32(CACHE_SCHEMA_VERSION);
     e.u32(T::KIND as u32);
     e.u64(key);
-    e.u64(value.check());
+    e.u64(0); // the check, filled in once the payload is encoded
     value.encode(&mut e);
+    let check = payload_hash(&e.0[HEADER_LEN..]);
+    e.0[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&check.to_le_bytes());
     e.0
 }
 
 /// Read a frame of `T` under `key`, decoding its payload in place.
 /// `None` — never an error, never a panic — unless the header matches,
-/// the payload decodes with no byte left over, and the check recomputed
-/// from the decoded value equals the stored one. There is no byte
-/// checksum over the frame: the check covers the whole decoded value.
+/// the payload decodes with no byte left over, and [`payload_hash`] of
+/// the payload bytes equals the stored check.
 fn read_frame<T: Entry>(key: u64, bytes: &[u8]) -> Option<T> {
     let mut d = Dec::new(bytes);
     if d.take(4)? != MAGIC
@@ -853,23 +863,65 @@ fn read_frame<T: Entry>(key: u64, bytes: &[u8]) -> Option<T> {
     }
     let check = d.u64()?;
     let value = T::decode(&mut d)?;
-    (d.done() && value.check() == check).then_some(value)
+    (d.done() && payload_hash(&bytes[HEADER_LEN..]) == check).then_some(value)
 }
 
-/// FNV-1a over `value`'s payload encoding: the check of values with no
-/// content digest of their own.
-fn content_hash<T: Entry>(value: &T) -> u64 {
-    let mut e = Enc(Vec::new());
-    value.encode(&mut e);
-    let mut h = Fnv1a::new();
-    h.write_bytes(&e.0);
-    h.finish()
+/// The frame check: a 4-lane word-wise multiply-rotate hash of `payload`.
+/// Word `i` (8 little-endian bytes, the last one zero-padded) steps lane
+/// `i % 4`, so the lanes' multiply chains run in parallel: over a study
+/// entry it is an order of magnitude faster than byte-serial FNV-1a
+/// (DESIGN.md §10 has the timing).
+///
+/// Each lane step is a bijection of the word (for a fixed lane state)
+/// and of the lane state (for a fixed word), and the byte length and the
+/// four lanes fold into the result by bijective steps. So any change
+/// confined to one 8-byte word changes exactly one lane, and with it the
+/// hash: every one-byte flip of a payload is detected.
+fn payload_hash(payload: &[u8]) -> u64 {
+    const P1: u64 = 0x9e37_79b1_85eb_ca87;
+    const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+    const P3: u64 = 0x1656_67b1_9e37_79f9;
+    let step = |lane: u64, word: u64| {
+        (lane ^ word.wrapping_mul(P2))
+            .rotate_left(31)
+            .wrapping_mul(P1)
+    };
+    let mut lanes = [P1, P2, P3, P1 ^ P2];
+    let mut blocks = payload.chunks_exact(32);
+    for b in &mut blocks {
+        lanes[0] = step(lanes[0], le_word(&b[..8]));
+        lanes[1] = step(lanes[1], le_word(&b[8..16]));
+        lanes[2] = step(lanes[2], le_word(&b[16..24]));
+        lanes[3] = step(lanes[3], le_word(&b[24..]));
+    }
+    for (lane, word) in lanes.iter_mut().zip(blocks.remainder().chunks(8)) {
+        let mut padded = [0u8; 8];
+        padded[..word.len()].copy_from_slice(word);
+        *lane = step(*lane, u64::from_le_bytes(padded));
+    }
+    let mut h = payload.len() as u64;
+    for lane in lanes {
+        h = (h ^ lane).rotate_left(27).wrapping_mul(P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
+}
+
+/// The little-endian word in the first 8 bytes of `b`.
+fn le_word(b: &[u8]) -> u64 {
+    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
 }
 
 impl Entry for Characterization {
     const KIND: Kind = Kind::Study;
 
+    /// The payload opens with the study's digest, which a load trusts
+    /// once the frame's hash matches.
     fn encode(&self, e: &mut Enc) {
+        e.u64(self.digest());
         e.list(self.profiles(), encode_profile);
         let report = self.report();
         e.usize(report.units_requested);
@@ -880,6 +932,7 @@ impl Entry for Characterization {
     }
 
     fn decode(d: &mut Dec<'_>) -> Option<Self> {
+        let digest = d.u64()?;
         let profiles = d.list(decode_profile)?;
         let units_requested = d.usize()?;
         let failed_units = d.list(|d| {
@@ -888,19 +941,14 @@ impl Entry for Characterization {
                 error: d.str()?,
             })
         })?;
-        Some(Characterization::new(
+        Some(Characterization::with_digest(
             profiles,
             DegradationReport {
                 units_requested,
                 failed_units,
             },
+            digest,
         ))
-    }
-
-    /// The study digest. On a decoded study this fills the memo with a
-    /// verified value, never one copied from the frame.
-    fn check(&self) -> u64 {
-        self.digest()
     }
 }
 
@@ -932,13 +980,6 @@ impl Entry for UnitArtifact {
             _ => None,
         }
     }
-
-    fn check(&self) -> u64 {
-        match self {
-            UnitArtifact::Profiled(p) => p.digest(),
-            UnitArtifact::Failed(_) => content_hash(self),
-        }
-    }
 }
 
 impl Entry for ValidationSweep {
@@ -966,10 +1007,6 @@ impl Entry for ValidationSweep {
             })
         })?;
         Some(ValidationSweep { points })
-    }
-
-    fn check(&self) -> u64 {
-        content_hash(self)
     }
 }
 
@@ -1166,7 +1203,7 @@ fn decode_series(d: &mut Dec<'_>) -> Option<TimeSeries> {
     let values = d
         .take(len * 8)?
         .chunks_exact(8)
-        .map(|b| f64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+        .map(|b| f64::from_bits(le_word(b)))
         .collect();
     Some(TimeSeries::new(tick_seconds, values))
 }
@@ -1434,6 +1471,35 @@ mod tests {
     }
 
     #[test]
+    fn payload_hash_changes_with_any_change_inside_one_word() {
+        // Lengths cover whole blocks of four words, a remainder of one
+        // to three words, and a partial last word.
+        for len in [0usize, 1, 7, 8, 9, 31, 32, 33, 63, 64, 69, 96] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            let clean = payload_hash(&payload);
+            for word in 0..len.div_ceil(8) {
+                let bytes = word * 8..(word * 8 + 8).min(len);
+                for mask in [1u64, 0x80, 0xff00, u64::MAX, 0x0123_4567_89ab_cdef] {
+                    let mut changed = payload.clone();
+                    for (b, m) in changed[bytes.clone()].iter_mut().zip(mask.to_le_bytes()) {
+                        *b ^= m;
+                    }
+                    if changed != payload {
+                        assert_ne!(payload_hash(&changed), clean, "len {len} word {word}");
+                    }
+                }
+            }
+            let mut longer = payload.clone();
+            longer.push(0);
+            assert_ne!(
+                payload_hash(&longer),
+                clean,
+                "len {len}: a zero byte appended"
+            );
+        }
+    }
+
+    #[test]
     fn a_frame_read_as_another_kind_is_a_miss() {
         let tmp = TempDir::new();
         let cache = StudyCache::with_dir(&tmp.0);
@@ -1525,7 +1591,7 @@ mod tests {
         let study = finite_study();
         let unhashed_clone = study.clone();
         assert_eq!(study, unhashed_clone, "neither side hashed");
-        // Decoding verifies the stored digest, which hashes the copy.
+        // Decoding fills the copy's memo from the digest in its frame.
         let decoded = read_frame::<Characterization>(key, &write_frame(key, &finite_study()))
             .expect("decodes");
         assert_eq!(study, decoded, "only the decoded side hashed");

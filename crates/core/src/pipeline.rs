@@ -116,7 +116,8 @@ impl DegradationReport {
 ///
 /// A study is immutable once built, so its [`Characterization::digest`]
 /// is computed at most once: the first call fills a memo that clones
-/// carry and every later call reads.
+/// carry and every later call reads. A study loaded from the disk cache
+/// starts with the memo filled from its entry.
 #[derive(Debug, Clone)]
 pub struct Characterization {
     profiles: Vec<UnitProfile>,
@@ -139,6 +140,21 @@ impl Characterization {
             profiles,
             report,
             digest: OnceLock::new(),
+        }
+    }
+
+    /// A study from its parts with its digest already known: the cache
+    /// decoder's constructor, fed the value the writer computed from
+    /// exactly these parts.
+    pub(crate) fn with_digest(
+        profiles: Vec<UnitProfile>,
+        report: DegradationReport,
+        digest: u64,
+    ) -> Self {
+        Characterization {
+            profiles,
+            report,
+            digest: OnceLock::from(digest),
         }
     }
 
@@ -252,7 +268,8 @@ impl Characterization {
     /// run against an untraced one without serializing whole studies.
     ///
     /// The first call hashes every series; later calls, on this study or
-    /// any clone made after it, return the memo.
+    /// any clone made after it, return the memo. A study decoded from a
+    /// cache entry reads the digest its writer computed and stored.
     pub fn digest(&self) -> u64 {
         *self.digest.get_or_init(|| {
             let mut h = Fnv1a::new();
@@ -272,8 +289,8 @@ impl Characterization {
 
 impl UnitProfile {
     /// An order-sensitive FNV-1a fingerprint of one unit's profile — the
-    /// per-profile slice of [`Characterization::digest`], used to verify
-    /// cached unit artifacts on load.
+    /// per-profile slice of [`Characterization::digest`]. Two profiles
+    /// are bit-identical iff their digests match.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv1a::new();
         digest_profile_into(&mut h, self);

@@ -148,10 +148,10 @@ impl StudySpec {
     /// registry order. The registry index — not the position within the
     /// selection — seeds each unit's noise streams, so a subset study
     /// reproduces exactly the per-unit results of the full study.
-    pub fn selected(&self) -> Result<Vec<(usize, BenchmarkUnit)>, PipelineError> {
+    pub fn selected(&self) -> Result<Vec<(usize, &'static BenchmarkUnit)>, PipelineError> {
         let units = all_units();
         match &self.units {
-            UnitSelection::All => Ok(units.into_iter().enumerate().collect()),
+            UnitSelection::All => Ok(units.iter().enumerate().collect()),
             UnitSelection::Named(names) => {
                 for n in names {
                     if !units.iter().any(|u| u.name == n) {
@@ -159,7 +159,7 @@ impl StudySpec {
                     }
                 }
                 Ok(units
-                    .into_iter()
+                    .iter()
                     .enumerate()
                     .filter(|(_, u)| names.iter().any(|n| n == u.name))
                     .collect())
@@ -244,7 +244,7 @@ mod tests {
         let b = base().with_threads(16);
         assert_eq!(a.study_key(), b.study_key());
         for (i, u) in a.selected().expect("full selection") {
-            assert_eq!(a.unit_key(i, &u), b.unit_key(i, &u));
+            assert_eq!(a.unit_key(i, u), b.unit_key(i, u));
         }
     }
 
@@ -255,7 +255,7 @@ mod tests {
         assert_ne!(plain.study_key(), patched.study_key());
         let mut changed = 0;
         for (i, u) in plain.selected().expect("full selection") {
-            if plain.unit_key(i, &u) != patched.unit_key(i, &u) {
+            if plain.unit_key(i, u) != patched.unit_key(i, u) {
                 changed += 1;
                 assert_eq!(u.name, "Antutu CPU");
             }
@@ -297,8 +297,8 @@ mod tests {
         let (sub_idx, sub_unit) = sub.selected().expect("subset").remove(0);
         assert_eq!(full_idx, sub_idx, "registry index survives subsetting");
         assert_eq!(
-            full.unit_key(full_idx, &full_unit),
-            sub.unit_key(sub_idx, &sub_unit),
+            full.unit_key(full_idx, full_unit),
+            sub.unit_key(sub_idx, sub_unit),
             "the same unit shares one artifact across full and subset studies"
         );
     }

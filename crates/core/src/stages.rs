@@ -128,7 +128,7 @@ pub(crate) fn execute(
 /// first.
 fn run_units_local(
     spec: &StudySpec,
-    selected: &[(usize, BenchmarkUnit)],
+    selected: &[(usize, &BenchmarkUnit)],
     cache: Option<&StudyCache>,
 ) -> Vec<UnitOutcome> {
     mwc_parallel::ordered_map_with(

@@ -281,7 +281,7 @@ mod tests {
         let back = from_wire(&text).expect("parses");
         assert_eq!(back.study_key(), spec.study_key());
         for (i, u) in spec.selected().expect("full selection") {
-            assert_eq!(back.unit_key(i, &u), spec.unit_key(i, &u));
+            assert_eq!(back.unit_key(i, u), spec.unit_key(i, u));
         }
     }
 

@@ -150,6 +150,28 @@ fn read_headers<R: BufRead>(r: &mut R) -> Result<Vec<(String, String)>, HttpErro
     }
 }
 
+/// The body length a header block declares, if any. RFC 9110 §8.6 allows
+/// only `1*DIGIT`, and duplicate `Content-Length` headers with differing
+/// values make the message invalid; identical duplicates are accepted.
+fn content_length(headers: &[(String, String)]) -> Result<Option<usize>, HttpError> {
+    let mut len = None;
+    for (_, v) in headers.iter().filter(|(n, _)| n == "content-length") {
+        let digits_only = v.bytes().all(|b| b.is_ascii_digit());
+        let n = v
+            .parse::<usize>()
+            .ok()
+            .filter(|_| digits_only)
+            .ok_or_else(|| HttpError::BadRequest(format!("invalid content-length: {v:?}")))?;
+        if len.is_some_and(|len| len != n) {
+            return Err(HttpError::BadRequest(
+                "conflicting content-length values".into(),
+            ));
+        }
+        len = Some(n);
+    }
+    Ok(len)
+}
+
 /// Read the body for a parsed header block: `Content-Length` bytes, or
 /// nothing. `Transfer-Encoding` is out of scope and rejected loudly.
 fn read_body<R: BufRead>(r: &mut R, headers: &[(String, String)]) -> Result<Vec<u8>, HttpError> {
@@ -158,11 +180,8 @@ fn read_body<R: BufRead>(r: &mut R, headers: &[(String, String)]) -> Result<Vec<
             "transfer-encoding is not supported; send content-length".into(),
         ));
     }
-    let len = match headers.iter().find(|(n, _)| n == "content-length") {
-        None => return Ok(Vec::new()),
-        Some((_, v)) => v
-            .parse::<usize>()
-            .map_err(|_| HttpError::BadRequest(format!("invalid content-length: {v:?}")))?,
+    let Some(len) = content_length(headers)? else {
+        return Ok(Vec::new());
     };
     if len > MAX_BODY {
         return Err(HttpError::TooLarge(format!(
@@ -322,6 +341,7 @@ pub fn json_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::BufReader;
 
     fn parse(raw: &str) -> Result<Request, HttpError> {
@@ -392,6 +412,64 @@ mod tests {
             MAX_BODY + 1
         );
         assert!(matches!(parse(&big_body), Err(HttpError::TooLarge(_))));
+    }
+
+    #[test]
+    fn content_length_other_than_digits_is_bad_request() {
+        for value in ["+3", "-3", " 3x", "3 3", "0x3", ""] {
+            let raw = format!("POST / HTTP/1.1\r\ncontent-length: {value}\r\n\r\nabc");
+            assert!(
+                matches!(parse(&raw), Err(HttpError::BadRequest(_))),
+                "content-length {value:?} was accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn differing_duplicate_content_lengths_are_bad_request() {
+        assert!(matches!(
+            parse("POST / HTTP/1.1\r\ncontent-length: 3\r\ncontent-length: 300\r\n\r\nabc"),
+            Err(HttpError::BadRequest(_))
+        ));
+        let same = parse("POST / HTTP/1.1\r\ncontent-length: 3\r\nContent-Length: 3\r\n\r\nabc")
+            .expect("identical duplicates are accepted");
+        assert_eq!(same.body, b"abc");
+    }
+
+    proptest! {
+        #[test]
+        fn read_request_never_panics_on_hostile_bytes(
+            noise in prop::collection::vec(any::<u8>(), 0..256),
+            at: usize,
+            byte: u8,
+        ) {
+            let clean = b"POST /study HTTP/1.1\r\nHost: x\r\nContent-Length: 11\r\n\r\nmwc-spec v1".to_vec();
+            let req = read_request(&mut &clean[..]).expect("the clean request parses");
+            prop_assert_eq!(req.method.as_str(), "POST");
+            prop_assert_eq!(req.target.as_str(), "/study");
+            prop_assert_eq!(req.body.as_slice(), b"mwc-spec v1".as_slice());
+
+            let at = at % (clean.len() + 1);
+            let mut flipped = clean.clone();
+            if let Some(b) = flipped.get_mut(at) {
+                *b ^= byte;
+            }
+            let mut inserted = clean.clone();
+            inserted.insert(at, byte);
+            for bytes in [noise, clean[..at].to_vec(), flipped, inserted] {
+                // An in-memory reader neither times out nor fails i/o, so
+                // every rejection is a typed verdict on the bytes.
+                if let Err(e) = read_request(&mut &bytes[..]) {
+                    prop_assert!(
+                        matches!(
+                            e,
+                            HttpError::BadRequest(_) | HttpError::TooLarge(_) | HttpError::Closed
+                        ),
+                        "{e}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

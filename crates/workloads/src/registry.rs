@@ -1,6 +1,8 @@
 //! The benchmark registry: Table I's suite inventory, the 41 individually
 //! executable sub-benchmarks and the paper's 18 characterization units.
 
+use std::sync::OnceLock;
+
 use mwc_soc::workload::Workload;
 
 use crate::phase::PhasedWorkload;
@@ -181,8 +183,14 @@ impl BenchmarkUnit {
     }
 }
 
-/// The 18 characterization units in the paper's fixed order.
-pub fn all_units() -> Vec<BenchmarkUnit> {
+/// The 18 characterization units in the paper's fixed order, built once
+/// per process.
+pub fn all_units() -> &'static [BenchmarkUnit] {
+    static UNITS: OnceLock<Vec<BenchmarkUnit>> = OnceLock::new();
+    UNITS.get_or_init(build_units)
+}
+
+fn build_units() -> Vec<BenchmarkUnit> {
     let unit = |name, suite, label, workload| BenchmarkUnit {
         name,
         suite,

@@ -60,6 +60,11 @@ cargo build --release -p mwc-bench --bins || exit $?
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace || exit $?
 
+# Tier-1 must pass under any thread count; the run above uses the
+# default (available parallelism), this one a single worker.
+echo "==> cargo test -q at MWC_THREADS=1"
+MWC_THREADS=1 cargo test -q || exit $?
+
 echo "==> races (telemetry + server_robustness + incremental, 10 release runs each)"
 # A response racing its debug-ring record, a shed racing its client, or a
 # study leaking into another test's global metrics only shows on
@@ -157,9 +162,10 @@ if [ -z "$warm_hits" ] || [ "$warm_hits" -eq 0 ]; then
     exit 1
 fi
 
-# Change one byte in the middle of the study entry: the digest recomputed
-# on load no longer matches, so the entry is a corrupt miss, and the study
-# rebuilds from its 18 unit entries without simulating.
+# Change one byte in the middle of the study entry: the payload hash
+# recomputed on load no longer matches the frame's check, so the entry is
+# a corrupt miss, and the study rebuilds from its 18 unit entries without
+# simulating.
 study_entry=$(ls "$cache_dir"/study-*.mwcc)
 offset=$(($(wc -c <"$study_entry") / 2))
 byte=$(od -An -tu1 -j "$offset" -N1 "$study_entry" | tr -d ' ')

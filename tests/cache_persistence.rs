@@ -15,6 +15,7 @@ use std::time::Instant;
 use mwc_analysis::matrix::Matrix;
 use mwc_core::cache::StudyCache;
 use mwc_core::pipeline::Characterization;
+use mwc_core::StudySpec;
 use mwc_soc::config::SocConfig;
 
 /// A unique throwaway directory per test (removed on drop).
@@ -81,6 +82,17 @@ fn warm_run_is_bit_identical_and_at_least_twice_as_fast() {
     assert!(
         warm_time * 2 <= cold_time,
         "warm pass ({warm_time:?}) should be at least 2x faster than cold ({cold_time:?})"
+    );
+
+    // Both digests above come from the one FNV pass made when the entry
+    // was stored; the loaded study's stored digest must also equal an
+    // independent, uncached recompute of the same spec.
+    let uncached =
+        Characterization::try_run_spec(&StudySpec::new(cfg, SEED, RUNS)).expect("uncached study");
+    assert_eq!(
+        warm.digest(),
+        uncached.digest(),
+        "the stored digest matches an uncached recompute"
     );
 }
 
