@@ -119,16 +119,16 @@ fn run(spec: &StudySpec) -> Result<(), PipelineError> {
     // incremental gate (sims = units simulated, reused = units replayed).
     println!("stage stats: {}", cache.stage_summary());
     let mut stage_table = Table::new(vec![
-        "stage",
+        "kind",
         "mem hits",
         "disk hits",
         "misses",
         "stores",
         "corrupt",
-        "read",
-        "written",
+        "evictions",
+        "store failures",
     ]);
-    for kind in mwc_core::StageKind::ALL {
+    for kind in mwc_core::cache::Kind::ALL {
         let s = cache.stage(kind);
         stage_table.row(vec![
             kind.name().into(),
@@ -137,8 +137,8 @@ fn run(spec: &StudySpec) -> Result<(), PipelineError> {
             s.misses.to_string(),
             s.stores.to_string(),
             s.corrupt_entries.to_string(),
-            format!("{} B", s.bytes_read),
-            format!("{} B", s.bytes_written),
+            s.evictions.to_string(),
+            s.store_failures.to_string(),
         ]);
     }
     println!("{}", stage_table.render());

@@ -10,22 +10,24 @@
 //! ## Layers
 //!
 //! * **Memory** — an intra-process map from cache key to shared
-//!   [`Characterization`] / [`ValidationSweep`] instances and per-unit
-//!   artifacts.
+//!   [`Characterization`] / [`ValidationSweep`] instances, and the
+//!   per-unit artifacts the disk layer does not hold.
 //! * **Disk** — one file per entry under the cache directory,
 //!   `study-<key>.mwcc` / `unit-<key>.mwcc` / `sweep-<key>.mwcc`,
 //!   written atomically (temp file + rename) so readers never observe a
-//!   partial entry.
+//!   partial entry. A study entry is a *manifest* of the unit entries
+//!   the study was built from, so each unit profile is stored once.
 //!
 //! ## Eviction
 //!
-//! Beyond `MWC_CACHE_MAX` disk entries the oldest-modified are deleted,
-//! per-unit artifacts before whole-study and sweep entries. A full study
-//! writes 18 unit entries and one study entry, so this order keeps a
-//! sweep's finished points addressable: re-running an interrupted sweep
-//! replays every stored study entry (up to `MWC_CACHE_MAX` of them) and
-//! simulates only the rest. [`StudyCache::stored_studies`] lists the
-//! study entries for the `report` binary.
+//! `MWC_CACHE_MAX` bounds the study and sweep entries on disk. After one
+//! is written, the oldest-modified beyond the cap are deleted — never
+//! the entry just written — with the unit entries only they named. A unit
+//! entry no manifest names yet, as of a study in flight, stays until it
+//! is older than every kept entry. So a resumed sweep replays every
+//! stored point, and a one-knob change to a stored study finds the units
+//! it shares.
+//! [`StudyCache::stored_studies`] lists the studies for `report`.
 //!
 //! ## Keys
 //!
@@ -50,15 +52,15 @@
 //! re-stored. Corrupt entries can degrade a warm run to a cold one but
 //! can never surface wrong numbers or errors.
 //!
-//! A study payload opens with the study's [`Characterization::digest`],
-//! computed once when the entry is written; a load fills the decoded
-//! study's digest memo from it instead of hashing every series again.
-//! That stored value is trusted because the hash covers it and every
-//! byte after it, the writer computed it from exactly the values it
-//! encoded, and [`CACHE_SCHEMA_VERSION`] — in both the key and the
-//! header — changes whenever the digest or the encoding does.
+//! A manifest stores the study's [`Characterization::digest`] and each
+//! unit's name, entry key and frame check. A load serves that digest only
+//! if every unit is replayed from an entry that verifies *and* carries
+//! the recorded check; else the study, with any unit lacking one
+//! simulated, is hashed afresh. The writer hashed exactly the values
+//! framed under those checks, and [`CACHE_SCHEMA_VERSION`], in key and
+//! header, changes whenever the digest or the encoding does.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::env;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -77,27 +79,24 @@ use mwc_workloads::registry::{ClusterLabel, Suite};
 
 use crate::error::PipelineError;
 use crate::features::FeatureSet;
-use crate::pipeline::{
-    Characterization, DegradationReport, FailedUnit, Fnv1a, UnitProfile, UnitSeries,
-};
+use crate::pipeline::{Characterization, Fnv1a, UnitProfile, UnitSeries};
 use crate::spec::StudySpec;
-use crate::stages::UnitArtifact;
+use crate::stages::{collect, Collected, UnitArtifact, UnitOutcome};
 
 /// Set to `off` / `0` / `false` to disable both cache layers.
 pub const CACHE_MODE_ENV: &str = "MWC_CACHE";
 /// Overrides the on-disk cache directory.
 pub const CACHE_DIR_ENV: &str = "MWC_CACHE_DIR";
-/// Overrides the maximum number of on-disk entries before eviction.
+/// Overrides the maximum number of on-disk study and sweep entries.
 pub const CACHE_MAX_ENV: &str = "MWC_CACHE_MAX";
 
 /// Version of the serialized entry format *and* of the data model it
 /// memoizes. Bump on any change to the simulation, capture, merge or
 /// analysis arithmetic — or to the encoding itself — so stale entries
 /// from older builds are invalidated instead of replayed.
-pub const CACHE_SCHEMA_VERSION: u32 = 3;
+pub const CACHE_SCHEMA_VERSION: u32 = 4;
 
-/// Default cap on on-disk entries (unit entries evicted first, then
-/// oldest-modified first).
+/// Default cap on on-disk study and sweep entries.
 const DEFAULT_MAX_ENTRIES: usize = 64;
 
 /// The magic that opens every entry frame, whatever its kind.
@@ -118,12 +117,14 @@ pub fn sweep_key(matrix_digest: u64, ks: &[usize]) -> u64 {
     h.finish()
 }
 
-/// Counters of what the cache did this process.
+/// Counters of what the cache did this process: for study and sweep
+/// entries from [`StudyCache::stats`], or for one [`Kind`] from
+/// [`StudyCache::stage`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Entries served from the in-process memory layer.
     pub mem_hits: u64,
-    /// Entries deserialized from disk.
+    /// Entries served from disk; a study only if none of its units ran.
     pub disk_hits: u64,
     /// Lookups that had to recompute.
     pub misses: u64,
@@ -158,91 +159,30 @@ impl CacheStats {
     }
 }
 
-/// A stage of the study graph whose artifacts the cache tracks
-/// separately from the legacy study/sweep entries (whose [`CacheStats`]
-/// keep their historical meaning).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StageKind {
-    /// Per-unit simulation + capture. Owns no entries of its own — it
-    /// mirrors the derive hits/misses, so a hit reads as "simulation
-    /// skipped" and a miss as "simulation executed".
-    Capture,
-    /// Per-unit metric/series derivation; owns the stored unit artifact
-    /// (a fused capture+derive result — raw captures are never
-    /// serialized).
-    Derive,
-    /// Study-level feature-matrix extraction (memory layer only, keyed
-    /// by the study digest).
-    Featurize,
-    /// Cluster-validation sweeps; mirrors the legacy sweep entries.
-    Analyze,
-}
-
-impl StageKind {
-    /// Every stage, in pipeline order (also the [`StudyCache::stage_stats`]
-    /// index order).
-    pub const ALL: [StageKind; 4] = [
-        StageKind::Capture,
-        StageKind::Derive,
-        StageKind::Featurize,
-        StageKind::Analyze,
-    ];
-
-    /// Stable lowercase name of the stage.
-    pub fn name(self) -> &'static str {
-        match self {
-            StageKind::Capture => "capture",
-            StageKind::Derive => "derive",
-            StageKind::Featurize => "featurize",
-            StageKind::Analyze => "analyze",
-        }
-    }
-}
-
-/// Per-stage cache counters. Unit-artifact hits, misses and stores land
-/// here — never in [`CacheStats`] — so the legacy study/sweep numbers
-/// stay comparable across versions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageStats {
-    /// Artifacts served from the in-process memory layer.
-    pub mem_hits: u64,
-    /// Artifacts deserialized from disk.
-    pub disk_hits: u64,
-    /// Lookups that had to recompute.
-    pub misses: u64,
-    /// Artifacts written to disk.
-    pub stores: u64,
-    /// Disk artifacts that failed validation and were discarded.
-    pub corrupt_entries: u64,
-    /// Bytes deserialized from disk.
-    pub bytes_read: u64,
-    /// Bytes written to disk.
-    pub bytes_written: u64,
-}
-
-impl StageStats {
-    /// Total hits across both layers.
-    pub fn hits(&self) -> u64 {
-        self.mem_hits + self.disk_hits
-    }
-}
-
 /// What the cache keeps: the three kinds of disk entry, plus the
 /// memory-only feature memo. Each kind is one row of the counter table;
 /// a disk kind also names its entry files and is stored in its frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
+pub enum Kind {
+    /// Whole studies; on disk, a manifest of unit entries.
     Study,
+    /// One unit's capture+derive artifact; a miss means it simulated.
     Unit,
+    /// Figure-4 validation sweeps.
     Sweep,
+    /// Feature matrices, memoized in memory by study digest.
     Features,
 }
 
 impl Kind {
+    /// Every kind, in counter-table order.
+    pub const ALL: [Kind; 4] = [Kind::Study, Kind::Unit, Kind::Sweep, Kind::Features];
+
     /// The kinds with disk entries.
     const STORED: [Kind; 3] = [Kind::Study, Kind::Unit, Kind::Sweep];
 
-    fn name(self) -> &'static str {
+    /// Stable lowercase name of the kind.
+    pub fn name(self) -> &'static str {
         match self {
             Kind::Study => "study",
             Kind::Unit => "unit",
@@ -292,7 +232,7 @@ pub struct StoredStudy {
     pub key: u64,
     /// When the entry was written (the file's modification time).
     pub stored_at: SystemTime,
-    /// The decoded study, its entry's payload hash verified.
+    /// The study its manifest names, every unit entry verified.
     pub study: Characterization,
 }
 
@@ -309,6 +249,8 @@ pub struct StudyCache {
     /// result can be re-fetched by the digest handed out to clients
     /// (`mwc-server`'s `GET /study/<digest>`).
     by_digest: Mutex<HashMap<u64, u64>>,
+    /// The unit artifacts the disk layer does not hold: every one without
+    /// a directory, and any whose write failed.
     units: Mutex<HashMap<u64, UnitArtifact>>,
     features: Mutex<HashMap<u64, Arc<FeatureSet>>>,
     sweeps: Mutex<HashMap<u64, ValidationSweep>>,
@@ -334,7 +276,7 @@ impl StudyCache {
     /// `MWC_CACHE_DIR` overrides the directory (default:
     /// `$XDG_CACHE_HOME/mwc`, then `$HOME/.cache/mwc`, then a `mwc-cache`
     /// directory under the system temp dir), `MWC_CACHE_MAX` caps the
-    /// on-disk entry count.
+    /// on-disk study and sweep entries.
     pub fn from_env() -> Self {
         let off = env::var(CACHE_MODE_ENV)
             .map(|v| {
@@ -409,55 +351,33 @@ impl StudyCache {
         }
     }
 
-    /// A snapshot of the per-stage counters, indexed as [`StageKind::ALL`].
-    pub fn stage_stats(&self) -> [StageStats; 4] {
-        StageKind::ALL.map(|kind| self.stage(kind))
-    }
-
-    /// The counters of one stage.
-    pub fn stage(&self, kind: StageKind) -> StageStats {
-        let counts = self.counts();
-        let row = |k: Kind| {
-            let r = counts[k as usize];
-            StageStats {
-                mem_hits: r[Event::MemHit as usize],
-                disk_hits: r[Event::DiskHit as usize],
-                misses: r[Event::Miss as usize],
-                stores: r[Event::Store as usize],
-                corrupt_entries: r[Event::Corrupt as usize],
-                bytes_read: r[Event::BytesRead as usize],
-                bytes_written: r[Event::BytesWritten as usize],
-            }
-        };
-        match kind {
-            StageKind::Capture => {
-                let unit = row(Kind::Unit);
-                StageStats {
-                    mem_hits: unit.mem_hits,
-                    disk_hits: unit.disk_hits,
-                    misses: unit.misses,
-                    ..StageStats::default()
-                }
-            }
-            StageKind::Derive => row(Kind::Unit),
-            StageKind::Featurize => row(Kind::Features),
-            StageKind::Analyze => row(Kind::Sweep),
+    /// The counters of one kind.
+    pub fn stage(&self, kind: Kind) -> CacheStats {
+        let row = self.counts()[kind as usize];
+        CacheStats {
+            mem_hits: row[Event::MemHit as usize],
+            disk_hits: row[Event::DiskHit as usize],
+            misses: row[Event::Miss as usize],
+            stores: row[Event::Store as usize],
+            corrupt_entries: row[Event::Corrupt as usize],
+            evictions: row[Event::Evicted as usize],
+            store_failures: row[Event::StoreFailed as usize],
         }
     }
 
     /// One-line machine-greppable per-stage rendering (used by
-    /// `scripts/verify.sh`'s incremental gate): `sims=` counts units whose
-    /// simulation actually executed this process, `reused=` counts units
-    /// replayed from stage artifacts.
+    /// `scripts/verify.sh`'s incremental gate), read from the unit and
+    /// feature rows: `sims=` counts units whose simulation actually
+    /// executed this process, `reused=` counts units replayed from their
+    /// artifacts.
     pub fn stage_summary(&self) -> String {
-        let capture = self.stage(StageKind::Capture);
-        let derive = self.stage(StageKind::Derive);
-        let featurize = self.stage(StageKind::Featurize);
+        let unit = self.stage(Kind::Unit);
+        let featurize = self.stage(Kind::Features);
         format!(
             "sims={} reused={} derive_stores={} featurize_hits={} featurize_misses={}",
-            capture.misses,
-            capture.hits(),
-            derive.stores,
+            unit.misses,
+            unit.hits(),
+            unit.stores,
             featurize.hits(),
             featurize.misses
         )
@@ -476,8 +396,8 @@ impl StudyCache {
     /// the cache when warm (worker count from `MWC_THREADS`; excluded from
     /// the key because results are parallelism-invariant). A warm hit is
     /// guaranteed bit-identical to the cold computation (a load verifies
-    /// the entry's payload hash, which covers the stored
-    /// [`Characterization::digest`] and every value after it).
+    /// every unit entry's payload hash against the check its manifest
+    /// recorded).
     pub fn study(
         &self,
         config: &SocConfig,
@@ -488,14 +408,14 @@ impl StudyCache {
     }
 
     /// The study described by `spec`, served from the cache when warm.
-    /// On a miss the staged executor runs *through* this cache, so
-    /// per-unit artifacts persisted by earlier, differently-keyed studies
-    /// are replayed: after a warm capture, changing one unit's fault
-    /// override re-simulates exactly that unit, and an analysis-only
-    /// change simulates nothing.
+    /// Past the memory layer the staged executor runs *through* this
+    /// cache, simulating only units without an entry: after a warm
+    /// capture, a one-unit fault override re-simulates that unit alone.
+    /// Any other study than the one its manifest records is a miss, and
+    /// gets a manifest once every unit has an entry.
     pub fn study_spec(&self, spec: &StudySpec) -> Result<Arc<Characterization>, PipelineError> {
         if !self.enabled {
-            return Ok(Arc::new(crate::stages::execute(spec, None)?));
+            return Ok(Arc::new(Characterization::try_run_spec(spec)?));
         }
         let key = spec.study_key();
         let mut span = mwc_obs::span("cache.study");
@@ -503,17 +423,41 @@ impl StudyCache {
         if let Some(hit) = self.recall(Kind::Study, &self.studies, key) {
             return Ok(hit);
         }
-        let study = match self.load(key) {
-            Some(study) => Arc::new(study),
-            None => {
-                self.count(Kind::Study, Event::Miss, 1);
-                let study = Arc::new(crate::stages::execute(spec, Some(self))?);
-                self.store(key, &*study);
-                study
-            }
+        let units = crate::stages::execute(spec, Some(self))?;
+        let study = match self.read::<Manifest>(key) {
+            Some((m, _)) => self.recorded(&m, units),
+            None => Err(units),
         };
+        let study = study.unwrap_or_else(|units| {
+            self.count(Kind::Study, Event::Miss, 1);
+            let study = Characterization::new(units.profiles, units.report);
+            if let (Some(entries), Ok(selected)) = (units.entries, spec.selected()) {
+                let lines = selected.iter().zip(entries).map(|(&(_, u), (key, check))| {
+                    let name = u.name.to_owned();
+                    ManifestLine { name, key, check }
+                });
+                let (digest, units) = (study.digest(), lines.collect());
+                self.store(key, &Manifest { digest, units });
+            }
+            study
+        });
+        let study = Arc::new(study);
         self.index_study(key, &study);
         Ok(study)
+    }
+
+    /// The study `m` records, built from `units` — one study disk hit — if
+    /// each unit was replayed from the entry `m` names, with its check.
+    fn recorded(&self, m: &Manifest, units: Collected) -> Result<Characterization, Collected> {
+        let lines: Vec<_> = m.units.iter().map(|line| (line.key, line.check)).collect();
+        if !units.replayed || units.entries.as_ref() != Some(&lines) {
+            return Err(units);
+        }
+        self.count(Kind::Study, Event::DiskHit, 1);
+        let Collected {
+            profiles, report, ..
+        } = units;
+        Ok(Characterization::with_digest(profiles, report, m.digest))
     }
 
     /// Insert a study into the memory layer and the digest index.
@@ -596,8 +540,11 @@ impl StudyCache {
         if let Some(hit) = self.recall(Kind::Sweep, &self.sweeps, key) {
             return Ok(hit);
         }
-        let s = match self.load(key) {
-            Some(s) => s,
+        let s = match self.read(key) {
+            Some((s, _)) => {
+                self.count(Kind::Sweep, Event::DiskHit, 1);
+                s
+            }
             None => {
                 self.count(Kind::Sweep, Event::Miss, 1);
                 let s = run_sweep(m, ks)?;
@@ -612,61 +559,68 @@ impl StudyCache {
         Ok(s)
     }
 
-    /// Every whole-study entry in the disk layer, oldest first. Each is
-    /// read like a lookup (payload hash verified on load), so a corrupt
-    /// entry is counted in [`CacheStats::corrupt_entries`], deleted and
+    /// Every whole-study entry in the disk layer, oldest first, each
+    /// rebuilt from the unit entries its manifest names. A study is
+    /// listed only if every one of them verifies and carries the check
+    /// the manifest recorded; a corrupt entry is counted, deleted and
     /// skipped — never returned. Empty without a disk layer.
     pub fn stored_studies(&self) -> Vec<StoredStudy> {
         let mut found: Vec<(SystemTime, u64)> = self
             .entry_files()
             .into_iter()
-            .filter(|&(kind, ..)| kind == Kind::Study)
-            .map(|(_, key, modified, _)| (modified, key))
+            .filter_map(|(kind, key, modified, _)| (kind == Kind::Study).then_some((modified, key)))
             .collect();
         found.sort();
         found
             .into_iter()
             .filter_map(|(stored_at, key)| {
+                let (manifest, _) = self.read::<Manifest>(key)?;
+                let lookup = |line: &ManifestLine| self.unit_artifact(line.key, &line.name);
+                let units = manifest.units.iter().map(lookup).collect::<Option<_>>()?;
+                let study = self.recorded(&manifest, collect(units).ok()?).ok()?;
                 Some(StoredStudy {
                     key,
                     stored_at,
-                    study: self.load(key)?,
+                    study,
                 })
             })
             .collect()
     }
 
-    /// Look up a per-unit capture+derive artifact (memory, then disk).
-    /// Capture-stage counters mirror the derive ones: a hit means the
-    /// unit's simulation was skipped, a miss means it executed.
-    pub(crate) fn unit_artifact(&self, key: u64) -> Option<UnitArtifact> {
-        if !self.enabled {
-            return None;
-        }
-        if let Some(hit) = self.recall(Kind::Unit, &self.units, key) {
-            return Some(hit);
-        }
-        let Some(artifact) = self.load::<UnitArtifact>(key) else {
-            self.count(Kind::Unit, Event::Miss, 1);
-            return None;
+    /// Replay unit `name`'s capture+derive artifact from under `key`:
+    /// from memory, where it has no entry to name, else from its entry on
+    /// disk. A loaded artifact is not kept in memory: the study built
+    /// from it owns it.
+    pub(crate) fn unit_artifact(&self, key: u64, name: &str) -> Option<UnitOutcome> {
+        let (artifact, check) = match self.recall(Kind::Unit, &self.units, key) {
+            Some(artifact) => (artifact, None),
+            None => {
+                let Some((artifact, check)) = self.read::<UnitArtifact>(key) else {
+                    self.count(Kind::Unit, Event::Miss, 1);
+                    return None;
+                };
+                self.count(Kind::Unit, Event::DiskHit, 1);
+                (artifact, Some(check))
+            }
         };
-        self.units
-            .lock()
-            .expect("unit cache lock poisoned")
-            .insert(key, artifact.clone());
-        Some(artifact)
+        Some(UnitOutcome {
+            name: name.to_owned(),
+            artifact,
+            computed: false,
+            entry: check.map(|check| (key, check)),
+        })
     }
 
-    /// Store a freshly computed unit artifact in both layers.
-    pub(crate) fn store_unit_artifact(&self, key: u64, artifact: &UnitArtifact) {
-        if !self.enabled {
-            return;
+    /// Store a freshly computed unit artifact on disk, or in memory if
+    /// there is no disk layer or the write fails; the check of its frame
+    /// if the write succeeded.
+    pub(crate) fn store_unit_artifact(&self, key: u64, artifact: &UnitArtifact) -> Option<u64> {
+        let check = self.store(key, artifact);
+        if check.is_none() {
+            let mut units = self.units.lock().expect("unit cache lock poisoned");
+            units.insert(key, artifact.clone());
         }
-        self.store(key, artifact);
-        self.units
-            .lock()
-            .expect("unit cache lock poisoned")
-            .insert(key, artifact.clone());
+        check
     }
 
     /// The memory layer's value under `key`, counted as a memory hit.
@@ -704,25 +658,26 @@ impl StudyCache {
             .collect()
     }
 
-    /// Read the `T` entry under `key` from disk. A missing file is a plain
-    /// `None`; a file that fails [`read_frame`] is counted corrupt and
-    /// deleted, so the recompute re-stores it. Never an error.
-    fn load<T: Entry>(&self, key: u64) -> Option<T> {
+    /// Read the `T` entry under `key` from disk, with its frame check. A
+    /// missing file is a plain `None`; a file that fails [`read_frame`]
+    /// is counted corrupt and deleted, so the recompute re-stores it.
+    /// Never an error. The caller counts the hit.
+    fn read<T: Entry>(&self, key: u64) -> Option<(T, u64)> {
         let path = self.entry_path(T::KIND, key)?;
         let bytes = fs::read(&path).ok()?;
-        let Some(value) = read_frame(key, &bytes) else {
+        let Some(entry) = read_frame(key, &bytes) else {
             self.count(T::KIND, Event::Corrupt, 1);
             let _ = fs::remove_file(&path);
             return None;
         };
-        self.count(T::KIND, Event::DiskHit, 1);
         self.count(T::KIND, Event::BytesRead, bytes.len() as u64);
-        Some(value)
+        Some(entry)
     }
 
-    /// Write `value` as the `T` entry under `key`, then evict past the
-    /// entry cap. Failure is counted and degrades to "not cached" — the
-    /// computed result is unaffected.
+    /// Write `value` as the `T` entry under `key`, and return its frame
+    /// check; after a study or sweep entry, evict past the entry cap.
+    /// Failure is counted and degrades to "not cached" — the computed
+    /// result is unaffected.
     ///
     /// The write is atomic: the frame is staged in a temp file whose name
     /// is unique per process *and* per write (pid plus a process-wide
@@ -732,11 +687,9 @@ impl StudyCache {
     /// whichever lands last wins with a complete entry and readers can
     /// never observe a torn file. A failed rename cleans up its temp file
     /// so crashes don't strand debris.
-    fn store<T: Entry>(&self, key: u64, value: &T) {
+    fn store<T: Entry>(&self, key: u64, value: &T) -> Option<u64> {
         static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
-        let Some(path) = self.entry_path(T::KIND, key) else {
-            return;
-        };
+        let path = self.entry_path(T::KIND, key)?;
         let bytes = write_frame(key, value);
         let write = || -> std::io::Result<()> {
             let dir = path.parent().expect("cache entry path has a parent");
@@ -754,29 +707,46 @@ impl StudyCache {
             }
             Ok(())
         };
-        if write().is_ok() {
-            self.count(T::KIND, Event::Store, 1);
-            self.count(T::KIND, Event::BytesWritten, bytes.len() as u64);
-            self.evict_excess();
-        } else {
+        if write().is_err() {
             self.count(T::KIND, Event::StoreFailed, 1);
+            return None;
         }
+        self.count(T::KIND, Event::Store, 1);
+        self.count(T::KIND, Event::BytesWritten, bytes.len() as u64);
+        if T::KIND != Kind::Unit {
+            self.evict_excess(&path);
+        }
+        Some(le_word(&bytes[HEADER_LEN - 8..]))
     }
 
-    /// Drop entries once the directory exceeds the entry cap: per-unit
-    /// artifacts first, then study and sweep entries, oldest-modified
-    /// first within each class. By age alone, each new study's 18 unit
-    /// writes would evict older study entries — the finished points an
-    /// interrupted sweep is about to replay.
-    fn evict_excess(&self) {
-        let mut files = self.entry_files();
-        if files.len() <= self.max_entries {
+    /// Past `max_entries` study and sweep entries, delete the oldest —
+    /// never `written`, whose store started this pass, whatever a coarse
+    /// or skewed clock says — and the unit entries only they named, then
+    /// the unnamed ones older than every kept entry (see the module docs).
+    fn evict_excess(&self, written: &Path) {
+        let (units, mut kept): (Vec<_>, Vec<_>) = self
+            .entry_files()
+            .into_iter()
+            .partition(|&(kind, ..)| kind == Kind::Unit);
+        if kept.len() <= self.max_entries {
             return;
         }
-        // `false` (a unit entry) sorts first.
-        files.sort_by(|a, b| (a.0 != Kind::Unit, a.2, &a.3).cmp(&(b.0 != Kind::Unit, b.2, &b.3)));
-        let excess = files.len() - self.max_entries;
-        for (kind, _, _, path) in files.into_iter().take(excess) {
+        // `false` (not the entry just written) sorts first.
+        kept.sort_by(|a, b| (a.3 == written, a.2, &a.3).cmp(&(b.3 == written, b.2, &b.3)));
+        let evicted: Vec<_> = kept.drain(..kept.len() - self.max_entries).collect();
+        let named = |entries: &[(Kind, u64, SystemTime, PathBuf)]| -> HashSet<u64> {
+            let manifests = entries.iter().filter(|&&(kind, ..)| kind == Kind::Study);
+            let read = manifests.filter_map(|&(_, key, ..)| self.read::<Manifest>(key));
+            read.flat_map(|(m, _)| m.units.into_iter().map(|line| line.key))
+                .collect()
+        };
+        let (orphaned, named) = (named(&evicted), named(&kept));
+        let oldest_kept = kept.iter().map(|e| e.2).min();
+        let stale = units.into_iter().filter(|&(_, key, modified, _)| {
+            let unneeded = orphaned.contains(&key) || oldest_kept.is_some_and(|t| modified < t);
+            unneeded && !named.contains(&key)
+        });
+        for (kind, _, _, path) in evicted.into_iter().chain(stale) {
             if fs::remove_file(&path).is_ok() {
                 self.count(kind, Event::Evicted, 1);
             }
@@ -848,11 +818,12 @@ fn write_frame<T: Entry>(key: u64, value: &T) -> Vec<u8> {
     e.0
 }
 
-/// Read a frame of `T` under `key`, decoding its payload in place.
-/// `None` — never an error, never a panic — unless the header matches,
-/// the payload decodes with no byte left over, and [`payload_hash`] of
-/// the payload bytes equals the stored check.
-fn read_frame<T: Entry>(key: u64, bytes: &[u8]) -> Option<T> {
+/// Read a frame of `T` under `key`, decoding its payload in place, and
+/// return the value with the frame's check. `None` — never an error,
+/// never a panic — unless the header matches, the payload decodes with
+/// no byte left over, and [`payload_hash`] of the payload bytes equals
+/// the stored check.
+fn read_frame<T: Entry>(key: u64, bytes: &[u8]) -> Option<(T, u64)> {
     let mut d = Dec::new(bytes);
     if d.take(4)? != MAGIC
         || d.u32()? != CACHE_SCHEMA_VERSION
@@ -863,7 +834,7 @@ fn read_frame<T: Entry>(key: u64, bytes: &[u8]) -> Option<T> {
     }
     let check = d.u64()?;
     let value = T::decode(&mut d)?;
-    (d.done() && payload_hash(&bytes[HEADER_LEN..]) == check).then_some(value)
+    (d.done() && payload_hash(&bytes[HEADER_LEN..]) == check).then_some((value, check))
 }
 
 /// The frame check: a 4-lane word-wise multiply-rotate hash of `payload`.
@@ -915,40 +886,46 @@ fn le_word(b: &[u8]) -> u64 {
     u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
 }
 
-impl Entry for Characterization {
+/// One line of a study's manifest: a unit's name, and the key and frame
+/// check of its unit entry.
+#[derive(Debug)]
+struct ManifestLine {
+    name: String,
+    key: u64,
+    check: u64,
+}
+
+/// A study entry: the study's digest, which a load trusts only while
+/// every line matches the unit entry it names, and one line per selected
+/// unit in registry order.
+#[derive(Debug)]
+struct Manifest {
+    digest: u64,
+    units: Vec<ManifestLine>,
+}
+
+impl Entry for Manifest {
     const KIND: Kind = Kind::Study;
 
-    /// The payload opens with the study's digest, which a load trusts
-    /// once the frame's hash matches.
     fn encode(&self, e: &mut Enc) {
-        e.u64(self.digest());
-        e.list(self.profiles(), encode_profile);
-        let report = self.report();
-        e.usize(report.units_requested);
-        e.list(&report.failed_units, |e, f| {
-            e.str(&f.name);
-            e.str(&f.error);
+        e.u64(self.digest);
+        e.list(&self.units, |e, line| {
+            e.str(&line.name);
+            e.u64(line.key);
+            e.u64(line.check);
         });
     }
 
     fn decode(d: &mut Dec<'_>) -> Option<Self> {
         let digest = d.u64()?;
-        let profiles = d.list(decode_profile)?;
-        let units_requested = d.usize()?;
-        let failed_units = d.list(|d| {
-            Some(FailedUnit {
+        let units = d.list(|d| {
+            Some(ManifestLine {
                 name: d.str()?,
-                error: d.str()?,
+                key: d.u64()?,
+                check: d.u64()?,
             })
         })?;
-        Some(Characterization::with_digest(
-            profiles,
-            DegradationReport {
-                units_requested,
-                failed_units,
-            },
-            digest,
-        ))
+        Some(Manifest { digest, units })
     }
 }
 
@@ -1281,9 +1258,11 @@ fn decode_profile(d: &mut Dec<'_>) -> Option<UnitProfile> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{DegradationReport, FailedUnit};
     use mwc_profiler::faults::FaultConfig;
     use proptest::prelude::*;
     use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     /// A unique throwaway directory per test (removed on drop).
     struct TempDir(PathBuf);
@@ -1332,8 +1311,9 @@ mod tests {
         }
     }
 
-    /// A hand-built two-unit study with NaN gaps, so codec tests run
-    /// without simulating — and prove bit-exact round-tripping.
+    /// A hand-built three-unit study (two profiles with NaN gaps, one
+    /// failed unit), so codec tests run without simulating — and prove
+    /// bit-exact round-tripping.
     fn tiny_study() -> Characterization {
         let s = |values: Vec<f64>| TimeSeries::new(0.5, values);
         let series = UnitSeries {
@@ -1383,6 +1363,58 @@ mod tests {
         )
     }
 
+    /// A study of `n` units that all hold [`tiny_study`]'s first profile,
+    /// so any two of its unit entries may share a key.
+    fn uniform_study(n: usize) -> Characterization {
+        let profile = tiny_study().profiles()[0].clone();
+        Characterization::new(
+            vec![profile; n],
+            DegradationReport {
+                units_requested: n,
+                failed_units: Vec::new(),
+            },
+        )
+    }
+
+    /// Store `study` under `key` as [`StudyCache::study_spec`] does: unit
+    /// `i` (profiles first, then failures) as the unit entry
+    /// `unit_keys[i]`, then a manifest naming those entries.
+    fn store_study(cache: &StudyCache, key: u64, study: &Characterization, unit_keys: &[u64]) {
+        let profiled = study.profiles().iter().map(|p| {
+            let artifact = UnitArtifact::Profiled(Arc::new(p.clone()));
+            (p.name.clone(), artifact)
+        });
+        let failed = study.report().failed_units.iter().map(|f| {
+            let artifact = UnitArtifact::Failed(f.error.clone());
+            (f.name.clone(), artifact)
+        });
+        let units: Vec<ManifestLine> = profiled
+            .chain(failed)
+            .zip(unit_keys)
+            .map(|((name, artifact), &key)| ManifestLine {
+                name,
+                key,
+                check: cache
+                    .store_unit_artifact(key, &artifact)
+                    .expect("unit entry stored"),
+            })
+            .collect();
+        assert_eq!(units.len(), unit_keys.len(), "one unit key per unit");
+        let digest = study.digest();
+        cache.store(key, &Manifest { digest, units });
+    }
+
+    /// `study` stored in a fresh cache directory, then listed back from it
+    /// by another instance.
+    fn stored_and_listed(study: &Characterization) -> Characterization {
+        let tmp = TempDir::new();
+        let keys: Vec<u64> = (10..).take(study.report().units_requested).collect();
+        store_study(&StudyCache::with_dir(&tmp.0), 1, study, &keys);
+        let mut listed = StudyCache::with_dir(&tmp.0).stored_studies();
+        assert_eq!(listed.len(), 1, "the stored study is listed");
+        listed.remove(0).study
+    }
+
     fn tiny_sweep() -> ValidationSweep {
         ValidationSweep {
             points: vec![
@@ -1413,7 +1445,7 @@ mod tests {
     type Reader = fn(u64, &[u8], &[u8]) -> Option<bool>;
 
     fn reads_back<T: Entry>(key: u64, bytes: &[u8], clean: &[u8]) -> Option<bool> {
-        read_frame::<T>(key, bytes).map(|v| write_frame(key, &v) == clean)
+        read_frame::<T>(key, bytes).map(|(v, _)| write_frame(key, &v) == clean)
     }
 
     /// One clean frame of each kind the disk layer keeps, under `key`,
@@ -1422,12 +1454,27 @@ mod tests {
         let study = tiny_study();
         let profiled = UnitArtifact::Profiled(Arc::new(study.profiles()[1].clone()));
         let failed = UnitArtifact::Failed("capture of 'Unit A' exhausted".to_owned());
+        let manifest = Manifest {
+            digest: study.digest(),
+            units: vec![
+                ManifestLine {
+                    name: "Unit B".to_owned(),
+                    key: 0x0123_4567_89ab_cdef,
+                    check: 0xfedc_ba98_7654_3210,
+                },
+                ManifestLine {
+                    name: "Unit A".to_owned(),
+                    key: 11,
+                    check: 12,
+                },
+            ],
+        };
         let unit: Reader = reads_back::<UnitArtifact>;
         [
             (
-                "study",
-                write_frame(key, &study),
-                reads_back::<Characterization>,
+                "manifest",
+                write_frame(key, &manifest),
+                reads_back::<Manifest>,
             ),
             ("profiled unit", write_frame(key, &profiled), unit),
             ("failed unit", write_frame(key, &failed), unit),
@@ -1510,17 +1557,17 @@ mod tests {
             fs::copy(&unit, cache.entry_path(kind, key).expect("disk layer")).expect("copy");
         }
         assert!(
-            cache.load::<ValidationSweep>(key).is_none(),
+            cache.read::<ValidationSweep>(key).is_none(),
             "unit frame read as a sweep"
         );
         assert!(
-            cache.load::<Characterization>(key).is_none(),
-            "unit frame read as a study"
+            cache.read::<Manifest>(key).is_none(),
+            "unit frame read as a manifest"
         );
         assert_eq!(cache.stats().corrupt_entries, 2);
         assert_eq!(cache.stats().disk_hits, 0);
         assert!(
-            cache.load::<UnitArtifact>(key).is_some(),
+            cache.read::<UnitArtifact>(key).is_some(),
             "the unit entry itself still reads"
         );
     }
@@ -1587,13 +1634,11 @@ mod tests {
 
     #[test]
     fn equality_ignores_whether_either_side_was_hashed() {
-        let key = 7;
         let study = finite_study();
         let unhashed_clone = study.clone();
         assert_eq!(study, unhashed_clone, "neither side hashed");
-        // Decoding fills the copy's memo from the digest in its frame.
-        let decoded = read_frame::<Characterization>(key, &write_frame(key, &finite_study()))
-            .expect("decodes");
+        // Loading fills the copy's memo from the digest in its manifest.
+        let decoded = stored_and_listed(&finite_study());
         assert_eq!(study, decoded, "only the decoded side hashed");
         assert_eq!(decoded, study);
         study.digest();
@@ -1605,10 +1650,8 @@ mod tests {
 
     #[test]
     fn decoded_digest_equals_a_fresh_recompute() {
-        let key = 9;
         for study in [tiny_study(), finite_study()] {
-            let decoded =
-                read_frame::<Characterization>(key, &write_frame(key, &study)).expect("decodes");
+            let decoded = stored_and_listed(&study);
             assert_eq!(decoded.digest(), recomputed_digest(&study));
             assert_eq!(decoded.digest(), recomputed_digest(&decoded));
         }
@@ -1676,26 +1719,35 @@ mod tests {
         let cache = StudyCache::with_dir(&tmp.0);
         let study = tiny_study();
         let key = 0xfeed;
-        cache.store(key, &study);
-        assert_eq!(cache.stats().stores, 1);
+        store_study(&cache, key, &study, &[1, 2, 3]);
+        assert_eq!(cache.stats().stores, 1, "one manifest");
+        assert_eq!(cache.stage(Kind::Unit).stores, 3, "one entry per unit");
 
-        let loaded = cache
-            .load::<Characterization>(key)
-            .expect("warm entry loads");
-        assert_eq!(loaded.digest(), study.digest());
+        let listed = cache.stored_studies();
+        assert_eq!(listed.len(), 1, "the stored study loads");
+        assert_eq!(listed[0].study.digest(), study.digest());
         assert_eq!(cache.stats().disk_hits, 1);
 
-        // Scribble over the entry: the next load degrades to a miss and
-        // removes the bad file.
+        // Scribble over the manifest: the next load degrades to a miss
+        // and removes the bad file.
         let path = cache.entry_path(Kind::Study, key).expect("disk layer");
         fs::write(&path, b"not a cache entry").expect("overwrite");
-        assert!(cache.load::<Characterization>(key).is_none());
+        assert!(cache.stored_studies().is_empty());
         assert_eq!(cache.stats().corrupt_entries, 1);
         assert!(!path.exists(), "corrupt entry is dropped");
-        assert!(
-            cache.load::<Characterization>(key).is_none(),
-            "gone after removal"
-        );
+        assert!(cache.read::<Manifest>(key).is_none(), "gone after removal");
+    }
+
+    /// The number of entry files of `kind` under `dir`.
+    fn files_of(dir: &Path, kind: Kind) -> usize {
+        fs::read_dir(dir)
+            .expect("cache dir")
+            .filter_map(|e| e.ok())
+            .filter(|e| {
+                let name = e.file_name().to_string_lossy().into_owned();
+                name.starts_with(&format!("{}-", kind.name())) && name.ends_with(".mwcc")
+            })
+            .count()
     }
 
     #[test]
@@ -1705,15 +1757,211 @@ mod tests {
         cache.max_entries = 3;
         let study = tiny_study();
         for key in 0..5u64 {
-            cache.store(key, &study);
+            store_study(&cache, key, &study, &[10 * key, 10 * key + 1, 10 * key + 2]);
         }
-        let remaining = fs::read_dir(&tmp.0)
-            .expect("cache dir")
-            .filter_map(|e| e.ok())
-            .filter(|e| e.path().extension().and_then(|x| x.to_str()) == Some("mwcc"))
-            .count();
-        assert_eq!(remaining, 3);
+        assert_eq!(files_of(&tmp.0, Kind::Study), 3);
+        assert_eq!(files_of(&tmp.0, Kind::Unit), 9, "the kept studies' units");
+        assert_eq!(cache.stats().evictions, 2 + 6, "two studies, six units");
+        let kept: Vec<u64> = StudyCache::with_dir(&tmp.0)
+            .stored_studies()
+            .iter()
+            .map(|s| s.key)
+            .collect();
+        assert_eq!(kept, vec![2, 3, 4], "the oldest studies went first");
+    }
+
+    #[test]
+    fn eviction_deletes_a_study_with_its_unshared_unit_entries() {
+        let tmp = TempDir::new();
+        let mut cache = StudyCache::with_dir(&tmp.0);
+        cache.max_entries = 2;
+        let study = uniform_study(2);
+        store_study(&cache, 1, &study, &[10, 11]);
+        store_study(&cache, 2, &study, &[11, 12]);
+        store_study(&cache, 3, &study, &[12, 13]);
+        let exists = |kind, key| cache.entry_path(kind, key).expect("disk layer").exists();
+        assert!(!exists(Kind::Study, 1), "the oldest study is evicted");
+        assert!(!exists(Kind::Unit, 10), "with the unit only it named");
+        for unit in [11, 12, 13] {
+            assert!(exists(Kind::Unit, unit), "unit {unit} is still named");
+        }
         assert_eq!(cache.stats().evictions, 2);
+        let kept: Vec<u64> = StudyCache::with_dir(&tmp.0)
+            .stored_studies()
+            .iter()
+            .map(|s| s.key)
+            .collect();
+        assert_eq!(kept, vec![2, 3], "the remaining studies still load");
+    }
+
+    #[test]
+    fn eviction_never_deletes_the_entry_whose_store_started_it() {
+        let tmp = TempDir::new();
+        let mut cache = StudyCache::with_dir(&tmp.0);
+        cache.max_entries = 1;
+        let study = uniform_study(1);
+        store_study(&cache, 1, &study, &[10]);
+        // Clock skew on a shared directory: the older study and its unit
+        // entry are dated an hour ahead, so they sort as the newest.
+        let skewed = cache.entry_path(Kind::Study, 1).expect("disk layer");
+        let skewed_unit = cache.entry_path(Kind::Unit, 10).expect("disk layer");
+        for path in [&skewed, &skewed_unit] {
+            fs::File::options()
+                .write(true)
+                .open(path)
+                .and_then(|f| f.set_modified(SystemTime::now() + Duration::from_secs(3600)))
+                .expect("set mtime");
+        }
+        store_study(&cache, 2, &study, &[20]);
+        assert!(!skewed.exists(), "the skewed entry is the one evicted");
+        assert!(!skewed_unit.exists(), "with the unit entry only it named");
+        let kept: Vec<u64> = StudyCache::with_dir(&tmp.0)
+            .stored_studies()
+            .iter()
+            .map(|s| s.key)
+            .collect();
+        assert_eq!(kept, vec![2], "the entry just written still loads");
+    }
+
+    /// A fault plan that only jitters, so a unit under it always succeeds.
+    fn jitter() -> FaultConfig {
+        FaultConfig {
+            seed: 7,
+            jitter_amplitude: 0.01,
+            ..FaultConfig::default()
+        }
+    }
+
+    /// A one-run spec of two registry units at `seed`.
+    fn two_unit_spec(seed: u64) -> StudySpec {
+        StudySpec::new(SocConfig::snapdragon_888(), seed, 1)
+            .with_units(["Antutu CPU", "Antutu GPU"])
+            .with_threads(2)
+    }
+
+    #[test]
+    fn a_full_cap_of_studies_keeps_the_units_a_one_knob_change_reuses() {
+        let tmp = TempDir::new();
+        let capped = || {
+            let mut cache = StudyCache::with_dir(&tmp.0);
+            cache.max_entries = 2;
+            cache
+        };
+        let cold = capped();
+        for seed in [1, 2] {
+            cold.study_spec(&two_unit_spec(seed)).expect("cold study");
+        }
+        // A fresh instance, so only the disk layer can serve the units.
+        let flipped = capped();
+        flipped
+            .study_spec(&two_unit_spec(2).with_unit_faults("Antutu CPU", jitter()))
+            .expect("flipped study");
+        let unit = flipped.stage(Kind::Unit);
+        assert_eq!(unit.misses, 1, "only the flipped unit simulates");
+        assert_eq!(unit.disk_hits, 1, "the other replays from its entry");
+    }
+
+    #[test]
+    fn a_study_in_flight_keeps_its_unit_entries_when_another_fills_the_cap() {
+        let tmp = TempDir::new();
+        let mut cache = StudyCache::with_dir(&tmp.0);
+        cache.max_entries = 2;
+        for seed in [1, 2] {
+            cache
+                .study_spec(&two_unit_spec(seed))
+                .expect("fills the cap");
+        }
+        // Two workers share the cache. The first stores its unit entries
+        // (`execute`), and only then finishes its study, reading them
+        // back; in between, the second stores a whole study, whose
+        // manifest starts an eviction pass while the first study's
+        // manifest is not yet written.
+        let in_flight = two_unit_spec(3);
+        let step = std::sync::Barrier::new(2);
+        let finished = std::thread::scope(|s| {
+            let first = s.spawn(|| {
+                crate::stages::execute(&in_flight, Some(&cache)).expect("units stored");
+                step.wait();
+                step.wait();
+                let sims = cache.stage(Kind::Unit).misses;
+                cache.study_spec(&in_flight).expect("finished study");
+                cache.stage(Kind::Unit).misses - sims
+            });
+            s.spawn(|| {
+                step.wait();
+                cache.study_spec(&two_unit_spec(4)).expect("second study");
+                step.wait();
+            });
+            first.join().expect("first worker")
+        });
+        assert!(cache.stats().evictions > 0, "the cap was exceeded");
+        assert_eq!(finished, 0, "the in-flight unit entries survived");
+
+        let flipped = StudyCache::with_dir(&tmp.0);
+        flipped
+            .study_spec(&in_flight.with_unit_faults("Antutu CPU", jitter()))
+            .expect("flipped study");
+        assert_eq!(flipped.stage(Kind::Unit).misses, 1, "one unit simulates");
+    }
+
+    /// The path of the unit entry of `spec`'s first selected unit.
+    fn first_unit_entry(cache: &StudyCache, spec: &StudySpec) -> (u64, PathBuf) {
+        let (index, unit) = spec.selected().expect("valid selection")[0];
+        let key = spec.unit_key(index, unit);
+        (key, cache.entry_path(Kind::Unit, key).expect("disk layer"))
+    }
+
+    #[test]
+    fn a_flipped_byte_in_one_unit_entry_resimulates_only_that_unit() {
+        let tmp = TempDir::new();
+        let spec = two_unit_spec(3);
+        let cache = StudyCache::with_dir(&tmp.0);
+        let cold = cache.study_spec(&spec).expect("cold study");
+        let (_, path) = first_unit_entry(&cache, &spec);
+        let mut bytes = fs::read(&path).expect("unit entry");
+        let middle = bytes.len() / 2;
+        bytes[middle] ^= 1;
+        fs::write(&path, bytes).expect("flip a byte");
+
+        let warm = StudyCache::with_dir(&tmp.0);
+        let study = warm.study_spec(&spec).expect("warm study");
+        let unit = warm.stage(Kind::Unit);
+        assert_eq!(unit.corrupt_entries, 1);
+        assert_eq!(
+            (unit.misses, unit.disk_hits),
+            (1, 1),
+            "one unit re-simulates"
+        );
+        assert_eq!(study.digest(), cold.digest());
+        assert_eq!(study.digest(), recomputed_digest(&study));
+        // A study disk hit means nothing simulated: this one is a miss,
+        // and its manifest is stored again.
+        let stats = warm.stats();
+        assert_eq!((stats.disk_hits, stats.misses, stats.stores), (0, 1, 1));
+    }
+
+    #[test]
+    fn a_unit_entry_replaced_by_another_valid_frame_makes_the_study_a_miss() {
+        let tmp = TempDir::new();
+        let spec = two_unit_spec(4);
+        let cache = StudyCache::with_dir(&tmp.0);
+        let cold = cache.study_spec(&spec).expect("cold study");
+        let (key, path) = first_unit_entry(&cache, &spec);
+        let mut other = cold.profiles()[0].clone();
+        other.metrics.ipc += 1.0;
+        let frame = write_frame(key, &UnitArtifact::Profiled(Arc::new(other)));
+        fs::write(&path, frame).expect("rewrite the unit entry");
+
+        let warm = StudyCache::with_dir(&tmp.0);
+        let study = warm.study_spec(&spec).expect("warm study");
+        assert_eq!(warm.stage(Kind::Unit).disk_hits, 2, "both frames verify");
+        assert_eq!(
+            (warm.stats().disk_hits, warm.stats().misses),
+            (0, 1),
+            "the manifest's check no longer matches"
+        );
+        assert_ne!(study.digest(), cold.digest());
+        assert_eq!(study.digest(), recomputed_digest(&study));
     }
 
     #[test]
@@ -1733,44 +1981,55 @@ mod tests {
     }
 
     #[test]
-    fn unit_artifact_layer_counts_into_stage_stats_not_legacy_stats() {
+    fn unit_artifact_layer_counts_into_its_own_row_not_legacy_stats() {
         let tmp = TempDir::new();
         let cache = StudyCache::with_dir(&tmp.0);
         let study = tiny_study();
         let key = 0xbeef;
-        assert!(cache.unit_artifact(key).is_none(), "cold lookup misses");
+        assert!(
+            cache.unit_artifact(key, "Unit A").is_none(),
+            "cold lookup misses"
+        );
         let artifact = UnitArtifact::Profiled(Arc::new(study.profiles()[0].clone()));
-        cache.store_unit_artifact(key, &artifact);
-        assert!(cache.unit_artifact(key).is_some(), "memory hit");
+        let check = cache.store_unit_artifact(key, &artifact);
+        assert!(check.is_some(), "a stored frame has a check");
+        // A stored artifact is read back from its entry, not kept twice.
+        let loaded = cache.unit_artifact(key, "Unit A").expect("disk hit");
+        assert_eq!(loaded.name, "Unit A");
+        assert_eq!(loaded.entry, check.map(|check| (key, check)), "its entry");
 
-        let derive = cache.stage(StageKind::Derive);
-        assert_eq!(derive.misses, 1);
-        assert_eq!(derive.stores, 1);
-        assert_eq!(derive.mem_hits, 1);
-        assert!(derive.bytes_written > 0);
-        let capture = cache.stage(StageKind::Capture);
-        assert_eq!(capture.misses, 1, "capture mirrors the miss (sim ran)");
-        assert_eq!(capture.mem_hits, 1, "capture mirrors the hit (sim skipped)");
-        assert_eq!(capture.stores, 0, "capture owns no entries");
+        let unit = cache.stage(Kind::Unit);
+        assert_eq!(unit.misses, 1);
+        assert_eq!(unit.stores, 1);
+        assert_eq!((unit.mem_hits, unit.disk_hits), (0, 1));
+        // The byte counters behind the `cache.unit.bytes_*` metrics count
+        // the whole frame, once written and once read.
+        let frame_len = fs::metadata(cache.entry_path(Kind::Unit, key).expect("disk layer"))
+            .expect("unit entry")
+            .len();
+        let bytes = |event: Event| cache.counts()[Kind::Unit as usize][event as usize];
+        assert_eq!(bytes(Event::BytesWritten), frame_len);
+        assert_eq!(bytes(Event::BytesRead), frame_len);
         assert_eq!(
             cache.stats(),
             CacheStats::default(),
             "legacy counters never see unit-entry traffic"
         );
 
-        // A fresh instance over the same directory replays from disk.
-        let warm = StudyCache::with_dir(&tmp.0);
-        assert!(warm.unit_artifact(key).is_some(), "disk hit");
-        let derive = warm.stage(StageKind::Derive);
-        assert_eq!(derive.disk_hits, 1);
-        assert!(derive.bytes_read > 0);
+        // A cache with no disk layer keeps the artifact in memory, with no
+        // entry for a manifest to name.
+        let memory = StudyCache::in_memory();
+        assert_eq!(memory.store_unit_artifact(key, &artifact), None);
+        let recalled = memory.unit_artifact(key, "Unit A").expect("memory hit");
+        assert!(recalled.entry.is_none());
+        assert_eq!(memory.stage(Kind::Unit).mem_hits, 1);
 
         // Corruption degrades to a miss and drops the entry.
-        let path = warm.entry_path(Kind::Unit, key).expect("disk layer");
+        let path = cache.entry_path(Kind::Unit, key).expect("disk layer");
         fs::write(&path, b"junk").expect("overwrite");
         let corrupt = StudyCache::with_dir(&tmp.0);
-        assert!(corrupt.unit_artifact(key).is_none());
-        assert_eq!(corrupt.stage(StageKind::Derive).corrupt_entries, 1);
+        assert!(corrupt.unit_artifact(key, "Unit A").is_none());
+        assert_eq!(corrupt.stage(Kind::Unit).corrupt_entries, 1);
         assert!(!path.exists(), "corrupt unit entry is dropped");
     }
 
@@ -1782,56 +2041,76 @@ mod tests {
         let not_a_dir = tmp.0.join("not-a-dir");
         fs::write(&not_a_dir, b"").expect("plain file");
         let cache = StudyCache::with_dir(&not_a_dir);
-        cache.store_unit_artifact(1, &UnitArtifact::Failed("boom".to_owned()));
-        cache.store(2, &tiny_study());
+        let failed = UnitArtifact::Failed("boom".to_owned());
+        assert_eq!(
+            cache.store_unit_artifact(1, &failed),
+            None,
+            "no frame, no check"
+        );
+        let manifest = Manifest {
+            digest: 0,
+            units: Vec::new(),
+        };
+        assert_eq!(cache.store(2, &manifest), None);
         let stats = cache.stats();
-        assert_eq!(stats.store_failures, 2, "the unit and the study write");
+        assert_eq!(stats.store_failures, 2, "the unit and the manifest write");
         assert_eq!(stats.stores, 0);
-        assert_eq!(cache.stage(StageKind::Derive).stores, 0);
-        assert!(cache.unit_artifact(1).is_some(), "served from memory");
-        assert_eq!(cache.stage(StageKind::Derive).mem_hits, 1);
+        assert_eq!(cache.stage(Kind::Unit).stores, 0);
+        let served = cache
+            .unit_artifact(1, "Unit A")
+            .expect("served from memory");
+        assert!(served.entry.is_none(), "so no manifest can name it");
+        assert_eq!(cache.stage(Kind::Unit).mem_hits, 1);
     }
 
     #[test]
     fn concurrent_same_key_writers_never_tear_an_entry() {
-        // Writers hammer one key with differently-sized (all valid)
-        // payloads while readers decode continuously: every read must be
-        // a complete entry or a clean miss — never a corruption error —
-        // and no temp debris may survive.
+        // Writers hammer one manifest key with differently-sized (all
+        // valid) studies whose unit entries share a key under other
+        // content, while readers list the directory continuously: every
+        // read must be a complete study whose stored digest matches its
+        // units, or a clean miss — never a corruption error — and no
+        // temp debris may survive.
         let tmp = TempDir::new();
-        let cache = std::sync::Arc::new(StudyCache::with_dir(&tmp.0));
+        let cache = StudyCache::with_dir(&tmp.0);
         let study_a = tiny_study();
-        let study_b =
-            Characterization::new(study_a.profiles()[..1].to_vec(), study_a.report().clone());
+        let study_b = Characterization::new(
+            study_a.profiles()[1..].to_vec(),
+            DegradationReport {
+                units_requested: 1,
+                failed_units: Vec::new(),
+            },
+        );
         let key = 0x5eed;
         let digests = [study_a.digest(), study_b.digest()];
 
         std::thread::scope(|s| {
-            for study in [study_a.clone(), study_b.clone()] {
-                let cache = std::sync::Arc::clone(&cache);
+            for (study, unit_keys) in [(&study_a, &[1, 2, 3][..]), (&study_b, &[1][..])] {
+                let cache = &cache;
                 s.spawn(move || {
                     for _ in 0..100 {
-                        cache.store(key, &study);
+                        store_study(cache, key, study, unit_keys);
                     }
                 });
             }
             for _ in 0..2 {
-                let cache = std::sync::Arc::clone(&cache);
+                let dir = &tmp.0;
                 s.spawn(move || {
                     for _ in 0..200 {
-                        if let Some(study) = cache.load::<Characterization>(key) {
-                            assert!(
-                                digests.contains(&study.digest()),
-                                "read a study no writer produced"
-                            );
+                        let reader = StudyCache::with_dir(dir);
+                        for stored in reader.stored_studies() {
+                            let digest = stored.study.digest();
+                            assert!(digests.contains(&digest), "a study no writer produced");
+                            assert_eq!(digest, recomputed_digest(&stored.study));
                         }
+                        assert_eq!(reader.stats().corrupt_entries, 0, "no torn manifest");
+                        assert_eq!(reader.stage(Kind::Unit).corrupt_entries, 0, "no torn unit");
                     }
                 });
             }
         });
 
         assert_eq!(cache.stats().stores, 200, "every write landed");
-        assert_eq!(cache.stats().corrupt_entries, 0, "no torn reads");
         let leftovers: Vec<_> = fs::read_dir(&tmp.0)
             .expect("cache dir")
             .filter_map(|e| e.ok())
@@ -1854,53 +2133,35 @@ mod tests {
     }
 
     #[test]
-    fn eviction_drops_unit_entries_before_study_entries() {
-        let tmp = TempDir::new();
-        let mut cache = StudyCache::with_dir(&tmp.0);
-        cache.max_entries = 4;
-        let study = tiny_study();
-        let artifact = UnitArtifact::Profiled(Arc::new(study.profiles()[0].clone()));
-        // Each study entry lands after its unit entries, as in the stage
-        // executor: 9 writes against a cap of 4.
-        for key in 0..3u64 {
-            for unit in 0..2u64 {
-                cache.store_unit_artifact(100 + 2 * key + unit, &artifact);
-            }
-            cache.store(key, &study);
-        }
-        assert_eq!(cache.stats().evictions, 5);
-        let fresh = StudyCache::with_dir(&tmp.0);
-        for key in 0..3u64 {
-            assert!(
-                fresh.load::<Characterization>(key).is_some(),
-                "study {key} was evicted"
-            );
-        }
-        assert_eq!(fresh.stats().disk_hits, 3);
-    }
-
-    #[test]
     fn stored_studies_lists_valid_study_entries_and_skips_corrupt_ones() {
         let tmp = TempDir::new();
         let cache = StudyCache::with_dir(&tmp.0);
         let study = tiny_study();
-        for key in [1u64, 2, 3] {
-            cache.store(key, &study);
+        for key in [1u64, 2, 3, 4] {
+            store_study(&cache, key, &study, &[10 * key, 10 * key + 1, 10 * key + 2]);
         }
-        cache.store_unit_artifact(4, &UnitArtifact::Failed("x".to_owned()));
+        cache.store_unit_artifact(99, &UnitArtifact::Failed("x".to_owned()));
         let bad = cache.entry_path(Kind::Study, 2).expect("disk layer");
         fs::write(&bad, b"not a cache entry").expect("overwrite");
+        let bad_unit = cache.entry_path(Kind::Unit, 31).expect("disk layer");
+        fs::write(&bad_unit, b"junk").expect("overwrite");
 
         let listed = StudyCache::with_dir(&tmp.0);
         let mut keys: Vec<u64> = listed.stored_studies().iter().map(|s| s.key).collect();
         keys.sort_unstable();
         assert_eq!(
             keys,
-            vec![1, 3],
-            "unit entries and corrupt studies are not listed"
+            vec![1, 4],
+            "unit entries and studies with a corrupt entry are not listed"
         );
-        assert_eq!(listed.stats().corrupt_entries, 1);
-        assert!(!bad.exists(), "the corrupt entry is dropped");
+        assert_eq!(listed.stats().corrupt_entries, 1, "study 2's manifest");
+        assert_eq!(
+            listed.stage(Kind::Unit).corrupt_entries,
+            1,
+            "study 3's unit"
+        );
+        assert!(!bad.exists(), "the corrupt manifest is dropped");
+        assert!(!bad_unit.exists(), "the corrupt unit entry is dropped");
         assert!(StudyCache::in_memory().stored_studies().is_empty());
     }
 }

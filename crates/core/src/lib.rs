@@ -55,7 +55,7 @@ pub mod subsets;
 pub mod tables;
 pub mod wire;
 
-pub use cache::{CacheStats, StageKind, StageStats, StudyCache};
+pub use cache::{CacheStats, StudyCache};
 pub use error::PipelineError;
 pub use features::FeatureSet;
 pub use pipeline::{Characterization, DegradationReport, UnitProfile};

@@ -220,7 +220,8 @@ impl Characterization {
     /// spec API additionally supports per-unit fault overrides and unit
     /// selection.
     pub fn try_run_spec(spec: &StudySpec) -> Result<Self, PipelineError> {
-        crate::stages::execute(spec, None)
+        let study = crate::stages::execute(spec, None)?;
+        Ok(Characterization::new(study.profiles, study.report))
     }
 
     /// The unit profiles, in the paper's fixed order (failed units are

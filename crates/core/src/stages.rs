@@ -33,8 +33,7 @@ use mwc_workloads::registry::BenchmarkUnit;
 use crate::cache::StudyCache;
 use crate::error::PipelineError;
 use crate::pipeline::{
-    capture_stage, derive_stage, stage, Characterization, DegradationReport, FailedUnit,
-    UnitProfile,
+    capture_stage, derive_stage, stage, DegradationReport, FailedUnit, UnitProfile,
 };
 use crate::spec::StudySpec;
 
@@ -53,11 +52,26 @@ pub(crate) enum UnitArtifact {
 /// (vs. replayed from a cache layer) — the collect stage only records
 /// capture-health metrics for work actually done.
 #[derive(Debug)]
-struct UnitOutcome {
+pub(crate) struct UnitOutcome {
+    /// The unit's registry name.
+    pub(crate) name: String,
     /// The capture+derive result.
-    artifact: UnitArtifact,
+    pub(crate) artifact: UnitArtifact,
     /// `true` if the artifact was computed, not replayed from cache.
-    computed: bool,
+    pub(crate) computed: bool,
+    /// The key and frame check of the unit's cache entry, if this process
+    /// stored or loaded one.
+    pub(crate) entry: Option<(u64, u64)>,
+}
+
+/// A study as the collect stage assembles it: the profiles in unit order,
+/// the report naming the units that failed, each unit's entry key and
+/// check if every unit has an entry, and whether every unit was replayed.
+pub(crate) struct Collected {
+    pub(crate) profiles: Vec<UnitProfile>,
+    pub(crate) report: DegradationReport,
+    pub(crate) entries: Option<Vec<(u64, u64)>>,
+    pub(crate) replayed: bool,
 }
 
 /// Run the stage graph for `spec`. With `cache` set, per-unit artifacts
@@ -65,7 +79,7 @@ struct UnitOutcome {
 pub(crate) fn execute(
     spec: &StudySpec,
     cache: Option<&StudyCache>,
-) -> Result<Characterization, PipelineError> {
+) -> Result<Collected, PipelineError> {
     let mut study_span = mwc_obs::span("pipeline.study");
     study_span.field("seed", spec.seed);
     study_span.field("runs", spec.runs);
@@ -84,25 +98,33 @@ pub(crate) fn execute(
     let outcomes = stage("pipeline.capture", || {
         run_units_local(spec, &selected, cache)
     });
+    collect(outcomes)
+}
 
+/// The collect stage: the profiles of `units` in order, a report naming
+/// the ones that failed, and their cache entries. The cache also lists
+/// stored studies through it.
+pub(crate) fn collect(units: Vec<UnitOutcome>) -> Result<Collected, PipelineError> {
     stage("pipeline.collect", || {
-        let units_requested = selected.len();
+        let units_requested = units.len();
+        let entries = units.iter().map(|u| u.entry).collect();
+        let replayed = units.iter().all(|u| !u.computed);
         let mut profiles = Vec::with_capacity(units_requested);
         let mut failed_units = Vec::new();
-        for ((_, unit), outcome) in selected.iter().zip(outcomes) {
-            match outcome.artifact {
+        for unit in units {
+            match unit.artifact {
                 UnitArtifact::Profiled(p) => {
                     // Capture-health counters describe work *done* this
                     // study run; artifacts replayed from cache did none.
-                    if outcome.computed {
+                    if unit.computed {
                         p.health.record_metrics();
                     }
-                    profiles.push((*p).clone());
+                    profiles.push(Arc::unwrap_or_clone(p));
                 }
                 UnitArtifact::Failed(error) => {
                     mwc_obs::metrics::counter_add("pipeline.failed_units", 1);
                     failed_units.push(FailedUnit {
-                        name: unit.name.to_owned(),
+                        name: unit.name,
                         error,
                     });
                 }
@@ -114,13 +136,16 @@ pub(crate) fn execute(
             });
         }
         mwc_obs::metrics::counter_add("pipeline.units_profiled", profiles.len() as u64);
-        Ok(Characterization::new(
+        let report = DegradationReport {
+            units_requested,
+            failed_units,
+        };
+        Ok(Collected {
             profiles,
-            DegradationReport {
-                units_requested,
-                failed_units,
-            },
-        ))
+            report,
+            entries,
+            replayed,
+        })
     })
 }
 
@@ -148,8 +173,10 @@ fn run_units_local(
                 mwc_obs::metrics::counter_add("pipeline.engine_failures", 1);
                 // Environmental failure, not unit content: never cached.
                 UnitOutcome {
+                    name: unit.name.to_owned(),
                     artifact: UnitArtifact::Failed(error.clone()),
                     computed: true,
+                    entry: None,
                 }
             }
         },
@@ -168,14 +195,9 @@ fn unit_task(
     unit_span.field("name", unit.name);
     unit_span.field("index", unit_index);
     let key = spec.unit_key(unit_index, unit);
-    if let Some(cache) = cache {
-        if let Some(artifact) = cache.unit_artifact(key) {
-            unit_span.field("cached", 1u64);
-            return UnitOutcome {
-                artifact,
-                computed: false,
-            };
-        }
+    if let Some(replayed) = cache.and_then(|c| c.unit_artifact(key, unit.name)) {
+        unit_span.field("cached", 1u64);
+        return replayed;
     }
     let faults = spec.effective_faults(unit.name);
     let artifact = match capture_stage(profiler, unit, unit_index, spec.runs, faults) {
@@ -184,12 +206,12 @@ fn unit_task(
         }
         Err(e) => UnitArtifact::Failed(e.to_string()),
     };
-    if let Some(cache) = cache {
-        cache.store_unit_artifact(key, &artifact);
-    }
+    let check = cache.and_then(|c| c.store_unit_artifact(key, &artifact));
     UnitOutcome {
+        name: unit.name.to_owned(),
         artifact,
         computed: true,
+        entry: check.map(|check| (key, check)),
     }
 }
 

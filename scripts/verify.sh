@@ -128,6 +128,13 @@ echo "==> result cache (cold vs warm digest, corruption degradation)"
 cache_dir="target/verify-cache"
 rm -rf "$cache_dir"
 
+# Change the byte in the middle of file "$1".
+flip_middle_byte() {
+    offset=$(($(wc -c <"$1") / 2))
+    byte=$(od -An -tu1 -j "$offset" -N1 "$1" | tr -d ' ')
+    printf "\\$(printf '%03o' $((byte ^ 1)))" | dd of="$1" bs=1 seek="$offset" conv=notrunc 2>/dev/null
+}
+
 cold_out=$(MWC_CACHE_DIR="$cache_dir" ./target/release/profile) || exit 1
 digest_cold=$(printf '%s\n' "$cold_out" | awk '/^study digest:/ { print $3 }')
 # Every entry is one frame, whatever its kind, and opens with its magic.
@@ -142,6 +149,15 @@ for f in "$cache_dir"/*.mwcc; do
 done
 if [ "$found_entry" -eq 0 ]; then
     echo "error: cold run left no cache entries in $cache_dir" >&2
+    exit 1
+fi
+# The study entry is a manifest of its 18 unit entries, so each unit
+# profile is stored once: the manifest stays under 4 KiB, and the 18 unit
+# entries, the manifest and the Fig-4 sweep entry together under 4.4 MB.
+study_bytes=$(cat "$cache_dir"/study-*.mwcc | wc -c | tr -d ' ')
+total_bytes=$(cat "$cache_dir"/*.mwcc | wc -c | tr -d ' ')
+if [ "$study_bytes" -ge 4096 ] || [ "$total_bytes" -ge 4400000 ]; then
+    echo "error: cold entries take $total_bytes bytes, the study entry $study_bytes (want < 4400000 and < 4096)" >&2
     exit 1
 fi
 warm_out=$(MWC_CACHE_DIR="$cache_dir" ./target/release/profile) || exit 1
@@ -166,11 +182,7 @@ fi
 # recomputed on load no longer matches the frame's check, so the entry is
 # a corrupt miss, and the study rebuilds from its 18 unit entries without
 # simulating.
-study_entry=$(ls "$cache_dir"/study-*.mwcc)
-offset=$(($(wc -c <"$study_entry") / 2))
-byte=$(od -An -tu1 -j "$offset" -N1 "$study_entry" | tr -d ' ')
-printf "\\$(printf '%03o' $((byte ^ 1)))" \
-    | dd of="$study_entry" bs=1 seek="$offset" conv=notrunc 2>/dev/null || exit 1
+flip_middle_byte "$(ls "$cache_dir"/study-*.mwcc)" || exit 1
 bitflip_out=$(MWC_CACHE_DIR="$cache_dir" ./target/release/profile) || {
     echo "error: a one-byte change in the study entry broke the run instead of degrading" >&2
     exit 1
@@ -185,6 +197,21 @@ if [ "$digest_bitflip" != "$digest_cold" ]; then
 fi
 if [ "$bitflip_corrupt" != "1" ] || [ "$bitflip_stages" != "sims=0 reused=18" ]; then
     echo "error: one-byte change: corrupt=${bitflip_corrupt:-?}, ${bitflip_stages:-no stage stats} (want corrupt=1, sims=0 reused=18)" >&2
+    exit 1
+fi
+
+# Change one byte in the middle of one unit entry: that frame fails its
+# hash, so exactly that unit re-simulates. Having simulated, the study is
+# a miss, hashed afresh to the cold digest, and its manifest re-stored.
+flip_middle_byte "$(ls "$cache_dir"/unit-*.mwcc | head -n 1)" || exit 1
+unitflip_out=$(MWC_CACHE_DIR="$cache_dir" ./target/release/profile) || {
+    echo "error: a one-byte change in a unit entry broke the run instead of degrading" >&2
+    exit 1
+}
+digest_unitflip=$(printf '%s\n' "$unitflip_out" | awk '/^study digest:/ { print $3 }')
+unitflip_stages=$(printf '%s\n' "$unitflip_out" | awk '/^stage stats:/ { print $3, $4 }')
+if [ "$digest_unitflip" != "$digest_cold" ] || [ "$unitflip_stages" != "sims=1 reused=17" ]; then
+    echo "error: one-byte unit change: digest ${digest_unitflip:-?}, ${unitflip_stages:-no stage stats} (want $digest_cold, sims=1 reused=17)" >&2
     exit 1
 fi
 
@@ -209,7 +236,7 @@ if [ -z "$corrupt_count" ] || [ "$corrupt_count" -eq 0 ]; then
     exit 1
 fi
 rm -rf "$cache_dir"
-echo "    cold/warm digests match ($digest_cold); warm disk hits: $warm_hits; a one-byte change rebuilt from unit entries ($bitflip_stages); corruption degraded to recompute ($corrupt_count entries)"
+echo "    cold/warm digests match ($digest_cold); $total_bytes bytes of entries, the study entry $study_bytes; warm disk hits: $warm_hits; a one-byte study change rebuilt from unit entries ($bitflip_stages); a one-byte unit change re-simulated it ($unitflip_stages); corruption degraded to recompute ($corrupt_count entries)"
 
 echo "==> incremental stage graph (one-knob change after warm capture)"
 # Warm the per-unit artifact layer, then flip one unit's fault config:
@@ -253,15 +280,31 @@ if [ "$digest_flip" != "$digest_cold_flip" ]; then
     echo "error: incremental study diverged from cold recompute: $digest_flip vs $digest_cold_flip" >&2
     exit 1
 fi
-rm -rf "$incr_dir" "$incr_cold_dir" "$incr_spec"
-echo "    one-knob change: sims=$flip_sims reused=$flip_reused; digest matches cold run ($digest_flip)"
+
+# Starvation gate: with the cap at 3 study and sweep entries, the cold
+# run's study and sweep entries leave room for one more, yet the flipped
+# run must still find the 17 unit entries it shares with the cold study.
+starve_dir="target/verify-starve"
+rm -rf "$starve_dir"
+MWC_CACHE_MAX=3 MWC_CACHE_DIR="$starve_dir" ./target/release/profile >/dev/null || exit 1
+starve_out=$(MWC_CACHE_MAX=3 MWC_CACHE_DIR="$starve_dir" ./target/release/profile \
+    --spec-file "$incr_spec") || exit 1
+digest_starve=$(printf '%s\n' "$starve_out" | awk '/^study digest:/ { print $3 }')
+starve_stages=$(printf '%s\n' "$starve_out" | awk '/^stage stats:/ { print $3, $4 }')
+if [ "$starve_stages" != "sims=1 reused=17" ] || [ "$digest_starve" != "$digest_cold_flip" ]; then
+    echo "error: under MWC_CACHE_MAX=3 the one-knob change printed ${starve_stages:-no stage stats}, digest ${digest_starve:-?} (want sims=1 reused=17, digest $digest_cold_flip)" >&2
+    exit 1
+fi
+rm -rf "$incr_dir" "$incr_cold_dir" "$incr_spec" "$starve_dir"
+echo "    one-knob change: sims=$flip_sims reused=$flip_reused; digest matches cold run ($digest_flip); the same under MWC_CACHE_MAX=3 ($starve_stages)"
 
 echo "==> resumable sweep gate (interrupt, then resume from the result cache)"
-# A 6-point sweep over the full registry writes 6 x 19 = 114 cache
-# entries, past the default 64-entry cap. Interrupted after 5 points and
-# re-run, it must replay those 5 from their study entries (unit entries
-# are evicted first) and simulate only the sixth (soc_runs = 18 units x
-# 1 run), with the sweep digest of a clean uncached sweep.
+# A 6-point sweep over the full registry writes 6 study entries, each a
+# manifest of its 18 unit entries. The cap (MWC_CACHE_MAX, default 64)
+# counts study and sweep entries, so every point stays. Interrupted after
+# 5 points and re-run, the sweep must replay those 5 from their manifests
+# and unit entries and simulate only the sixth (soc_runs = 18 units x 1
+# run), with the sweep digest of a clean uncached sweep.
 sweep_dir="target/verify-sweep-cache"
 rm -rf "$sweep_dir"
 

@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use mwc_core::cache::{StageKind, StageStats, StudyCache};
+use mwc_core::cache::{Kind, StudyCache};
 use mwc_core::pipeline::Characterization;
 use mwc_core::StudySpec;
 use mwc_obs::metrics::Metric;
@@ -85,9 +85,9 @@ fn one_unit_fault_flip_resimulates_exactly_that_unit() {
     {
         let cold = StudyCache::with_dir(&tmp.0);
         cold.study_spec(&base).expect("cold study");
-        let derive = cold.stage(StageKind::Derive);
-        assert_eq!(derive.stores, 18, "cold pass persists every unit artifact");
-        assert_eq!(derive.misses, 18);
+        let unit = cold.stage(Kind::Unit);
+        assert_eq!(unit.stores, 18, "cold pass persists every unit artifact");
+        assert_eq!(unit.misses, 18);
     }
 
     // Incremental pass in a fresh instance (models a new process), traced
@@ -105,17 +105,18 @@ fn one_unit_fault_flip_resimulates_exactly_that_unit() {
     };
 
     // Cache's own accounting: 17 units replayed from disk, 1 recomputed.
-    let derive = warm.stage(StageKind::Derive);
-    assert_eq!(derive.disk_hits, 17, "unchanged units replay from disk");
-    assert_eq!(derive.misses, 1, "exactly the flipped unit recomputes");
-    assert_eq!(derive.stores, 1, "the recomputed artifact is persisted");
-    let capture = warm.stage(StageKind::Capture);
-    assert_eq!(
-        capture.hits(),
-        17,
-        "capture mirrors: 17 simulations skipped"
-    );
-    assert_eq!(capture.misses, 1, "capture mirrors: 1 simulation executed");
+    let unit = warm.stage(Kind::Unit);
+    assert_eq!(unit.disk_hits, 17, "unchanged units replay from disk");
+    assert_eq!(unit.misses, 1, "exactly the flipped unit recomputes");
+    assert_eq!(unit.stores, 1, "the recomputed artifact is persisted");
+    // Mirrored into the metrics registry, with the bytes moved.
+    let counter = |name: &str| match metrics.iter().find(|(n, _)| n == name) {
+        Some((_, Metric::Counter(n))) => *n,
+        other => panic!("{name} must be a counter, got {other:?}"),
+    };
+    assert_eq!(counter("cache.unit.disk_hits"), 17);
+    assert!(counter("cache.unit.bytes_read") > 0, "17 entries were read");
+    assert!(counter("cache.unit.bytes_written") > 0, "one was written");
 
     // Engine's own accounting: exactly RUNS engine runs happened in the
     // whole incremental pass — i.e. one unit simulated.
@@ -167,9 +168,9 @@ fn analysis_only_change_runs_with_zero_simulation() {
         cold.study_spec(&base).expect("cold study");
     }
 
-    // Same spec in a fresh instance: the study-level entry satisfies the
-    // request outright, and featurization reuses the memoized bundle — no
-    // engine runs anywhere.
+    // Same spec in a fresh instance: the study's manifest and the 18 unit
+    // entries it names satisfy the request, and featurization reuses the
+    // memoized bundle — no engine runs anywhere.
     let warm = StudyCache::with_dir(&tmp.0);
     let (first, second, metrics) = {
         mwc_obs::reset();
@@ -189,13 +190,12 @@ fn analysis_only_change_runs_with_zero_simulation() {
     );
     assert_eq!(warm.stats().disk_hits, 1, "served by the study entry");
     assert_eq!(warm.stats().misses, 0);
-    assert_eq!(
-        warm.stage(StageKind::Derive),
-        StageStats::default(),
-        "the unit-artifact layer is never consulted"
-    );
+    let unit = warm.stage(Kind::Unit);
+    assert_eq!(unit.disk_hits, 18, "every unit is read from its entry");
+    assert_eq!(unit.misses, 0, "and none recomputes");
+    assert_eq!(unit.stores, 0);
 
-    let featurize = warm.stage(StageKind::Featurize);
+    let featurize = warm.stage(Kind::Features);
     assert_eq!(featurize.misses, 1, "first featurization computes");
     assert_eq!(featurize.mem_hits, 1, "second featurization is memoized");
     assert!(
