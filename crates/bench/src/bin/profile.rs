@@ -3,19 +3,19 @@
 //! Runs the default study (18 units, 3 runs, seed 2024) — or the study a
 //! `mwc-spec v1` document describes (`profile --spec-file <path>`, the
 //! grammar `POST /study` takes) — the k = 5 clustering and the Figure 4
-//! validation sweep with observability collection forced on, then
-//! reports where the wall time went:
+//! validation sweep under its own `mwc-obs` collector, then reports
+//! where the wall time went:
 //!
 //! * per-stage wall time (count / total / self / max per span name);
 //! * the slowest per-unit simulations (top-k `pipeline.unit` spans);
 //! * result-cache statistics (memory/disk hits, misses, stores,
 //!   corrupt entries, evictions);
 //! * capture-health counters (retries, drops, overflow wraps, …);
-//! * the full metrics registry.
+//! * the collector's full metrics registry.
 //!
 //! The printed `study digest:` line fingerprints every value the study
-//! produced; `scripts/verify.sh` compares it between traced and untraced
-//! runs to assert that observability never perturbs results. When
+//! produced; `scripts/verify.sh` compares it with the digest of an
+//! untraced run to assert that observability never perturbs results. When
 //! `MWC_TRACE=<path>` is set the collected spans are also written as a
 //! Chrome `trace_event` file (or a JSONL log if the path ends in
 //! `.jsonl`) loadable in `chrome://tracing` / Perfetto.
@@ -51,9 +51,9 @@ fn spec_from_args() -> Result<StudySpec, String> {
 }
 
 fn run(spec: &StudySpec) -> Result<(), PipelineError> {
-    // This binary exists to profile the pipeline, so collection is on
-    // regardless of MWC_TRACE / MWC_PROFILE.
-    mwc_obs::set_enabled(true);
+    // This binary exists to profile the pipeline, so it always collects.
+    let collector = mwc_obs::Collector::default();
+    let _entered = collector.enter();
 
     mwc_bench::header("Self-profile: study + clustering + validation sweep");
     let study = mwc_core::cache::StudyCache::global().study_spec(spec)?;
@@ -70,8 +70,8 @@ fn run(spec: &StudySpec) -> Result<(), PipelineError> {
         sweep.points.len(),
     );
 
-    let data = mwc_obs::trace::drain();
-    let metrics = mwc_obs::metrics::snapshot();
+    let data = collector.trace();
+    let metrics = collector.metrics();
 
     mwc_bench::header("Per-stage wall time");
     let stage_summary = Summary::from_trace(&data);

@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 
-use mwc_bench::{counter, header, run_or_exit};
+use mwc_bench::{header, run_or_exit};
 use mwc_core::{StudyCache, StudySpec};
 use mwc_soc::config::SocConfig;
 
@@ -103,7 +103,8 @@ fn main() {
         };
         // `soc.runs` is the sweep's own telemetry; collection is
         // digest-neutral by contract.
-        mwc_obs::set_enabled(true);
+        let collector = mwc_obs::Collector::default();
+        let _entered = collector.enter();
         let cache = StudyCache::global();
 
         header("Study sweep");
@@ -159,7 +160,7 @@ fn main() {
         println!(
             "sweep stats: points={} computed={computed} replayed={replayed} soc_runs={} elapsed_ms={}",
             digests.len(),
-            counter("soc.runs"),
+            collector.counter("soc.runs"),
             started.elapsed().as_millis(),
         );
         Ok(())

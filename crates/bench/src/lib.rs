@@ -76,14 +76,6 @@ pub fn run_or_exit(f: impl FnOnce() -> Result<(), PipelineError>) {
     }
 }
 
-/// A metrics-registry counter's current value (0 when absent).
-pub fn counter(name: &str) -> u64 {
-    match mwc_obs::metrics::get(name) {
-        Some(mwc_obs::metrics::Metric::Counter(n)) => n,
-        _ => 0,
-    }
-}
-
 /// Print a section header in the style used by all binaries.
 pub fn header(title: &str) {
     println!("\n=== {title} ===\n");

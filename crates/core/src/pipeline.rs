@@ -433,7 +433,13 @@ pub(crate) fn capture_stage(
     span.field("unit", unit.name);
     let (captures, health) =
         profiler.capture_unit_runs_resilient(&unit.workload, unit_index, runs, faults)?;
-    Ok((captures.iter().map(|c| c.series_map()).collect(), health))
+    // The columns pass: the runs' trace rows become series maps, and the
+    // rows, which exist only to be transposed, are freed.
+    let columns = mwc_obs::span("profiler.columns");
+    let maps = captures.iter().map(|c| c.series_map()).collect();
+    drop(captures);
+    drop(columns);
+    Ok((maps, health))
 }
 
 /// The derive stage of one unit: merge the captured runs into averaged

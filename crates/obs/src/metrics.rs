@@ -1,16 +1,15 @@
-//! The metrics registry: named counters, gauges and fixed-bucket
-//! histograms.
+//! Metrics: named counters, gauges and fixed-bucket histograms.
 //!
 //! Names follow the `<crate>.<noun>[_<unit>]` convention (DESIGN.md §9):
 //! `capture.retries`, `pipeline.stage_ns`, `soc.ticks`,
-//! `analysis.distance_reuse_hits`. The registry is a single mutex-guarded
-//! ordered map — metric updates happen at stage granularity (per run, per
-//! unit, per sweep cell), never per simulated tick, so contention is not a
-//! concern; when collection is disabled every update is a no-op atomic
-//! check.
+//! `analysis.distance_reuse_hits`. Each [`crate::Collector`] keeps its own
+//! registry, an ordered map behind the collector's mutex; an update lands
+//! in the registry of the collector entered on the calling thread.
+//! Metric updates happen at stage granularity (per run, per unit, per
+//! sweep cell), never per simulated tick, so contention is not a concern;
+//! with no collector entered every update is one thread-local read.
 
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
 
 /// Default histogram bucket upper bounds for durations in nanoseconds:
 /// 10 µs … 60 s, roughly logarithmic.
@@ -305,23 +304,16 @@ impl RollingCounter {
     }
 }
 
-static REGISTRY: OnceLock<Mutex<BTreeMap<String, Metric>>> = OnceLock::new();
-
-fn with_registry<R>(f: impl FnOnce(&mut BTreeMap<String, Metric>) -> R) -> R {
-    let mut map = REGISTRY
-        .get_or_init(|| Mutex::new(BTreeMap::new()))
-        .lock()
-        .expect("metrics registry poisoned");
-    f(&mut map)
+/// Run `f` on the registry of the collector entered on this thread; a
+/// no-op when none is.
+fn with_registry(f: impl FnOnce(&mut BTreeMap<String, Metric>)) {
+    crate::with_scope(|scope| f(&mut scope.collector.store().metrics));
 }
 
 /// Add `delta` to the counter `name` (created at 0 on first use). A no-op
-/// when collection is disabled, or when `name` is already registered as a
+/// when no collector is entered, or when `name` is already registered as a
 /// different metric kind.
 pub fn counter_add(name: &str, delta: u64) {
-    if !crate::enabled() {
-        return;
-    }
     with_registry(|map| {
         if let Metric::Counter(v) = map.entry(name.to_owned()).or_insert(Metric::Counter(0)) {
             *v += delta;
@@ -329,12 +321,9 @@ pub fn counter_add(name: &str, delta: u64) {
     });
 }
 
-/// Set the gauge `name` to `value`. Disabled/kind-mismatch semantics as
-/// [`counter_add`].
+/// Set the gauge `name` to `value`. No-collector/kind-mismatch semantics
+/// as [`counter_add`].
 pub fn gauge_set(name: &str, value: f64) {
-    if !crate::enabled() {
-        return;
-    }
     with_registry(|map| {
         if let Metric::Gauge(v) = map.entry(name.to_owned()).or_insert(Metric::Gauge(value)) {
             *v = value;
@@ -343,12 +332,9 @@ pub fn gauge_set(name: &str, value: f64) {
 }
 
 /// Record `value` into the histogram `name`, creating it with `bounds` on
-/// first use (later calls keep the original bounds). Disabled /
+/// first use (later calls keep the original bounds). No-collector /
 /// kind-mismatch semantics as [`counter_add`].
 pub fn observe(name: &str, bounds: &[f64], value: f64) {
-    if !crate::enabled() {
-        return;
-    }
     with_registry(|map| {
         if let Metric::Histogram(h) = map
             .entry(name.to_owned())
@@ -365,64 +351,43 @@ pub fn observe_duration_ns(name: &str, ns: u64) {
     observe(name, &DURATION_NS_BOUNDS, ns as f64);
 }
 
-/// A point-in-time copy of the whole registry, sorted by metric name.
-pub fn snapshot() -> Vec<(String, Metric)> {
-    if REGISTRY.get().is_none() {
-        return Vec::new();
-    }
-    with_registry(|map| map.iter().map(|(k, v)| (k.clone(), v.clone())).collect())
-}
-
-/// Look up one metric by name.
-pub fn get(name: &str) -> Option<Metric> {
-    REGISTRY.get()?;
-    with_registry(|map| map.get(name).cloned())
-}
-
-/// Clear the registry (used by [`crate::reset`]).
-pub(crate) fn reset() {
-    if REGISTRY.get().is_some() {
-        with_registry(|map| map.clear());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex as StdMutex;
+    use crate::Collector;
 
-    static TEST_LOCK: StdMutex<()> = StdMutex::new(());
-
-    fn with_metrics<R>(f: impl FnOnce() -> R) -> R {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        crate::set_enabled(true);
-        reset();
-        let r = f();
-        crate::set_enabled(false);
-        reset();
-        r
+    /// Run `f` under a fresh collector and return its registry.
+    fn with_metrics(f: impl FnOnce()) -> Vec<(String, Metric)> {
+        let collector = Collector::default();
+        let entered = collector.enter();
+        f();
+        drop(entered);
+        collector.metrics()
     }
 
     #[test]
     fn counters_and_gauges_register() {
-        with_metrics(|| {
+        let metrics = with_metrics(|| {
             counter_add("t.count", 2);
             counter_add("t.count", 3);
             gauge_set("t.gauge", 1.5);
             gauge_set("t.gauge", 2.5);
-            assert_eq!(get("t.count"), Some(Metric::Counter(5)));
-            assert_eq!(get("t.gauge"), Some(Metric::Gauge(2.5)));
         });
+        let expected = [
+            ("t.count", Metric::Counter(5)),
+            ("t.gauge", Metric::Gauge(2.5)),
+        ];
+        assert_eq!(metrics, expected.map(|(n, m)| (n.to_owned(), m)));
     }
 
     #[test]
     fn kind_mismatch_is_ignored() {
-        with_metrics(|| {
+        let metrics = with_metrics(|| {
             counter_add("t.kind", 1);
             gauge_set("t.kind", 9.0);
             observe("t.kind", &[1.0], 0.5);
-            assert_eq!(get("t.kind"), Some(Metric::Counter(1)));
         });
+        assert_eq!(metrics, [("t.kind".to_owned(), Metric::Counter(1))]);
     }
 
     #[test]
@@ -482,14 +447,12 @@ mod tests {
     }
 
     #[test]
-    fn disabled_updates_are_no_ops() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        crate::set_enabled(false);
-        reset();
+    fn updates_outside_a_collector_are_no_ops() {
+        let idle = Collector::default();
         counter_add("t.off", 1);
         gauge_set("t.off2", 1.0);
         observe_duration_ns("t.off3", 5);
-        assert!(snapshot().is_empty());
+        assert!(idle.metrics().is_empty());
     }
 
     #[test]
@@ -622,12 +585,12 @@ mod tests {
 
     #[test]
     fn snapshot_is_sorted_by_name() {
-        with_metrics(|| {
+        let metrics = with_metrics(|| {
             counter_add("z.last", 1);
             counter_add("a.first", 1);
             counter_add("m.mid", 1);
-            let names: Vec<String> = snapshot().into_iter().map(|(n, _)| n).collect();
-            assert_eq!(names, vec!["a.first", "m.mid", "z.last"]);
         });
+        let names: Vec<String> = metrics.into_iter().map(|(n, _)| n).collect();
+        assert_eq!(names, vec!["a.first", "m.mid", "z.last"]);
     }
 }

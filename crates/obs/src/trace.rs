@@ -1,22 +1,17 @@
-//! Structured spans and events.
-//!
-//! Each thread buffers its records in a private, uncontended
-//! `Arc<Mutex<Buffer>>` registered with a global collector on the thread's
-//! first span — span creation and completion never contend on a global
-//! lock. [`drain`] takes the global registry lock once, empties every
-//! thread's buffer and returns the merged [`TraceData`].
+//! Structured spans and events, recorded into the [`Collector`] entered on
+//! the calling thread (into nothing when none is); [`Collector::trace`]
+//! returns them as [`TraceData`].
 //!
 //! Parent links are implicit within a thread (a per-thread span stack) and
-//! explicit across threads: a parent span hands its [`SpanHandle`] to the
-//! worker, which opens children with [`span_with_parent`]. This is how the
-//! `mwc-parallel` worker pool nests task spans under the fan-out span of
-//! the calling thread.
+//! explicit across threads: a parent span hands its [`SpanHandle`], which
+//! carries its collector, to the worker, and children opened there with
+//! [`span_with_parent`] enter that collector for their lifetime. This is
+//! how the `mwc-parallel` worker pool nests task spans under the fan-out
+//! span of the calling thread, in the caller's collector.
 
-use std::cell::RefCell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+
+use crate::{Collector, Entered};
 
 /// A typed span/event field value.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,40 +77,36 @@ impl From<String> for Value {
 }
 
 /// An opaque reference to a live (or completed) span, usable as an
-/// explicit parent across threads. A handle from a disabled tracer is
-/// "none" and children adopting it fall back to their thread's own stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanHandle(u64);
+/// explicit parent across threads; it carries the span's collector. The
+/// default handle, from a thread with no collector entered, is "none",
+/// and children adopting it fall back to their thread's own stack.
+#[derive(Debug, Clone, Default)]
+pub struct SpanHandle {
+    id: u64,
+    collector: Option<Collector>,
+}
 
 impl SpanHandle {
-    /// The handle meaning "no span" (collection disabled, or no parent).
-    pub const NONE: SpanHandle = SpanHandle(0);
-
     /// Whether this handle refers to an actual span.
     pub fn is_none(&self) -> bool {
-        self.0 == 0
-    }
-
-    /// The raw span id (0 when [`SpanHandle::is_none`]).
-    pub fn id(&self) -> u64 {
-        self.0
+        self.id == 0
     }
 }
 
 /// One completed span.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
-    /// Unique id (process-wide, starting at 1).
+    /// Unique id within its collector, starting at 1.
     pub id: u64,
     /// Parent span id (0 = root).
     pub parent: u64,
     /// Span name (`<crate>.<noun>` by convention).
     pub name: String,
-    /// Observability thread id (dense, assigned in first-use order).
+    /// Observability thread id (dense, assigned in first-record order).
     pub tid: u64,
-    /// Start, nanoseconds since the process trace epoch.
+    /// Start, nanoseconds since the collector was created.
     pub start_ns: u64,
-    /// End, nanoseconds since the process trace epoch.
+    /// End, nanoseconds since the collector was created.
     pub end_ns: u64,
     /// Key/value fields attached via [`SpanGuard::field`].
     pub fields: Vec<(String, Value)>,
@@ -142,13 +133,13 @@ pub struct EventRecord {
     pub parent: u64,
     /// Observability thread id.
     pub tid: u64,
-    /// Timestamp, nanoseconds since the process trace epoch.
+    /// Timestamp, nanoseconds since the collector was created.
     pub ts_ns: u64,
     /// Key/value fields.
     pub fields: Vec<(String, Value)>,
 }
 
-/// Everything [`drain`] collected: completed spans, events, and the
+/// Everything a [`Collector`] recorded: completed spans, events, and the
 /// threads that produced them.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceData {
@@ -177,74 +168,10 @@ impl TraceData {
     }
 }
 
-/// Per-thread record buffer; shared with the collector behind an
-/// uncontended mutex (only the owning thread and [`drain`] touch it).
-#[derive(Debug, Default)]
-struct Buffer {
-    thread_name: Option<String>,
-    spans: Vec<SpanRecord>,
-    events: Vec<EventRecord>,
-}
-
-/// One registered thread buffer: `(tid, shared buffer)`.
-type RegisteredBuffer = (u64, Arc<Mutex<Buffer>>);
-
-/// Global registry of every thread's buffer.
-static BUFFERS: OnceLock<Mutex<Vec<RegisteredBuffer>>> = OnceLock::new();
-
-/// Next span id; 0 is reserved for "no span".
-static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Next observability thread id; 0 is reserved.
-static NEXT_TID: AtomicU64 = AtomicU64::new(1);
-
-/// Trace epoch: all timestamps are relative to the first observation.
-static EPOCH: OnceLock<Instant> = OnceLock::new();
-
-fn now_ns() -> u64 {
-    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
-}
-
-struct Local {
-    tid: u64,
-    buf: Arc<Mutex<Buffer>>,
-    /// Ids of the spans currently open on this thread, innermost last.
-    stack: Vec<u64>,
-}
-
-thread_local! {
-    static LOCAL: RefCell<Option<Local>> = const { RefCell::new(None) };
-}
-
-/// Run `f` with this thread's local tracer state, registering the thread
-/// on first use.
-fn with_local<R>(f: impl FnOnce(&mut Local) -> R) -> R {
-    LOCAL.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        let local = slot.get_or_insert_with(|| {
-            let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-            let buf = Arc::new(Mutex::new(Buffer {
-                thread_name: std::thread::current().name().map(str::to_owned),
-                ..Buffer::default()
-            }));
-            BUFFERS
-                .get_or_init(|| Mutex::new(Vec::new()))
-                .lock()
-                .expect("trace buffer registry poisoned")
-                .push((tid, Arc::clone(&buf)));
-            Local {
-                tid,
-                buf,
-                stack: Vec::new(),
-            }
-        });
-        f(local)
-    })
-}
-
 /// The data of one span that is still open.
 #[derive(Debug)]
 struct OpenSpan {
+    collector: Collector,
     id: u64,
     parent: u64,
     name: String,
@@ -252,21 +179,28 @@ struct OpenSpan {
     fields: Vec<(String, Value)>,
 }
 
-/// RAII guard for a span: records the span into the thread's buffer when
-/// dropped. Inert (a no-op holding nothing) when collection is disabled.
+/// RAII guard for a span: records the span into its collector when
+/// dropped. Inert (a no-op holding nothing) when no collector is entered.
 #[derive(Debug)]
 #[must_use = "a span guard measures until it is dropped"]
 pub struct SpanGuard {
     open: Option<OpenSpan>,
+    /// Set when the span entered its parent's collector on a thread that
+    /// was not in it; dropped after the span is recorded, it restores the
+    /// thread's previous scope.
+    _entered: Option<Entered>,
 }
 
 impl SpanGuard {
-    /// A handle to this span for explicit cross-thread parenting
-    /// ([`SpanHandle::NONE`] when collection is disabled).
+    /// A handle to this span for explicit cross-thread parenting (a none
+    /// handle when nothing collects).
     pub fn handle(&self) -> SpanHandle {
         self.open
             .as_ref()
-            .map_or(SpanHandle::NONE, |o| SpanHandle(o.id))
+            .map_or_else(SpanHandle::default, |o| SpanHandle {
+                id: o.id,
+                collector: Some(o.collector.clone()),
+            })
     }
 
     /// Attach a key/value field to the span.
@@ -276,13 +210,13 @@ impl SpanGuard {
         }
     }
 
-    /// Nanoseconds since the span opened (`None` when collection is
-    /// disabled). Lets callers feed a span's duration into a histogram
-    /// metric without a second clock source.
+    /// Nanoseconds since the span opened (`None` when nothing collects).
+    /// Lets callers feed a span's duration into a histogram metric without
+    /// a second clock source.
     pub fn elapsed_ns(&self) -> Option<u64> {
         self.open
             .as_ref()
-            .map(|o| now_ns().saturating_sub(o.start_ns))
+            .map(|o| o.collector.now_ns().saturating_sub(o.start_ns))
     }
 }
 
@@ -291,52 +225,54 @@ impl Drop for SpanGuard {
         let Some(open) = self.open.take() else {
             return;
         };
-        let end_ns = now_ns();
-        with_local(|local| {
+        let end_ns = open.collector.now_ns();
+        crate::with_scope(|scope| {
             // Guards normally drop LIFO; tolerate out-of-order drops by
             // removing this id wherever it sits on the stack.
-            if let Some(pos) = local.stack.iter().rposition(|&id| id == open.id) {
-                local.stack.remove(pos);
+            if let Some(pos) = scope.stack.iter().rposition(|&id| id == open.id) {
+                scope.stack.remove(pos);
             }
-            local
-                .buf
-                .lock()
-                .expect("thread trace buffer poisoned")
-                .spans
-                .push(SpanRecord {
-                    id: open.id,
-                    parent: open.parent,
-                    name: open.name,
-                    tid: local.tid,
-                    start_ns: open.start_ns,
-                    end_ns,
-                    fields: open.fields,
-                });
+        });
+        let mut store = open.collector.store();
+        let tid = store.tid();
+        store.spans.push(SpanRecord {
+            id: open.id,
+            parent: open.parent,
+            name: open.name,
+            tid,
+            start_ns: open.start_ns,
+            end_ns,
+            fields: open.fields,
         });
     }
 }
 
-fn open_span(name: &str, explicit_parent: Option<SpanHandle>) -> SpanGuard {
-    if !crate::enabled() {
-        return SpanGuard { open: None };
-    }
-    let start_ns = now_ns();
-    let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-    let open = with_local(|local| {
+fn open_span(name: &str, explicit_parent: Option<&SpanHandle>) -> SpanGuard {
+    let entered = explicit_parent
+        .and_then(|h| h.collector.as_ref())
+        .filter(|c| !c.is_current())
+        .map(Collector::enter);
+    let open = crate::with_scope(|scope| {
+        let collector = scope.collector.clone();
+        let id = collector.next_span_id();
         let parent = match explicit_parent {
-            Some(h) if !h.is_none() => h.id(),
-            _ => local.stack.last().copied().unwrap_or(0),
+            Some(h) if !h.is_none() => h.id,
+            _ => scope.stack.last().copied().unwrap_or(0),
         };
-        local.stack.push(id);
+        scope.stack.push(id);
         OpenSpan {
+            start_ns: collector.now_ns(),
+            collector,
             id,
             parent,
             name: name.to_owned(),
-            start_ns,
             fields: Vec::new(),
         }
     });
-    SpanGuard { open: Some(open) }
+    SpanGuard {
+        open,
+        _entered: entered,
+    }
 }
 
 /// Open a span named `name`, parented under the innermost span currently
@@ -346,8 +282,9 @@ pub fn span(name: &str) -> SpanGuard {
 }
 
 /// Open a span with an explicit parent — the cross-thread variant: the
-/// parent span's owner passes its [`SpanHandle`] to the worker thread.
-pub fn span_with_parent(name: &str, parent: SpanHandle) -> SpanGuard {
+/// parent span's owner passes its [`SpanHandle`] to the worker thread,
+/// which records into the parent's collector while the span is open.
+pub fn span_with_parent(name: &str, parent: &SpanHandle) -> SpanGuard {
     open_span(name, Some(parent))
 }
 
@@ -359,83 +296,42 @@ pub fn event(name: &str) {
 
 /// Emit an instant event with key/value fields.
 pub fn event_with(name: &str, fields: Vec<(String, Value)>) {
-    if !crate::enabled() {
-        return;
-    }
-    let ts_ns = now_ns();
-    with_local(|local| {
-        let parent = local.stack.last().copied().unwrap_or(0);
-        local
-            .buf
-            .lock()
-            .expect("thread trace buffer poisoned")
-            .events
-            .push(EventRecord {
-                name: name.to_owned(),
-                parent,
-                tid: local.tid,
-                ts_ns,
-                fields,
-            });
+    crate::with_scope(|scope| {
+        let parent = scope.stack.last().copied().unwrap_or(0);
+        let ts_ns = scope.collector.now_ns();
+        let mut store = scope.collector.store();
+        let tid = store.tid();
+        store.events.push(EventRecord {
+            name: name.to_owned(),
+            parent,
+            tid,
+            ts_ns,
+            fields,
+        });
     });
-}
-
-/// Empty every thread's buffer and return the merged, deterministically
-/// ordered records. Spans still open (guards not yet dropped) are not
-/// included — they will appear in a later drain.
-pub fn drain() -> TraceData {
-    let Some(registry) = BUFFERS.get() else {
-        return TraceData::default();
-    };
-    let mut data = TraceData::default();
-    let registry = registry.lock().expect("trace buffer registry poisoned");
-    for (tid, buf) in registry.iter() {
-        let mut buf = buf.lock().expect("thread trace buffer poisoned");
-        if buf.spans.is_empty() && buf.events.is_empty() {
-            continue;
-        }
-        data.spans.append(&mut buf.spans);
-        data.events.append(&mut buf.events);
-        let name = buf
-            .thread_name
-            .clone()
-            .unwrap_or_else(|| format!("thread-{tid}"));
-        data.threads.push((*tid, name));
-    }
-    data.spans.sort_by_key(|s| (s.start_ns, s.id));
-    data.events.sort_by_key(|e| (e.ts_ns, e.tid));
-    data.threads.sort_by_key(|&(tid, _)| tid);
-    data
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex as StdMutex;
 
-    /// Tests here mutate process-global tracer state; serialize them.
-    static TEST_LOCK: StdMutex<()> = StdMutex::new(());
-
-    fn with_tracing<R>(f: impl FnOnce() -> R) -> R {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        crate::set_enabled(true);
-        let _ = drain();
-        let r = f();
-        crate::set_enabled(false);
-        let _ = drain();
-        r
+    /// Run `f` under a fresh collector and return what it recorded.
+    fn traced(f: impl FnOnce()) -> TraceData {
+        let collector = Collector::default();
+        let entered = collector.enter();
+        f();
+        drop(entered);
+        collector.trace()
     }
 
     #[test]
     fn spans_nest_within_a_thread() {
-        let data = with_tracing(|| {
+        let data = traced(|| {
             let mut outer = span("outer");
             outer.field("k", 7u64);
             {
                 let _inner = span("inner");
             }
-            drop(outer);
-            drain()
         });
         let outer = data.span_named("outer").expect("outer recorded");
         let inner = data.span_named("inner").expect("inner recorded");
@@ -448,19 +344,22 @@ mod tests {
 
     #[test]
     fn explicit_parent_crosses_threads() {
-        let data = with_tracing(|| {
+        let data = traced(|| {
             let parent = span("fanout");
             let handle = parent.handle();
             std::thread::scope(|scope| {
                 for i in 0..3usize {
+                    let handle = &handle;
                     scope.spawn(move || {
+                        // The worker has no collector of its own: the
+                        // handle's is entered for the span's lifetime.
                         let mut s = span_with_parent("task", handle);
                         s.field("index", i);
+                        let _child = span("task.child");
+                        event("task.event");
                     });
                 }
             });
-            drop(parent);
-            drain()
         });
         let fanout = data.span_named("fanout").expect("fanout recorded");
         let tasks = data.spans_named("task");
@@ -469,16 +368,19 @@ mod tests {
             assert_eq!(t.parent, fanout.id);
             assert_ne!(t.tid, fanout.tid, "tasks ran on other threads");
         }
+        for child in data.spans_named("task.child") {
+            assert!(tasks.iter().any(|t| t.id == child.parent));
+        }
+        assert_eq!(data.events.len(), 3);
+        assert_eq!(data.threads.len(), 4, "the caller and three workers");
     }
 
     #[test]
     fn events_attach_to_enclosing_span() {
-        let data = with_tracing(|| {
+        let data = traced(|| {
             let _s = span("holder");
             event("ping");
             event_with("pong", vec![("n".to_owned(), Value::Int(-2))]);
-            drop(_s);
-            drain()
         });
         let holder = data.span_named("holder").expect("recorded");
         assert_eq!(data.events.len(), 2);
@@ -489,44 +391,20 @@ mod tests {
     }
 
     #[test]
-    fn disabled_records_nothing() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        crate::set_enabled(false);
-        let _ = drain();
+    fn nothing_entered_records_nothing() {
+        let idle = Collector::default();
         let g = span("ghost");
         assert!(g.handle().is_none());
         event("ghost-event");
         drop(g);
-        assert!(drain().is_empty());
-    }
-
-    #[test]
-    fn drain_is_cumulative_not_duplicating() {
-        let (first, second) = with_tracing(|| {
-            {
-                let _a = span("a");
-            }
-            let first = drain();
-            {
-                let _b = span("b");
-            }
-            (first, drain())
-        });
-        assert!(first.span_named("a").is_some());
-        assert!(first.span_named("b").is_none());
-        assert!(second.span_named("a").is_none());
-        assert!(second.span_named("b").is_some());
+        assert!(idle.trace().is_empty());
     }
 
     #[test]
     fn handle_none_parent_falls_back_to_stack() {
-        let data = with_tracing(|| {
+        let data = traced(|| {
             let _outer = span("outer2");
-            {
-                let _child = span_with_parent("child2", SpanHandle::NONE);
-            }
-            drop(_outer);
-            drain()
+            let _child = span_with_parent("child2", &SpanHandle::default());
         });
         let outer = data.span_named("outer2").expect("recorded");
         let child = data.span_named("child2").expect("recorded");

@@ -18,6 +18,9 @@
 //! seeding (`mwc_soc::engine::stream_seed`) is designed around exactly this
 //! property.
 //!
+//! A map run under an `mwc-obs` collector records its tasks, on whichever
+//! worker threads they run, into that collector and no other.
+//!
 //! Dependency policy (DESIGN.md §6) rules out rayon; `std::thread::scope`
 //! is sufficient at this scale (tens of items, each milliseconds or more).
 
@@ -56,12 +59,13 @@ pub fn configured_threads() -> usize {
 /// result into its item's slot, so the returned `Vec` is always ordered by
 /// item index, never by completion order.
 ///
-/// When `mwc-obs` collection is enabled the whole map is wrapped in a
+/// Under an `mwc-obs` collector the whole map is wrapped in a
 /// `parallel.map` span and every item runs inside a `parallel.task` span
-/// explicitly parented under it, so spans nest correctly across worker
-/// threads; spans opened inside `f` hang off the task span of whichever
-/// worker ran that item. Disabled, the instrumentation is a no-op atomic
-/// check and the map is byte-for-byte the uninstrumented loop.
+/// explicitly parented under it, which enters the caller's collector on
+/// the worker thread: spans opened inside `f` hang off the task span of
+/// whichever worker ran that item, in the caller's collector. With none
+/// entered, the instrumentation is one thread-local read and the map is
+/// byte-for-byte the uninstrumented loop.
 ///
 /// Panics in `init` or `f` propagate to the caller when the scope joins.
 pub fn ordered_map_with<T, S, R, I, F>(items: &[T], threads: usize, init: I, f: F) -> Vec<R>
@@ -75,7 +79,7 @@ where
     map_span.field("items", items.len());
     let map_handle = map_span.handle();
     let run_task = |state: &mut S, item: &T, index: usize| {
-        let mut task_span = mwc_obs::span_with_parent("parallel.task", map_handle);
+        let mut task_span = mwc_obs::span_with_parent("parallel.task", &map_handle);
         task_span.field("index", index);
         mwc_obs::metrics::counter_add("parallel.tasks", 1);
         f(state, item, index)

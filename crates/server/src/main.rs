@@ -1,12 +1,15 @@
 //! The `mwc-server` binary: boot from `MWC_SERVER_*`, print the bound
 //! address, serve until SIGTERM/ctrl-c or `POST /admin/shutdown`, drain,
-//! flush observability, exit 0.
+//! flush observability, exit 0. Under `MWC_TRACE=<path>` the server is
+//! bound inside an `mwc-obs` collector, so `/metrics` shows its registry,
+//! and the session's trace is written to `<path>` after the drain.
 
 use std::io::Write;
 use std::process::ExitCode;
 use std::thread;
 use std::time::Duration;
 
+use mwc_obs::Collector;
 use mwc_server::config::ServerConfig;
 use mwc_server::server::Server;
 use mwc_server::signal;
@@ -16,6 +19,8 @@ fn main() -> ExitCode {
 
     let config = ServerConfig::from_env();
     let drain_budget = config.drain;
+    let trace = mwc_obs::trace_path().map(|path| (path, Collector::default()));
+    let _entered = trace.as_ref().map(|(_, collector)| collector.enter());
     let server = match Server::bind(config) {
         Ok(s) => s,
         Err(e) => {
@@ -38,11 +43,9 @@ fn main() -> ExitCode {
     );
     let stats = server.join();
 
-    // Flush observability the same way the profile binary does: honor
-    // MWC_TRACE if set, so a served session is inspectable post-mortem.
-    if let Some(path) = mwc_obs::trace_path() {
-        let data = mwc_obs::trace::drain();
-        let metrics = mwc_obs::metrics::snapshot();
+    if let Some((path, collector)) = trace {
+        let data = collector.trace();
+        let metrics = collector.metrics();
         let body = if mwc_obs::export::wants_jsonl(&path) {
             mwc_obs::export::jsonl(&data, &metrics)
         } else {

@@ -35,6 +35,7 @@ use std::time::{Duration, Instant};
 use mwc_core::pipeline::Characterization;
 use mwc_core::{from_wire, PipelineError, StudyCache, StudySpec};
 use mwc_obs::metrics::Metric;
+use mwc_obs::Collector;
 
 use crate::config::ServerConfig;
 use crate::deadline::Deadline;
@@ -117,6 +118,9 @@ pub struct ServerState {
     stats: Stats,
     telemetry: Telemetry,
     busy: AtomicUsize,
+    /// The collector current on the binding thread, entered by the
+    /// acceptor and every worker; `/metrics` renders its registry.
+    collector: Option<Collector>,
 }
 
 impl ServerState {
@@ -171,7 +175,9 @@ pub struct Server {
 
 impl Server {
     /// Bind, spawn the acceptor and `config.workers` workers, and return
-    /// immediately. The server runs until shutdown is requested.
+    /// immediately. The server runs until shutdown is requested. If an
+    /// `mwc-obs` collector is entered on the calling thread, the acceptor
+    /// and workers enter it too, so it collects this server's requests.
     pub fn bind(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
@@ -191,6 +197,7 @@ impl Server {
             drain_started: Mutex::new(None),
             stats: Stats::default(),
             busy: AtomicUsize::new(0),
+            collector: Collector::current(),
         });
 
         let mut workers = Vec::with_capacity(config.workers);
@@ -280,10 +287,12 @@ fn wake_acceptor(mut addr: SocketAddr) {
     let _ = TcpStream::connect_timeout(&addr, WAKE_TIMEOUT);
 }
 
-/// Accept until shutdown, then close the queue and start the drain clock.
+/// Accept until shutdown, inside the collector current at bind, then
+/// close the queue and start the drain clock.
 /// `accept` blocks; [`ServerState::begin_shutdown`] wakes it, and the
 /// latch is checked after every accept.
 fn accept_loop(listener: TcpListener, state: &Arc<ServerState>) {
+    let _entered = state.collector.as_ref().map(Collector::enter);
     loop {
         let accepted = listener.accept();
         if state.shutdown_requested() {
@@ -342,8 +351,10 @@ fn shed(state: &Arc<ServerState>, mut stream: TcpStream, why: &str) {
     let _ = stream.write_all(&bytes);
 }
 
-/// Pop and serve jobs until the queue is closed and empty.
+/// Pop and serve jobs, inside the collector current at bind, until the
+/// queue is closed and empty.
 fn worker_loop(state: &Arc<ServerState>) {
+    let _entered = state.collector.as_ref().map(Collector::enter);
     while let Some(job) = state.queue.pop() {
         handle_job(state, job);
     }
@@ -507,10 +518,10 @@ fn route(
     }
 }
 
-/// `GET /metrics` — the serving counters, the `mwc_obs` registry (empty
-/// unless `MWC_TRACE` or `MWC_PROFILE` turned collection on), and the
-/// rolling/SLO/utilization tail, all but the registry rendered from
-/// server state.
+/// `GET /metrics` — the serving counters, the registry of the `mwc_obs`
+/// collector current at bind (none unless the server was bound inside
+/// one), and the rolling/SLO/utilization tail, all but the registry
+/// rendered from server state.
 fn metrics_response(state: &Arc<ServerState>) -> Response {
     let stats = state.stats.snapshot();
     let mut snap: Vec<(String, Metric)> = [
@@ -523,7 +534,9 @@ fn metrics_response(state: &Arc<ServerState>) -> Response {
     .into_iter()
     .map(|(name, v)| (name.to_owned(), Metric::Counter(v)))
     .collect();
-    snap.extend(mwc_obs::metrics::snapshot());
+    if let Some(collector) = &state.collector {
+        snap.extend(collector.metrics());
+    }
     let mut text = mwc_obs::export::metrics_text(&snap);
     text.push_str(&state.telemetry.metrics_tail(
         state.queue.len(),

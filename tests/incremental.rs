@@ -1,20 +1,23 @@
 //! Integration tests of the incremental stage graph: after a warm capture,
 //! flipping one unit's fault configuration must re-simulate exactly that
-//! unit (all others replay from their capture/derive artifacts), and an
-//! analysis-only request must run with zero simulation. Both paths must be
-//! bit-identical to a cold computation — the whole point of the artifact
-//! keys is that incrementality never changes the numbers.
+//! unit (all others replay from their capture/derive artifacts), an
+//! analysis-only request must run with zero simulation, and a re-run of
+//! an interrupted sweep must simulate only its missing points. Every path
+//! must be bit-identical to a cold computation — the whole point of the
+//! artifact keys is that incrementality never changes the numbers.
+//!
+//! Each test counts simulations under an `mwc-obs` collector of its own,
+//! so the tests of this binary run concurrently without seeing each
+//! other's studies.
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use mwc_core::cache::{Kind, StudyCache};
 use mwc_core::pipeline::Characterization;
 use mwc_core::StudySpec;
-use mwc_obs::metrics::Metric;
-use mwc_obs::Value;
+use mwc_obs::{Collector, Value};
 use mwc_profiler::FaultConfig;
 use mwc_soc::config::SocConfig;
 
@@ -48,16 +51,6 @@ impl Drop for TempDir {
     }
 }
 
-/// Collection state is process-global: a study running in one test while
-/// the other collects would land in its counts. Each test therefore holds
-/// this lock from its first line to its last.
-fn lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
 fn base_spec() -> StudySpec {
     StudySpec::new(SocConfig::snapdragon_888(), SEED, RUNS).with_threads(2)
 }
@@ -76,7 +69,6 @@ fn jitter_only() -> FaultConfig {
 
 #[test]
 fn one_unit_fault_flip_resimulates_exactly_that_unit() {
-    let _g = lock();
     let tmp = TempDir::new();
     let base = base_spec();
     let patched = base.clone().with_unit_faults(FLIPPED_UNIT, jitter_only());
@@ -93,16 +85,12 @@ fn one_unit_fault_flip_resimulates_exactly_that_unit() {
     // Incremental pass in a fresh instance (models a new process), traced
     // so the simulation counters are visible.
     let warm = StudyCache::with_dir(&tmp.0);
-    let (study, data, metrics) = {
-        mwc_obs::reset();
-        mwc_obs::set_enabled(true);
-        let study = warm.study_spec(&patched).expect("incremental study");
-        let data = mwc_obs::trace::drain();
-        let metrics = mwc_obs::metrics::snapshot();
-        mwc_obs::set_enabled(false);
-        mwc_obs::reset();
-        (study, data, metrics)
+    let collector = Collector::default();
+    let study = {
+        let _entered = collector.enter();
+        warm.study_spec(&patched).expect("incremental study")
     };
+    let data = collector.trace();
 
     // Cache's own accounting: 17 units replayed from disk, 1 recomputed.
     let unit = warm.stage(Kind::Unit);
@@ -110,26 +98,23 @@ fn one_unit_fault_flip_resimulates_exactly_that_unit() {
     assert_eq!(unit.misses, 1, "exactly the flipped unit recomputes");
     assert_eq!(unit.stores, 1, "the recomputed artifact is persisted");
     // Mirrored into the metrics registry, with the bytes moved.
-    let counter = |name: &str| match metrics.iter().find(|(n, _)| n == name) {
-        Some((_, Metric::Counter(n))) => *n,
-        other => panic!("{name} must be a counter, got {other:?}"),
-    };
-    assert_eq!(counter("cache.unit.disk_hits"), 17);
-    assert!(counter("cache.unit.bytes_read") > 0, "17 entries were read");
-    assert!(counter("cache.unit.bytes_written") > 0, "one was written");
+    assert_eq!(collector.counter("cache.unit.disk_hits"), 17);
+    assert!(
+        collector.counter("cache.unit.bytes_read") > 0,
+        "17 entries were read"
+    );
+    assert!(
+        collector.counter("cache.unit.bytes_written") > 0,
+        "one was written"
+    );
 
     // Engine's own accounting: exactly RUNS engine runs happened in the
     // whole incremental pass — i.e. one unit simulated.
-    let runs = metrics
-        .iter()
-        .find(|(n, _)| n == "soc.runs")
-        .map(|(_, m)| m);
-    match runs {
-        Some(Metric::Counter(n)) => {
-            assert_eq!(*n as usize, RUNS, "exactly one unit re-simulated");
-        }
-        other => panic!("soc.runs must be a counter, got {other:?}"),
-    }
+    assert_eq!(
+        collector.counter("soc.runs") as usize,
+        RUNS,
+        "exactly one unit re-simulated"
+    );
     assert_eq!(data.spans_named("soc.run").len(), RUNS);
 
     // The one `pipeline.unit` span that actually computed is the flipped
@@ -158,7 +143,6 @@ fn one_unit_fault_flip_resimulates_exactly_that_unit() {
 
 #[test]
 fn analysis_only_change_runs_with_zero_simulation() {
-    let _g = lock();
     let tmp = TempDir::new();
     let base = base_spec();
 
@@ -172,20 +156,17 @@ fn analysis_only_change_runs_with_zero_simulation() {
     // entries it names satisfy the request, and featurization reuses the
     // memoized bundle — no engine runs anywhere.
     let warm = StudyCache::with_dir(&tmp.0);
-    let (first, second, metrics) = {
-        mwc_obs::reset();
-        mwc_obs::set_enabled(true);
+    let collector = Collector::default();
+    let (first, second) = {
+        let _entered = collector.enter();
         let study = warm.study_spec(&base).expect("warm study");
         let first = warm.features(&study).expect("featurize");
         let second = warm.features(&study).expect("memoized featurize");
-        let metrics = mwc_obs::metrics::snapshot();
-        mwc_obs::set_enabled(false);
-        mwc_obs::reset();
-        (first, second, metrics)
+        (first, second)
     };
 
     assert!(
-        !metrics.iter().any(|(n, _)| n == "soc.runs"),
+        !collector.metrics().iter().any(|(n, _)| n == "soc.runs"),
         "an analysis-only pass must never touch the simulator"
     );
     assert_eq!(warm.stats().disk_hits, 1, "served by the study entry");
@@ -202,4 +183,67 @@ fn analysis_only_change_runs_with_zero_simulation() {
         std::sync::Arc::ptr_eq(&first, &second),
         "memoized featurization returns the same bundle"
     );
+}
+
+/// Three units and one run per sweep point keep each simulation short.
+const SWEEP_UNITS: [&str; 3] = ["Aitutu", "Antutu CPU", "Antutu GPU"];
+
+/// The sweep's points.
+const SWEEP_SEEDS: [u64; 3] = [9001, 9002, 9003];
+
+fn sweep_spec(seed: u64) -> StudySpec {
+    StudySpec::new(SocConfig::snapdragon_888(), seed, 1)
+        .with_units(SWEEP_UNITS)
+        .with_threads(2)
+}
+
+#[test]
+fn interrupted_sweep_resumes_from_the_cache_without_resimulating() {
+    let tmp = TempDir::new();
+
+    // "Interrupted" first pass: only the first point completed before
+    // the sweep died.
+    StudyCache::with_dir(&tmp.0)
+        .study_spec(&sweep_spec(SWEEP_SEEDS[0]))
+        .expect("first point");
+
+    // Resume pass in a fresh instance on the same directory (a new
+    // process), traced so `soc.runs` counts exactly the simulations that
+    // happened.
+    let cache = StudyCache::with_dir(&tmp.0);
+    let collector = Collector::default();
+    let mut digests = Vec::new();
+    let mut replayed = 0usize;
+    {
+        let _entered = collector.enter();
+        for &seed in &SWEEP_SEEDS {
+            let hits_before = cache.stats().hits();
+            let study = cache.study_spec(&sweep_spec(seed)).expect("resumed point");
+            if cache.stats().hits() > hits_before {
+                replayed += 1;
+            }
+            digests.push(study.digest());
+        }
+    }
+
+    assert_eq!(
+        replayed, 1,
+        "the finished point replays from its study entry"
+    );
+    // 2 missing points × 3 units × 1 run each: the replayed point
+    // contributed zero engine runs.
+    assert_eq!(
+        collector.counter("soc.runs"),
+        2 * SWEEP_UNITS.len() as u64,
+        "resume never re-simulates finished points"
+    );
+
+    for (&seed, &digest) in SWEEP_SEEDS.iter().zip(&digests) {
+        let uncached = Characterization::try_run_spec(&sweep_spec(seed)).expect("uncached point");
+        assert_eq!(
+            uncached.digest(),
+            digest,
+            "resumed point (seed {seed}) is bit-identical to an uncached run"
+        );
+    }
 }

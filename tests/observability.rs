@@ -1,16 +1,18 @@
 //! Observability integration tests: tracing neutrality (collection never
 //! perturbs the study), Chrome-trace well-formedness via the exporter's
 //! own reader, cross-thread span parenting under a multi-worker capture
-//! fan-out, and the metrics the pipeline is contracted to emit.
+//! fan-out, the metrics the pipeline is contracted to emit, and the scope
+//! of a collector: it records its own study and nothing else.
 
 use std::collections::HashSet;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::Barrier;
 
 use mwc_core::pipeline::Characterization;
+use mwc_core::StudySpec;
 use mwc_obs::export::{chrome_trace_json, parse_chrome_trace};
 use mwc_obs::metrics::Metric;
 use mwc_obs::trace::TraceData;
-use mwc_obs::Value;
+use mwc_obs::{Collector, Value};
 use mwc_soc::config::SocConfig;
 
 /// Study protocol used by every test here: small (2 runs) but full-width
@@ -18,35 +20,19 @@ use mwc_soc::config::SocConfig;
 const SEED: u64 = 77;
 const RUNS: usize = 2;
 
-/// Collection state is process-global, so tests that flip it must not
-/// interleave.
-fn lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-/// Run the study with collection on (equivalent to setting `MWC_TRACE` /
-/// `MWC_PROFILE`, without racing on process environment) and hand back the
-/// study plus everything that was collected.
+/// Run the study under a collector of its own and hand back the study
+/// plus everything that collector recorded.
 fn traced_study(threads: usize) -> (Characterization, TraceData, Vec<(String, Metric)>) {
-    mwc_obs::reset();
-    mwc_obs::set_enabled(true);
-    let study =
-        Characterization::run_with_threads(SocConfig::snapdragon_888(), SEED, RUNS, threads);
-    let data = mwc_obs::trace::drain();
-    let metrics = mwc_obs::metrics::snapshot();
-    mwc_obs::set_enabled(false);
-    mwc_obs::reset();
-    (study, data, metrics)
+    let collector = Collector::default();
+    let study = {
+        let _entered = collector.enter();
+        Characterization::run_with_threads(SocConfig::snapdragon_888(), SEED, RUNS, threads)
+    };
+    (study, collector.trace(), collector.metrics())
 }
 
 #[test]
 fn tracing_is_neutral_study_is_bit_identical() {
-    let _g = lock();
-    mwc_obs::set_enabled(false);
-    mwc_obs::reset();
     let baseline =
         Characterization::run_with_threads(SocConfig::snapdragon_888(), SEED, RUNS, 3).digest();
 
@@ -61,21 +47,72 @@ fn tracing_is_neutral_study_is_bit_identical() {
 
 #[test]
 fn disabled_collection_records_nothing() {
-    let _g = lock();
-    mwc_obs::set_enabled(false);
-    mwc_obs::reset();
+    // A collector that exists but is never entered stays empty while a
+    // study runs beside it.
+    let idle = Collector::default();
     let _study = Characterization::run_with_threads(SocConfig::snapdragon_888(), SEED, 1, 2);
-    let data = mwc_obs::trace::drain();
-    assert!(data.is_empty(), "disabled collection must record no spans");
     assert!(
-        mwc_obs::metrics::snapshot().is_empty(),
-        "disabled collection must record no metrics"
+        idle.trace().is_empty(),
+        "an idle collector must record no spans"
+    );
+    assert!(
+        idle.metrics().is_empty(),
+        "an idle collector must record no metrics"
     );
 }
 
 #[test]
+fn concurrent_studies_each_see_only_their_own_work() {
+    // Two studies traced at once on two threads, each under its own
+    // collector with a 2-worker fan-out. The barrier makes them overlap.
+    let unit_lists: [&[&str]; 2] = [
+        &["Antutu CPU", "Antutu Mem"],
+        &["Aitutu", "Antutu GPU", "Antutu UX"],
+    ];
+    let start = Barrier::new(unit_lists.len());
+    std::thread::scope(|scope| {
+        for units in unit_lists {
+            let start = &start;
+            scope.spawn(move || {
+                let spec = StudySpec::new(SocConfig::snapdragon_888(), SEED, 1)
+                    .with_units(units.iter().copied())
+                    .with_threads(2);
+                let collector = Collector::default();
+                let study = {
+                    let _entered = collector.enter();
+                    start.wait();
+                    Characterization::try_run_spec(&spec).expect("study runs")
+                };
+                assert_eq!(study.profiles().len(), units.len());
+                assert_eq!(
+                    collector.counter("soc.runs"),
+                    units.len() as u64,
+                    "one run per unit of this study, none of the other's"
+                );
+                let data = collector.trace();
+                let mut named: Vec<String> = data
+                    .spans_named("pipeline.unit")
+                    .iter()
+                    .filter_map(|s| s.field("name").map(ToString::to_string))
+                    .collect();
+                named.sort_unstable();
+                let mut expected = units.to_vec();
+                expected.sort_unstable();
+                assert_eq!(named, expected, "unit spans name only this study's units");
+                let map = data.span_named("parallel.map").expect("capture fan-out");
+                assert!(
+                    data.spans_named("parallel.task")
+                        .iter()
+                        .any(|t| t.tid != map.tid),
+                    "the fan-out's worker-thread tasks are recorded here too"
+                );
+            });
+        }
+    });
+}
+
+#[test]
 fn chrome_trace_parses_and_spans_nest_to_the_study_root() {
-    let _g = lock();
     let (_study, data, _) = traced_study(4);
     let json = chrome_trace_json(&data);
     let events = parse_chrome_trace(&json).expect("exporter output parses with its own reader");
@@ -121,7 +158,6 @@ fn chrome_trace_parses_and_spans_nest_to_the_study_root() {
 
 #[test]
 fn worker_spans_parent_across_threads() {
-    let _g = lock();
     let workers = 4;
     let (_study, data, _) = traced_study(workers);
 
@@ -156,7 +192,6 @@ fn worker_spans_parent_across_threads() {
 
 #[test]
 fn pipeline_emits_its_contracted_metrics() {
-    let _g = lock();
     let (study, _, metrics) = traced_study(2);
     let get = |name: &str| {
         metrics

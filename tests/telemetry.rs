@@ -1,8 +1,8 @@
 //! End-to-end tests for the request-telemetry layer: trace-ID round
 //! trips through the debug ring, ID echo on every failure status,
-//! rolling `/metrics`, wrkr-minted IDs, and the digest-neutrality
-//! guarantee (observability must never change what the pipeline
-//! computes).
+//! rolling `/metrics` and the scope of its registry, wrkr-minted IDs, and
+//! the digest-neutrality guarantee (observability must never change what
+//! the pipeline computes).
 
 use std::sync::Mutex;
 use std::thread;
@@ -11,6 +11,7 @@ use std::time::{Duration, Instant};
 use mwc_core::{to_wire, StudySpec};
 use mwc_obs::export::{parse_json, Json};
 use mwc_obs::log::{self, Level};
+use mwc_obs::Collector;
 use mwc_server::client::{self, ClientResponse};
 use mwc_server::config::ServerConfig;
 use mwc_server::loadgen::{self, LoadOptions};
@@ -310,8 +311,8 @@ fn metrics_reports_rolling_quantiles_slo_and_utilization_gauges() {
 
 #[test]
 fn serving_counters_are_in_metrics_with_collection_off() {
-    // Nothing in this suite turns `mwc-obs` collection on, so the registry
-    // holds no serving counters: every line below comes from server state.
+    // The server is bound outside any `mwc-obs` collector, so `/metrics`
+    // has no registry: every line below comes from server state.
     let server = boot(|c| c.workers = 1);
     let addr = server.local_addr().to_string();
     for _ in 0..3 {
@@ -346,6 +347,39 @@ fn serving_counters_are_in_metrics_with_collection_off() {
 
     server.request_shutdown();
     server.join();
+}
+
+#[test]
+fn metrics_render_the_registry_of_the_collector_current_at_bind() {
+    // Server A is bound inside a collector, server B outside any; each
+    // serves one cold study of 2 units × 1 run.
+    let collector = Collector::default();
+    let a = {
+        let _entered = collector.enter();
+        boot(|c| c.workers = 2)
+    };
+    let b = boot(|c| c.workers = 2);
+    let soc_runs = |server: &Server, seed: u64| {
+        let addr = server.local_addr().to_string();
+        let body = to_wire(&small_spec(seed)).expect("spec serializes");
+        assert_eq!(post_study(&addr, &body, &[]).status, 200);
+        let text = get(&addr, "/metrics").body_str();
+        text.lines()
+            .find_map(|l| l.strip_prefix("soc_runs "))
+            .map(str::to_owned)
+    };
+    assert_eq!(
+        soc_runs(&a, 66).as_deref(),
+        Some("2"),
+        "A's registry counts its own study's runs"
+    );
+    assert_eq!(soc_runs(&b, 67), None, "B has no registry");
+    assert_eq!(collector.counter("soc.runs"), 2, "B's study is not in A's");
+
+    for server in [a, b] {
+        server.request_shutdown();
+        server.join();
+    }
 }
 
 #[test]
