@@ -20,7 +20,7 @@
 //! Chrome `trace_event` file (or a JSONL log if the path ends in
 //! `.jsonl`) loadable in `chrome://tracing` / Perfetto.
 
-use mwc_core::{from_wire, PipelineError, StudySpec};
+use mwc_core::{from_wire, PipelineError, StudyCache, StudySpec};
 use mwc_obs::export;
 use mwc_obs::metrics::Metric;
 use mwc_obs::summary::{fmt_ns, top_spans_by_field, Summary};
@@ -56,7 +56,8 @@ fn run(spec: &StudySpec) -> Result<(), PipelineError> {
     let _entered = collector.enter();
 
     mwc_bench::header("Self-profile: study + clustering + validation sweep");
-    let study = mwc_core::cache::StudyCache::global().study_spec(spec)?;
+    let cache = StudyCache::from_env();
+    let study = cache.study_spec(spec)?;
     let study = &*study;
     let clustering = mwc_core::figures::fig6(study)?;
     let sweep = mwc_core::figures::fig4(study)?;
@@ -95,7 +96,6 @@ fn run(spec: &StudySpec) -> Result<(), PipelineError> {
     println!("{}", units.render());
 
     mwc_bench::header("Result cache");
-    let cache = mwc_core::cache::StudyCache::global();
     let stats = cache.stats();
     println!("cache location: {}", cache.describe());
     // Machine-parseable one-liner consumed by scripts/verify.sh.

@@ -144,11 +144,11 @@ fn diff(stored: &[StoredStudy], a: u64, b: u64) {
 fn main() {
     mwc_bench::run_or_exit(|| {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let cache = StudyCache::global();
+        let cache = StudyCache::from_env();
         match args.as_slice() {
-            [] => list(cache, &stored_or_exit(cache)),
+            [] => list(&cache, &stored_or_exit(&cache)),
             [flag, a, b] if flag == "--diff" => {
-                diff(&stored_or_exit(cache), parse_digest(a), parse_digest(b))
+                diff(&stored_or_exit(&cache), parse_digest(a), parse_digest(b))
             }
             _ => usage(),
         }

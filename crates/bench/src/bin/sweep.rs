@@ -105,7 +105,7 @@ fn main() {
         // digest-neutral by contract.
         let collector = mwc_obs::Collector::default();
         let _entered = collector.enter();
-        let cache = StudyCache::global();
+        let cache = StudyCache::from_env();
 
         header("Study sweep");
         println!(

@@ -36,16 +36,17 @@ pub fn study() -> &'static Characterization {
 
 /// A shared study on the default platform (Snapdragon 888) with an
 /// explicit `(seed, runs)` protocol. Each distinct pair is computed once
-/// per process, and the lookup goes through the persistent
-/// [`StudyCache`], so a warm process skips simulation entirely and every
-/// binary in a session after the first starts from the on-disk entry
-/// (disable with `MWC_CACHE=off`). Results are bit-identical either way —
-/// the cache verifies each entry's payload hash on load.
+/// per process, and the lookup goes through a persistent [`StudyCache`]
+/// configured from the environment ([`StudyCache::from_env`]), so a warm
+/// process skips simulation entirely and every binary in a session after
+/// the first starts from the on-disk entry (disable with `MWC_CACHE=off`).
+/// Results are bit-identical either way — the cache verifies each entry's
+/// payload hash on load.
 pub fn study_with(seed: u64, runs: usize) -> &'static Characterization {
     let cache = STUDIES.get_or_init(|| Mutex::new(HashMap::new()));
     let mut studies = cache.lock().expect("study cache lock poisoned");
     studies.entry((seed, runs)).or_insert_with(|| {
-        let study = StudyCache::global()
+        let study = StudyCache::from_env()
             .study(&SocConfig::snapdragon_888(), seed, runs)
             .unwrap_or_else(|e| panic!("default study failed: {e}"));
         &**Box::leak(Box::new(study))

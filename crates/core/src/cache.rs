@@ -10,19 +10,24 @@
 //! ## Layers
 //!
 //! * **Memory** — an intra-process map from cache key to shared
-//!   [`Characterization`] / [`ValidationSweep`] instances, and the
-//!   per-unit artifacts the disk layer does not hold.
+//!   [`Characterization`] instances, and the per-unit artifacts the disk
+//!   layer does not hold.
 //! * **Disk** — one file per entry under the cache directory,
-//!   `study-<key>.mwcc` / `unit-<key>.mwcc` / `sweep-<key>.mwcc`,
-//!   written atomically (temp file + rename) so readers never observe a
-//!   partial entry. A study entry is a *manifest* of the unit entries
-//!   the study was built from, so each unit profile is stored once.
+//!   `study-<key>.mwcc` / `unit-<key>.mwcc`, written atomically (temp
+//!   file + rename) so readers never observe a partial entry. A study
+//!   entry is a *manifest* of the unit entries the study was built from,
+//!   so each unit profile is stored once. Files of other names, such as
+//!   the `sweep-<key>.mwcc` entries older builds left, are never read,
+//!   counted or evicted.
+//!
+//! Nothing derived from a study is kept: figures, tables and the Fig-4
+//! sweep are pure functions of it (`crate::features`).
 //!
 //! ## Eviction
 //!
-//! `MWC_CACHE_MAX` bounds the study and sweep entries on disk. After one
-//! is written, the oldest-modified beyond the cap are deleted — never
-//! the entry just written — with the unit entries only they named. A unit
+//! `MWC_CACHE_MAX` bounds the study entries on disk. After one is
+//! written, the oldest-modified beyond the cap are deleted — never the
+//! entry just written — with the unit entries only they named. A unit
 //! entry no manifest names yet, as of a study in flight, stays until it
 //! is older than every kept entry. So a resumed sweep replays every
 //! stored point, and a one-knob change to a stored study finds the units
@@ -65,12 +70,9 @@ use std::env;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::SystemTime;
 
-use mwc_analysis::error::AnalysisError;
-use mwc_analysis::matrix::Matrix;
-use mwc_analysis::validation::{sweep as run_sweep, Algorithm, SweepPoint, ValidationSweep};
 use mwc_profiler::derive::BenchmarkMetrics;
 use mwc_profiler::faults::CaptureHealth;
 use mwc_profiler::timeseries::TimeSeries;
@@ -78,8 +80,7 @@ use mwc_soc::config::SocConfig;
 use mwc_workloads::registry::{ClusterLabel, Suite};
 
 use crate::error::PipelineError;
-use crate::features::FeatureSet;
-use crate::pipeline::{Characterization, Fnv1a, UnitProfile, UnitSeries};
+use crate::pipeline::{Characterization, UnitProfile, UnitSeries};
 use crate::spec::StudySpec;
 use crate::stages::{collect, Collected, UnitArtifact, UnitOutcome};
 
@@ -87,7 +88,7 @@ use crate::stages::{collect, Collected, UnitArtifact, UnitOutcome};
 pub const CACHE_MODE_ENV: &str = "MWC_CACHE";
 /// Overrides the on-disk cache directory.
 pub const CACHE_DIR_ENV: &str = "MWC_CACHE_DIR";
-/// Overrides the maximum number of on-disk study and sweep entries.
+/// Overrides the maximum number of on-disk study entries.
 pub const CACHE_MAX_ENV: &str = "MWC_CACHE_MAX";
 
 /// Version of the serialized entry format *and* of the data model it
@@ -96,30 +97,14 @@ pub const CACHE_MAX_ENV: &str = "MWC_CACHE_MAX";
 /// from older builds are invalidated instead of replayed.
 pub const CACHE_SCHEMA_VERSION: u32 = 4;
 
-/// Default cap on on-disk study and sweep entries.
+/// Default cap on on-disk study entries.
 const DEFAULT_MAX_ENTRIES: usize = 64;
 
 /// The magic that opens every entry frame, whatever its kind.
 const MAGIC: &[u8; 4] = b"MWCC";
 
-/// The content-addressed key of a Fig-4 validation sweep over a feature
-/// matrix (`matrix_digest` from [`Matrix::digest`]) and a k range.
-pub fn sweep_key(matrix_digest: u64, ks: &[usize]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write_str("mwc-sweep");
-    h.write_u64(u64::from(CACHE_SCHEMA_VERSION));
-    h.write_str(env!("CARGO_PKG_VERSION"));
-    h.write_u64(matrix_digest);
-    h.write_usize(ks.len());
-    for &k in ks {
-        h.write_usize(k);
-    }
-    h.finish()
-}
-
-/// Counters of what the cache did this process: for study and sweep
-/// entries from [`StudyCache::stats`], or for one [`Kind`] from
-/// [`StudyCache::stage`].
+/// Counters of what the cache did this process, from
+/// [`StudyCache::stats`] or [`StudyCache::stage`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Entries served from the in-process memory layer.
@@ -159,35 +144,26 @@ impl CacheStats {
     }
 }
 
-/// What the cache keeps: the three kinds of disk entry, plus the
-/// memory-only feature memo. Each kind is one row of the counter table;
-/// a disk kind also names its entry files and is stored in its frames.
+/// What the cache keeps: each kind is one row of the counter table and
+/// names its entry files, and its frames carry the discriminant as their
+/// kind code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
     /// Whole studies; on disk, a manifest of unit entries.
-    Study,
+    Study = 0,
     /// One unit's capture+derive artifact; a miss means it simulated.
-    Unit,
-    /// Figure-4 validation sweeps.
-    Sweep,
-    /// Feature matrices, memoized in memory by study digest.
-    Features,
+    Unit = 1,
 }
 
 impl Kind {
     /// Every kind, in counter-table order.
-    pub const ALL: [Kind; 4] = [Kind::Study, Kind::Unit, Kind::Sweep, Kind::Features];
-
-    /// The kinds with disk entries.
-    const STORED: [Kind; 3] = [Kind::Study, Kind::Unit, Kind::Sweep];
+    pub const ALL: [Kind; 2] = [Kind::Study, Kind::Unit];
 
     /// Stable lowercase name of the kind.
     pub fn name(self) -> &'static str {
         match self {
             Kind::Study => "study",
             Kind::Unit => "unit",
-            Kind::Sweep => "sweep",
-            Kind::Features => "features",
         }
     }
 }
@@ -223,7 +199,7 @@ impl Event {
 }
 
 /// Every event count, one row per [`Kind`], indexed by [`Event`].
-type Counts = [[u64; 9]; 4];
+type Counts = [[u64; 9]; 2];
 
 /// A whole-study disk entry, as listed by [`StudyCache::stored_studies`].
 #[derive(Debug)]
@@ -236,9 +212,10 @@ pub struct StoredStudy {
     pub study: Characterization,
 }
 
-/// The two-layer study/sweep cache. Most callers use [`StudyCache::global`]
-/// (configured from the environment once per process); tests construct
-/// isolated instances with [`StudyCache::with_dir`].
+/// The two-layer study cache. A binary configures its own from the
+/// environment with [`StudyCache::from_env`]; the server and tests
+/// construct theirs with [`StudyCache::with_dir`] or
+/// [`StudyCache::in_memory`].
 #[derive(Debug)]
 pub struct StudyCache {
     enabled: bool,
@@ -252,8 +229,6 @@ pub struct StudyCache {
     /// The unit artifacts the disk layer does not hold: every one without
     /// a directory, and any whose write failed.
     units: Mutex<HashMap<u64, UnitArtifact>>,
-    features: Mutex<HashMap<u64, Arc<FeatureSet>>>,
-    sweeps: Mutex<HashMap<u64, ValidationSweep>>,
     counts: Mutex<Counts>,
 }
 
@@ -266,8 +241,6 @@ impl StudyCache {
             studies: Mutex::new(HashMap::new()),
             by_digest: Mutex::new(HashMap::new()),
             units: Mutex::new(HashMap::new()),
-            features: Mutex::new(HashMap::new()),
-            sweeps: Mutex::new(HashMap::new()),
             counts: Mutex::new(Counts::default()),
         }
     }
@@ -276,7 +249,7 @@ impl StudyCache {
     /// `MWC_CACHE_DIR` overrides the directory (default:
     /// `$XDG_CACHE_HOME/mwc`, then `$HOME/.cache/mwc`, then a `mwc-cache`
     /// directory under the system temp dir), `MWC_CACHE_MAX` caps the
-    /// on-disk study and sweep entries.
+    /// on-disk study entries.
     pub fn from_env() -> Self {
         let off = env::var(CACHE_MODE_ENV)
             .map(|v| {
@@ -315,13 +288,6 @@ impl StudyCache {
         StudyCache::new(false, None, DEFAULT_MAX_ENTRIES)
     }
 
-    /// The process-wide cache, configured from the environment on first
-    /// use.
-    pub fn global() -> &'static StudyCache {
-        static GLOBAL: OnceLock<StudyCache> = OnceLock::new();
-        GLOBAL.get_or_init(StudyCache::from_env)
-    }
-
     /// Whether any caching is active.
     pub fn is_enabled(&self) -> bool {
         self.enabled
@@ -332,28 +298,24 @@ impl StudyCache {
         self.dir.as_deref()
     }
 
-    /// A snapshot of the counters: study and sweep traffic, plus the
-    /// evictions and store failures of every kind of entry.
+    /// A snapshot of the counters: study traffic, plus the evictions and
+    /// store failures of every kind of entry.
     pub fn stats(&self) -> CacheStats {
         let counts = self.counts();
-        let studies_and_sweeps = |e: Event| {
-            counts[Kind::Study as usize][e as usize] + counts[Kind::Sweep as usize][e as usize]
-        };
         let every_kind = |e: Event| counts.iter().map(|row| row[e as usize]).sum();
         CacheStats {
-            mem_hits: studies_and_sweeps(Event::MemHit),
-            disk_hits: studies_and_sweeps(Event::DiskHit),
-            misses: studies_and_sweeps(Event::Miss),
-            stores: studies_and_sweeps(Event::Store),
-            corrupt_entries: studies_and_sweeps(Event::Corrupt),
             evictions: every_kind(Event::Evicted),
             store_failures: every_kind(Event::StoreFailed),
+            ..Self::row_stats(counts[Kind::Study as usize])
         }
     }
 
     /// The counters of one kind.
     pub fn stage(&self, kind: Kind) -> CacheStats {
-        let row = self.counts()[kind as usize];
+        Self::row_stats(self.counts()[kind as usize])
+    }
+
+    fn row_stats(row: [u64; 9]) -> CacheStats {
         CacheStats {
             mem_hits: row[Event::MemHit as usize],
             disk_hits: row[Event::DiskHit as usize],
@@ -366,20 +328,16 @@ impl StudyCache {
     }
 
     /// One-line machine-greppable per-stage rendering (used by
-    /// `scripts/verify.sh`'s incremental gate), read from the unit and
-    /// feature rows: `sims=` counts units whose simulation actually
-    /// executed this process, `reused=` counts units replayed from their
-    /// artifacts.
+    /// `scripts/verify.sh`'s incremental gate), read from the unit row:
+    /// `sims=` counts units whose simulation actually executed this
+    /// process, `reused=` counts units replayed from their artifacts.
     pub fn stage_summary(&self) -> String {
         let unit = self.stage(Kind::Unit);
-        let featurize = self.stage(Kind::Features);
         format!(
-            "sims={} reused={} derive_stores={} featurize_hits={} featurize_misses={}",
+            "sims={} reused={} derive_stores={}",
             unit.misses,
             unit.hits(),
-            unit.stores,
-            featurize.hits(),
-            featurize.misses
+            unit.stores
         )
     }
 
@@ -503,62 +461,6 @@ impl StudyCache {
             .cloned()
     }
 
-    /// The feature matrices derived from `study`, memoized in memory and
-    /// keyed by [`Characterization::digest`] — the featurize stage's
-    /// content address. Matrices are cheap relative to simulation, so no
-    /// disk layer; the memo collapses the many per-figure/table
-    /// extractions of one study into a single computation.
-    pub fn features(&self, study: &Characterization) -> Result<Arc<FeatureSet>, AnalysisError> {
-        if !self.enabled {
-            return Ok(Arc::new(crate::features::featurize(study)?));
-        }
-        let digest = study.digest();
-        if let Some(hit) = self.recall(Kind::Features, &self.features, digest) {
-            return Ok(hit);
-        }
-        self.count(Kind::Features, Event::Miss, 1);
-        let mut span = mwc_obs::span("stage.featurize");
-        span.field("study", digest);
-        let set = Arc::new(crate::features::featurize(study)?);
-        self.features
-            .lock()
-            .expect("feature cache lock poisoned")
-            .insert(digest, Arc::clone(&set));
-        Ok(set)
-    }
-
-    /// The Fig-4 validation sweep over `m` and `ks`, served from the cache
-    /// when warm. Falls back to [`mwc_analysis::validation::sweep`] on a
-    /// miss and persists the (small) result.
-    pub fn sweep(&self, m: &Matrix, ks: &[usize]) -> Result<ValidationSweep, AnalysisError> {
-        if !self.enabled {
-            return run_sweep(m, ks);
-        }
-        let key = sweep_key(m.digest(), ks);
-        let mut span = mwc_obs::span("cache.sweep");
-        span.field("key", key);
-        if let Some(hit) = self.recall(Kind::Sweep, &self.sweeps, key) {
-            return Ok(hit);
-        }
-        let s = match self.read(key) {
-            Some((s, _)) => {
-                self.count(Kind::Sweep, Event::DiskHit, 1);
-                s
-            }
-            None => {
-                self.count(Kind::Sweep, Event::Miss, 1);
-                let s = run_sweep(m, ks)?;
-                self.store(key, &s);
-                s
-            }
-        };
-        self.sweeps
-            .lock()
-            .expect("sweep cache lock poisoned")
-            .insert(key, s.clone());
-        Ok(s)
-    }
-
     /// Every whole-study entry in the disk layer, oldest first, each
     /// rebuilt from the unit entries its manifest names. A study is
     /// listed only if every one of them verifies and carries the check
@@ -651,7 +553,7 @@ impl StudyCache {
                 let e = e.ok()?;
                 let name = e.file_name();
                 let (kind, hex) = name.to_str()?.strip_suffix(".mwcc")?.split_once('-')?;
-                let kind = Kind::STORED.into_iter().find(|k| k.name() == kind)?;
+                let kind = Kind::ALL.into_iter().find(|k| k.name() == kind)?;
                 let key = u64::from_str_radix(hex, 16).ok()?;
                 Some((kind, key, e.metadata().ok()?.modified().ok()?, e.path()))
             })
@@ -675,7 +577,7 @@ impl StudyCache {
     }
 
     /// Write `value` as the `T` entry under `key`, and return its frame
-    /// check; after a study or sweep entry, evict past the entry cap.
+    /// check; after a study entry, evict past the entry cap.
     /// Failure is counted and degrades to "not cached" — the computed
     /// result is unaffected.
     ///
@@ -713,16 +615,16 @@ impl StudyCache {
         }
         self.count(T::KIND, Event::Store, 1);
         self.count(T::KIND, Event::BytesWritten, bytes.len() as u64);
-        if T::KIND != Kind::Unit {
+        if T::KIND == Kind::Study {
             self.evict_excess(&path);
         }
         Some(le_word(&bytes[HEADER_LEN - 8..]))
     }
 
-    /// Past `max_entries` study and sweep entries, delete the oldest —
-    /// never `written`, whose store started this pass, whatever a coarse
-    /// or skewed clock says — and the unit entries only they named, then
-    /// the unnamed ones older than every kept entry (see the module docs).
+    /// Past `max_entries` study entries, delete the oldest — never
+    /// `written`, whose store started this pass, whatever a coarse or
+    /// skewed clock says — and the unit entries only they named, then the
+    /// unnamed ones older than every kept entry (see the module docs).
     fn evict_excess(&self, written: &Path) {
         let (units, mut kept): (Vec<_>, Vec<_>) = self
             .entry_files()
@@ -956,34 +858,6 @@ impl Entry for UnitArtifact {
             UNIT_TAG_PROFILED => Some(UnitArtifact::Profiled(Arc::new(decode_profile(d)?))),
             _ => None,
         }
-    }
-}
-
-impl Entry for ValidationSweep {
-    const KIND: Kind = Kind::Sweep;
-
-    fn encode(&self, e: &mut Enc) {
-        e.list(&self.points, |e, p| {
-            e.u32(code(&Algorithm::ALL, &p.algorithm));
-            e.usize(p.k);
-            for v in [p.dunn, p.silhouette, p.apn, p.ad] {
-                e.f64(v);
-            }
-        });
-    }
-
-    fn decode(d: &mut Dec<'_>) -> Option<Self> {
-        let points = d.list(|d| {
-            Some(SweepPoint {
-                algorithm: *Algorithm::ALL.get(d.u32()? as usize)?,
-                k: d.usize()?,
-                dunn: d.f64()?,
-                silhouette: d.f64()?,
-                apn: d.f64()?,
-                ad: d.f64()?,
-            })
-        })?;
-        Some(ValidationSweep { points })
     }
 }
 
@@ -1415,29 +1289,6 @@ mod tests {
         listed.remove(0).study
     }
 
-    fn tiny_sweep() -> ValidationSweep {
-        ValidationSweep {
-            points: vec![
-                SweepPoint {
-                    algorithm: Algorithm::KMeans,
-                    k: 2,
-                    dunn: 0.5,
-                    silhouette: 0.6,
-                    apn: 0.1,
-                    ad: 1.5,
-                },
-                SweepPoint {
-                    algorithm: Algorithm::Hierarchical,
-                    k: 5,
-                    dunn: 0.9,
-                    silhouette: 0.7,
-                    apn: 0.05,
-                    ad: 1.1,
-                },
-            ],
-        }
-    }
-
     /// Reads `bytes` as a frame of `T`: `Some(true)` if it decodes to
     /// exactly the value framed in `clean` (re-encoding gives `clean`
     /// back bit for bit), `Some(false)` if it decodes to anything else,
@@ -1450,7 +1301,7 @@ mod tests {
 
     /// One clean frame of each kind the disk layer keeps, under `key`,
     /// with its reader.
-    fn sample_frames(key: u64) -> [(&'static str, Vec<u8>, Reader); 4] {
+    fn sample_frames(key: u64) -> [(&'static str, Vec<u8>, Reader); 3] {
         let study = tiny_study();
         let profiled = UnitArtifact::Profiled(Arc::new(study.profiles()[1].clone()));
         let failed = UnitArtifact::Failed("capture of 'Unit A' exhausted".to_owned());
@@ -1478,11 +1329,6 @@ mod tests {
             ),
             ("profiled unit", write_frame(key, &profiled), unit),
             ("failed unit", write_frame(key, &failed), unit),
-            (
-                "sweep",
-                write_frame(key, &tiny_sweep()),
-                reads_back::<ValidationSweep>,
-            ),
         ]
     }
 
@@ -1553,18 +1399,16 @@ mod tests {
         let key = 5;
         cache.store_unit_artifact(key, &UnitArtifact::Failed("boom".to_owned()));
         let unit = cache.entry_path(Kind::Unit, key).expect("disk layer");
-        for kind in [Kind::Sweep, Kind::Study] {
-            fs::copy(&unit, cache.entry_path(kind, key).expect("disk layer")).expect("copy");
-        }
-        assert!(
-            cache.read::<ValidationSweep>(key).is_none(),
-            "unit frame read as a sweep"
-        );
+        fs::copy(
+            &unit,
+            cache.entry_path(Kind::Study, key).expect("disk layer"),
+        )
+        .expect("copy");
         assert!(
             cache.read::<Manifest>(key).is_none(),
             "unit frame read as a manifest"
         );
-        assert_eq!(cache.stats().corrupt_entries, 2);
+        assert_eq!(cache.stats().corrupt_entries, 1);
         assert_eq!(cache.stats().disk_hits, 0);
         assert!(
             cache.read::<UnitArtifact>(key).is_some(),
@@ -1705,15 +1549,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_key_changes_with_matrix_and_ks() {
-        let base = sweep_key(1, &[2, 3, 4]);
-        assert_eq!(base, sweep_key(1, &[2, 3, 4]));
-        assert_ne!(base, sweep_key(2, &[2, 3, 4]));
-        assert_ne!(base, sweep_key(1, &[2, 3]));
-        assert_ne!(base, sweep_key(1, &[2, 4, 3]), "k order is keyed");
-    }
-
-    #[test]
     fn disk_layer_roundtrips_and_treats_corruption_as_miss() {
         let tmp = TempDir::new();
         let cache = StudyCache::with_dir(&tmp.0);
@@ -1821,6 +1656,35 @@ mod tests {
             .map(|s| s.key)
             .collect();
         assert_eq!(kept, vec![2], "the entry just written still loads");
+    }
+
+    #[test]
+    fn a_sweep_entry_left_by_an_older_build_is_never_evicted_or_counted() {
+        let tmp = TempDir::new();
+        let mut cache = StudyCache::with_dir(&tmp.0);
+        cache.max_entries = 1;
+        // Older builds also stored Fig-4 sweeps, as frames of kind 2 under
+        // `sweep-<key>.mwcc`, and counted them against the cap.
+        let mut frame = write_frame(
+            7,
+            &Manifest {
+                digest: 0,
+                units: Vec::new(),
+            },
+        );
+        frame[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let old_sweep = tmp.0.join(format!("sweep-{:016x}.mwcc", 7));
+        fs::write(&old_sweep, frame).expect("older build's sweep entry");
+
+        store_study(&cache, 1, &uniform_study(1), &[10]);
+        assert!(old_sweep.exists(), "a foreign name is left in place");
+        assert_eq!(cache.stats().evictions, 0);
+        assert!(cache
+            .entry_path(Kind::Unit, 10)
+            .expect("disk layer")
+            .exists());
+        let kept = StudyCache::with_dir(&tmp.0).stored_studies();
+        assert_eq!(kept.len(), 1, "the study and its unit entry still load");
     }
 
     /// A fault plan that only jitters, so a unit under it always succeeds.

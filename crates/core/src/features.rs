@@ -2,10 +2,9 @@
 //!
 //! Extraction is the *featurize* stage of the study graph: every figure,
 //! table and subset evaluation consumes these matrices rather than raw
-//! profiles. [`featurize`] bundles them into a [`FeatureSet`] that
-//! [`crate::cache::StudyCache::features`] memoizes by study digest, so
-//! analysis-only callers never recompute them and — with warm stage
-//! artifacts — never simulate either.
+//! profiles. [`featurize`] bundles them into a [`FeatureSet`], a pure
+//! function of the study that costs microseconds, so each analysis calls
+//! it afresh instead of keeping it anywhere.
 
 use mwc_analysis::error::AnalysisError;
 use mwc_analysis::matrix::Matrix;
@@ -44,12 +43,9 @@ pub const CLUSTERING_FEATURES: [&str; 11] = [
 ];
 
 /// Every feature matrix derived from one study — the output artifact of
-/// the featurize stage, content-addressed by the study digest it was
-/// extracted from.
+/// the featurize stage.
 #[derive(Debug, Clone)]
 pub struct FeatureSet {
-    /// Digest of the study the matrices were extracted from.
-    pub study_digest: u64,
     /// The raw Figure-1 matrix ([`fig1_matrix`]).
     pub fig1: Matrix,
     /// The raw clustering matrix ([`clustering_matrix_raw`]).
@@ -63,7 +59,6 @@ pub struct FeatureSet {
 /// Run the featurize stage: extract every matrix in one pass.
 pub fn featurize(study: &Characterization) -> Result<FeatureSet, AnalysisError> {
     Ok(FeatureSet {
-        study_digest: study.digest(),
         fig1: fig1_matrix(study)?,
         clustering_raw: clustering_matrix_raw(study)?,
         clustering: clustering_matrix(study)?,
@@ -229,7 +224,6 @@ mod tests {
     fn featurize_bundles_every_matrix() {
         let s = study();
         let set = featurize(&s).expect("18 profiled units");
-        assert_eq!(set.study_digest, s.digest());
         assert_eq!(set.fig1.digest(), fig1_matrix(&s).expect("fig1").digest());
         assert_eq!(
             set.clustering.digest(),

@@ -3,10 +3,10 @@
 use mwc_analysis::cluster::{hierarchical, Clustering, Dendrogram, Linkage};
 use mwc_analysis::error::AnalysisError;
 use mwc_analysis::subset::incremental_distances;
-use mwc_analysis::validation::ValidationSweep;
+use mwc_analysis::validation::{sweep, ValidationSweep};
 use mwc_profiler::timeseries::TimeSeries;
 
-use crate::cache::StudyCache;
+use crate::features::featurize;
 use crate::pipeline::Characterization;
 use crate::subsets::Subset;
 
@@ -165,31 +165,27 @@ pub fn fig4(study: &Characterization) -> Result<ValidationSweep, AnalysisError> 
     fig4_range(study, 2, 6)
 }
 
-/// Figure 4 over a custom cluster-count range (inclusive). Served from
-/// the process-wide [`StudyCache`] keyed by the feature matrix digest, so
-/// repeated sweeps over the same study warm-start.
+/// Figure 4 over a custom cluster-count range (inclusive), swept over
+/// the normalized clustering matrix.
 pub fn fig4_range(
     study: &Characterization,
     k_min: usize,
     k_max: usize,
 ) -> Result<ValidationSweep, AnalysisError> {
-    let features = StudyCache::global().features(study)?;
     let ks: Vec<usize> = (k_min..=k_max).collect();
-    StudyCache::global().sweep(&features.clustering, &ks)
+    sweep(&featurize(study)?.clustering, &ks)
 }
 
 /// Figure 5: the hierarchical clustering dendrogram (Ward linkage) over
 /// the normalized feature matrix.
 pub fn fig5(study: &Characterization) -> Result<Dendrogram, AnalysisError> {
-    let features = StudyCache::global().features(study)?;
-    hierarchical(&features.clustering, Linkage::Ward)
+    hierarchical(&featurize(study)?.clustering, Linkage::Ward)
 }
 
 /// Figure 6: the k-means clustering at k = 5 (PAM produces the same
 /// partition; see the paper's §VI-A).
 pub fn fig6(study: &Characterization) -> Result<Clustering, AnalysisError> {
-    let features = StudyCache::global().features(study)?;
-    mwc_analysis::cluster::kmeans(&features.clustering, 5, 42)
+    mwc_analysis::cluster::kmeans(&featurize(study)?.clustering, 5, 42)
 }
 
 /// Figure 7: the incremental total-minimum-Euclidean-distance curves for
@@ -200,7 +196,7 @@ pub fn fig7(
     study: &Characterization,
     subsets: &[Subset],
 ) -> Result<Vec<(String, Vec<f64>)>, AnalysisError> {
-    let features = StudyCache::global().features(study)?;
+    let features = featurize(study)?;
     Ok(subsets
         .iter()
         .map(|s| {

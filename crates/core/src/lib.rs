@@ -7,7 +7,8 @@
 //! * [`pipeline`] — run every characterization unit on the simulated
 //!   Snapdragon-888 platform, three runs averaged, and collect profiles;
 //! * [`features`] — the Figure-1 metric vectors and the clustering feature
-//!   matrix;
+//!   matrix, from which every figure, table and subset below is a pure
+//!   function of the study;
 //! * [`observations`] — the paper's nine numbered observations as
 //!   checkable predicates over the profiles;
 //! * [`tables`] — Tables III (metric correlations), V (load-level
@@ -18,10 +19,11 @@
 //! * [`spec`] — the typed [`StudySpec`] driving the staged pipeline:
 //!   seed, runs, platform, fault model (with per-unit overrides) and
 //!   unit selection;
-//! * [`cache`] — a persistent, content-addressed cache of study, per-unit
-//!   stage and sweep results, so warm runs skip simulation entirely, a
-//!   one-unit change re-simulates only that unit, and an interrupted
-//!   sweep resumes from its finished points.
+//! * [`cache`] — a persistent, content-addressed cache of studies and
+//!   their per-unit stage results, so warm runs skip simulation entirely,
+//!   a one-unit change re-simulates only that unit, and an interrupted
+//!   sweep resumes from its finished points. Nothing derived from a study
+//!   is cached: the analysis modules above touch no cache.
 //!
 //! Every study runs in-process: the per-unit stage fans out over the
 //! `mwc_parallel` worker pool, bit-identical at any thread count.

@@ -4,7 +4,7 @@ use mwc_analysis::cluster::Clustering;
 use mwc_analysis::error::AnalysisError;
 use mwc_analysis::subset::{fastest_per_cluster, runtime_reduction, total_min_euclidean};
 
-use crate::cache::StudyCache;
+use crate::features::featurize;
 use crate::pipeline::Characterization;
 
 /// The three reduced sets the paper proposes.
@@ -97,9 +97,8 @@ impl Subset {
     /// max-normalized representativeness matrix (Figure 7). Fails with
     /// [`AnalysisError::EmptyStudy`] on a fully degraded study.
     pub fn representativeness(&self, study: &Characterization) -> Result<f64, AnalysisError> {
-        let features = StudyCache::global().features(study)?;
         Ok(total_min_euclidean(
-            &features.representativeness,
+            &featurize(study)?.representativeness,
             &self.indices,
         ))
     }

@@ -7,16 +7,14 @@ use mwc_analysis::stats::correlation_matrix;
 use mwc_report::heat::level_histogram;
 use mwc_report::table::{fmt, Table};
 
-use crate::cache::StudyCache;
-use crate::features::FIG1_METRICS;
+use crate::features::{featurize, FIG1_METRICS};
 use crate::pipeline::Characterization;
 use crate::subsets::{naive_subset, select_plus_gpu_subset, select_subset, Subset};
 
 /// Table III: the Pearson correlation matrix of the five Figure-1 metrics.
 /// Fails with [`AnalysisError::EmptyStudy`] on a fully degraded study.
 pub fn table3_matrix(study: &Characterization) -> Result<Matrix, AnalysisError> {
-    let features = StudyCache::global().features(study)?;
-    Ok(correlation_matrix(&features.fig1))
+    Ok(correlation_matrix(&featurize(study)?.fig1))
 }
 
 /// Render Table III as text (lower triangle, as the paper prints it).

@@ -487,20 +487,18 @@ impl Telemetry {
         workers_total: usize,
     ) -> String {
         let now = self.now_ms();
-        let (latency, responses, errors, sheds, hits, lookups) = {
+        // One snapshot, so the rate and the counts cover the same requests.
+        let (latency, responses, rps, errors, sheds, hits, lookups) = {
             let r = self.rolling.lock().expect("rolling metrics lock poisoned");
             (
                 r.latency_ns.merged_at(now),
                 r.responses.total_at(now),
+                r.responses.rate_at(now),
                 r.errors.total_at(now),
                 r.sheds.total_at(now),
                 r.cache_hits.total_at(now),
                 r.cache_lookups.total_at(now),
             )
-        };
-        let rps = {
-            let r = self.rolling.lock().expect("rolling metrics lock poisoned");
-            r.responses.rate_at(now)
         };
         let p50 = latency.quantile(0.50).unwrap_or(0.0);
         let p99 = latency.quantile(0.99).unwrap_or(0.0);

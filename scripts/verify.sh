@@ -61,9 +61,30 @@ echo "==> cargo test -q --workspace"
 cargo test -q --workspace || exit $?
 
 # Tier-1 must pass under any thread count; the run above uses the
-# default (available parallelism), this one a single worker.
-echo "==> cargo test -q at MWC_THREADS=1"
-MWC_THREADS=1 cargo test -q || exit $?
+# default (available parallelism), this one a single worker. It also
+# checks that tier-1 writes nothing outside target/ and its own temp
+# dirs: HOME and XDG_CACHE_HOME point at a fresh empty directory, which
+# must still be empty afterwards. CARGO_HOME and RUSTUP_HOME are pinned
+# first so cargo still finds the toolchain, and the cache knobs are unset
+# so a default cache directory would land in the empty one.
+echo "==> cargo test -q at MWC_THREADS=1 (HOME and XDG_CACHE_HOME on an empty dir)"
+empty_home="$PWD/target/verify-empty-home"
+cargo_home="${CARGO_HOME:-$HOME/.cargo}"
+rustup_home="${RUSTUP_HOME:-$HOME/.rustup}"
+rm -rf "$empty_home"
+mkdir -p "$empty_home" || exit 1
+(
+    unset MWC_CACHE MWC_CACHE_DIR
+    CARGO_HOME="$cargo_home" RUSTUP_HOME="$rustup_home" HOME="$empty_home" \
+        XDG_CACHE_HOME="$empty_home/xdg" MWC_THREADS=1 cargo test -q
+) || exit $?
+left_behind=$(cd "$empty_home" && find . -mindepth 1 | sed 's|^\./||')
+if [ -n "$left_behind" ]; then
+    echo "error: tier-1 wrote outside target/ and its temp dirs (under HOME or XDG_CACHE_HOME):" >&2
+    printf '%s\n' "$left_behind" >&2
+    exit 1
+fi
+rm -rf "$empty_home"
 
 echo "==> races (incremental + observability x20, telemetry + server_robustness x10, release)"
 # Tests in one binary run concurrently, each study under its own mwc-obs
@@ -137,7 +158,7 @@ if [ "$found_entry" -eq 0 ]; then
 fi
 # The study entry is a manifest of its 18 unit entries, so each unit
 # profile is stored once: the manifest stays under 4 KiB, and the 18 unit
-# entries, the manifest and the Fig-4 sweep entry together under 4.4 MB.
+# entries and the manifest together under 4.4 MB.
 study_bytes=$(cat "$cache_dir"/study-*.mwcc | wc -c | tr -d ' ')
 total_bytes=$(cat "$cache_dir"/*.mwcc | wc -c | tr -d ' ')
 if [ "$study_bytes" -ge 4096 ] || [ "$total_bytes" -ge 4400000 ]; then
@@ -265,27 +286,40 @@ if [ "$digest_flip" != "$digest_cold_flip" ]; then
     exit 1
 fi
 
-# Starvation gate: with the cap at 3 study and sweep entries, the cold
-# run's study and sweep entries leave room for one more, yet the flipped
-# run must still find the 17 unit entries it shares with the cold study.
+# Starvation gate: the cap counts study entries only, so at one study
+# the cold run's manifest fills it. Each later run stores its own
+# manifest and evicts the previous one with the one unit entry only that
+# manifest named (evictions=2), keeping the 17 unit entries both studies
+# share: the flipped run and a repeat of the cold run each simulate one
+# unit and reach their cold digests.
 starve_dir="target/verify-starve"
 rm -rf "$starve_dir"
-MWC_CACHE_MAX=3 MWC_CACHE_DIR="$starve_dir" ./target/release/profile >/dev/null || exit 1
-starve_out=$(MWC_CACHE_MAX=3 MWC_CACHE_DIR="$starve_dir" ./target/release/profile \
-    --spec-file "$incr_spec") || exit 1
-digest_starve=$(printf '%s\n' "$starve_out" | awk '/^study digest:/ { print $3 }')
-starve_stages=$(printf '%s\n' "$starve_out" | awk '/^stage stats:/ { print $3, $4 }')
-if [ "$starve_stages" != "sims=1 reused=17" ] || [ "$digest_starve" != "$digest_cold_flip" ]; then
-    echo "error: under MWC_CACHE_MAX=3 the one-knob change printed ${starve_stages:-no stage stats}, digest ${digest_starve:-?} (want sims=1 reused=17, digest $digest_cold_flip)" >&2
-    exit 1
-fi
+# Run `profile` at cap 1 with arguments "$@"; fail unless it prints
+# sims=1 reused=17, evictions=2 and the digest in $want_digest.
+starved_run() {
+    out=$(MWC_CACHE_MAX=1 MWC_CACHE_DIR="$starve_dir" ./target/release/profile "$@") || return 1
+    digest=$(printf '%s\n' "$out" | awk '/^study digest:/ { print $3 }')
+    stages=$(printf '%s\n' "$out" | awk '/^stage stats:/ { print $3, $4 }')
+    evictions=$(printf '%s\n' "$out" \
+        | awk '/^cache stats:/ { for (i = 1; i <= NF; i++) if (sub("^evictions=", "", $i)) print $i }')
+    if [ "$stages" != "sims=1 reused=17" ] || [ "$evictions" != "2" ] \
+        || [ "$digest" != "$want_digest" ]; then
+        echo "error: under MWC_CACHE_MAX=1, profile $* printed ${stages:-no stage stats}, evictions=${evictions:-?}, digest ${digest:-?} (want sims=1 reused=17, evictions=2, digest $want_digest)" >&2
+        return 1
+    fi
+}
+MWC_CACHE_MAX=1 MWC_CACHE_DIR="$starve_dir" ./target/release/profile >/dev/null || exit 1
+want_digest="$digest_cold_flip"
+starved_run --spec-file "$incr_spec" || exit 1
+want_digest="$pinned_digest"
+starved_run || exit 1
 rm -rf "$incr_dir" "$incr_cold_dir" "$incr_spec" "$starve_dir"
-echo "    one-knob change: sims=$flip_sims reused=$flip_reused; digest matches cold run ($digest_flip); the same under MWC_CACHE_MAX=3 ($starve_stages)"
+echo "    one-knob change: sims=$flip_sims reused=$flip_reused; digest matches cold run ($digest_flip); under MWC_CACHE_MAX=1 the flip and a repeated cold run each gave sims=1 reused=17, evictions=2 and their cold digests"
 
 echo "==> resumable sweep gate (interrupt, then resume from the result cache)"
 # A 6-point sweep over the full registry writes 6 study entries, each a
 # manifest of its 18 unit entries. The cap (MWC_CACHE_MAX, default 64)
-# counts study and sweep entries, so every point stays. Interrupted after
+# counts study entries, so every point stays. Interrupted after
 # 5 points and re-run, the sweep must replay those 5 from their manifests
 # and unit entries and simulate only the sixth (soc_runs = 18 units x 1
 # run), with the sweep digest of a clean uncached sweep.

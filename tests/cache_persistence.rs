@@ -12,7 +12,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use mwc_analysis::matrix::Matrix;
 use mwc_core::cache::StudyCache;
 use mwc_core::pipeline::Characterization;
 use mwc_core::StudySpec;
@@ -203,27 +202,4 @@ fn disabled_cache_computes_identical_results_without_touching_disk() {
 
 fn cfg_default() -> SocConfig {
     SocConfig::snapdragon_888()
-}
-
-#[test]
-fn sweep_results_persist_across_instances() {
-    let tmp = TempDir::new();
-    let m = Matrix::from_rows(&[
-        vec![0.0, 0.1],
-        vec![1.0, 0.9],
-        vec![0.2, 0.1],
-        vec![0.9, 1.0],
-    ])
-    .expect("matrix");
-    let ks = [2, 3];
-
-    let cold = StudyCache::with_dir(&tmp.0);
-    let first = cold.sweep(&m, &ks).expect("cold sweep");
-    assert_eq!(cold.stats().misses, 1);
-    assert_eq!(cold.stats().stores, 1);
-
-    let warm = StudyCache::with_dir(&tmp.0);
-    let second = warm.sweep(&m, &ks).expect("warm sweep");
-    assert_eq!(warm.stats().disk_hits, 1);
-    assert_eq!(first, second, "sweep round-trips exactly");
 }

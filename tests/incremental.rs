@@ -15,6 +15,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mwc_core::cache::{Kind, StudyCache};
+use mwc_core::features::featurize;
+use mwc_core::figures;
 use mwc_core::pipeline::Characterization;
 use mwc_core::StudySpec;
 use mwc_obs::{Collector, Value};
@@ -153,17 +155,16 @@ fn analysis_only_change_runs_with_zero_simulation() {
     }
 
     // Same spec in a fresh instance: the study's manifest and the 18 unit
-    // entries it names satisfy the request, and featurization reuses the
-    // memoized bundle — no engine runs anywhere.
+    // entries it names satisfy the request, and the analysis is computed
+    // from the study alone — no engine runs anywhere.
     let warm = StudyCache::with_dir(&tmp.0);
     let collector = Collector::default();
-    let (first, second) = {
+    {
         let _entered = collector.enter();
         let study = warm.study_spec(&base).expect("warm study");
-        let first = warm.features(&study).expect("featurize");
-        let second = warm.features(&study).expect("memoized featurize");
-        (first, second)
-    };
+        featurize(&study).expect("featurize");
+        figures::fig4(&study).expect("Fig-4 sweep");
+    }
 
     assert!(
         !collector.metrics().iter().any(|(n, _)| n == "soc.runs"),
@@ -175,14 +176,6 @@ fn analysis_only_change_runs_with_zero_simulation() {
     assert_eq!(unit.disk_hits, 18, "every unit is read from its entry");
     assert_eq!(unit.misses, 0, "and none recomputes");
     assert_eq!(unit.stores, 0);
-
-    let featurize = warm.stage(Kind::Features);
-    assert_eq!(featurize.misses, 1, "first featurization computes");
-    assert_eq!(featurize.mem_hits, 1, "second featurization is memoized");
-    assert!(
-        std::sync::Arc::ptr_eq(&first, &second),
-        "memoized featurization returns the same bundle"
-    );
 }
 
 /// Three units and one run per sweep point keep each simulation short.

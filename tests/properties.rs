@@ -580,21 +580,6 @@ proptest! {
         prop_assert_ne!(key, study_key(&cfg, seed, runs, &flaky));
     }
 
-    #[test]
-    fn sweep_key_is_deterministic_and_input_sensitive(
-        digest in 0u64..u64::MAX,
-        ks in prop::collection::vec(2usize..12, 1..6),
-    ) {
-        use mwc_core::cache::sweep_key;
-
-        let key = sweep_key(digest, &ks);
-        prop_assert_eq!(key, sweep_key(digest, &ks));
-        prop_assert_ne!(key, sweep_key(digest ^ 1, &ks));
-        let mut longer = ks.clone();
-        longer.push(99);
-        prop_assert_ne!(key, sweep_key(digest, &longer));
-    }
-
     // ---------- stage-graph keys (pure digests: cheap, no simulation) ----------
 
     #[test]
