@@ -12,6 +12,7 @@
 //!    benchmarks' low IPC to texture pressure in the shared caches; an
 //!    oversized SLC makes the effect vanish.
 use mwc_core::observations::check_all;
+use mwc_core::StudyCache;
 use mwc_profiler::capture::{Profiler, SeriesKey};
 use mwc_soc::cache::CacheConfig;
 use mwc_soc::config::SocConfig;
@@ -108,7 +109,7 @@ fn run() -> Result<(), mwc_core::PipelineError> {
     println!("  (the low graphics IPC the paper reports is a contention effect, not intrinsic)");
 
     mwc_bench::header("Ablation 4: full observation suite under the default stack");
-    let study = mwc_bench::study_with(mwc_bench::DEFAULT_SEED, 1);
+    let study = mwc_bench::study_with(&StudyCache::from_env(), mwc_bench::DEFAULT_SEED, 1);
     let holds = check_all(study).iter().filter(|o| o.holds).count();
     println!("  observations holding under EAS + schedutil: {holds}/9");
     Ok(())

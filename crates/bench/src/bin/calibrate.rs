@@ -4,13 +4,14 @@ use mwc_analysis::cluster::Clustering;
 use mwc_core::features::{clustering_matrix, CLUSTERING_FEATURES};
 use mwc_core::figures;
 use mwc_core::observations;
+use mwc_core::StudyCache;
 
 fn main() {
     mwc_bench::run_or_exit(run);
 }
 
 fn run() -> Result<(), mwc_core::PipelineError> {
-    let study = mwc_bench::study_with(mwc_bench::DEFAULT_SEED, 1);
+    let study = mwc_bench::study_with(&StudyCache::from_env(), mwc_bench::DEFAULT_SEED, 1);
     println!("{:<26} {:>10} {:>6} {:>7} {:>7} {:>7} | {:>5} {:>5} {:>5} | {:>5} {:>5} {:>5} {:>5} {:>5} {:>6}",
         "unit","IC(bn)","IPC","cMPKI","bMPKI","run(s)","lit","mid","big","gpu","shad","bus","aie","mem","store");
     for p in study.profiles() {

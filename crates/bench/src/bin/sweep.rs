@@ -18,6 +18,7 @@ use std::time::Instant;
 use mwc_bench::{header, run_or_exit};
 use mwc_core::{StudyCache, StudySpec};
 use mwc_soc::config::SocConfig;
+use mwc_soc::digest::Fnv1a;
 
 struct Args {
     seeds: u64,
@@ -149,14 +150,11 @@ fn main() {
             );
         }
 
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for d in &digests {
-            for b in d.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+        let mut h = Fnv1a::new();
+        for &d in &digests {
+            h.write_u64(d);
         }
-        println!("sweep digest: {h:016x}");
+        println!("sweep digest: {:016x}", h.finish());
         println!(
             "sweep stats: points={} computed={computed} replayed={replayed} soc_runs={} elapsed_ms={}",
             digests.len(),

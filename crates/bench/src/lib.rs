@@ -28,25 +28,29 @@ pub const DEFAULT_SEED: u64 = 2024;
 
 static STUDIES: OnceLock<Mutex<HashMap<(u64, usize), &'static Characterization>>> = OnceLock::new();
 
-/// The shared default study instance — seed 2024, three runs per unit
-/// (computed once per process).
+/// The shared default study instance — seed 2024, three runs per unit —
+/// through the result cache the environment configures
+/// ([`StudyCache::from_env`]).
 pub fn study() -> &'static Characterization {
-    study_with(DEFAULT_SEED, mwc_profiler::capture::PAPER_RUNS)
+    study_with(
+        &StudyCache::from_env(),
+        DEFAULT_SEED,
+        mwc_profiler::capture::PAPER_RUNS,
+    )
 }
 
 /// A shared study on the default platform (Snapdragon 888) with an
 /// explicit `(seed, runs)` protocol. Each distinct pair is computed once
-/// per process, and the lookup goes through a persistent [`StudyCache`]
-/// configured from the environment ([`StudyCache::from_env`]), so a warm
-/// process skips simulation entirely and every binary in a session after
-/// the first starts from the on-disk entry (disable with `MWC_CACHE=off`).
-/// Results are bit-identical either way — the cache verifies each entry's
-/// payload hash on load.
-pub fn study_with(seed: u64, runs: usize) -> &'static Characterization {
-    let cache = STUDIES.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut studies = cache.lock().expect("study cache lock poisoned");
+/// per process, through `cache` on the first call: the binaries pass
+/// [`StudyCache::from_env`], so a warm process skips simulation entirely
+/// and every binary in a session after the first starts from the on-disk
+/// entry (disable with `MWC_CACHE=off`). Results are bit-identical either
+/// way — the cache verifies each entry's payload hash on load.
+pub fn study_with(cache: &StudyCache, seed: u64, runs: usize) -> &'static Characterization {
+    let studies = STUDIES.get_or_init(|| Mutex::new(HashMap::new()));
+    let mut studies = studies.lock().expect("study cache lock poisoned");
     studies.entry((seed, runs)).or_insert_with(|| {
-        let study = StudyCache::from_env()
+        let study = cache
             .study(&SocConfig::snapdragon_888(), seed, runs)
             .unwrap_or_else(|e| panic!("default study failed: {e}"));
         &**Box::leak(Box::new(study))
@@ -86,10 +90,34 @@ pub fn header(title: &str) {
 mod tests {
     use super::*;
 
+    /// A cache on a throwaway directory of its own, removed on drop, so
+    /// the tests never write to the user's cache.
+    struct TempCache {
+        dir: std::path::PathBuf,
+        cache: StudyCache,
+    }
+
+    impl TempCache {
+        fn new(name: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!("mwc-bench-{name}-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).expect("temp dir creation");
+            let cache = StudyCache::with_dir(&dir);
+            TempCache { dir, cache }
+        }
+    }
+
+    impl Drop for TempCache {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
     #[test]
     fn study_is_cached_and_complete() {
-        let a = study();
-        let b = study();
+        let tmp = TempCache::new("paper");
+        let runs = mwc_profiler::capture::PAPER_RUNS;
+        let a = study_with(&tmp.cache, DEFAULT_SEED, runs);
+        let b = study_with(&tmp.cache, DEFAULT_SEED, runs);
         assert!(
             std::ptr::eq(a, b),
             "the cache returns one study per protocol"
@@ -99,12 +127,14 @@ mod tests {
 
     #[test]
     fn study_with_caches_per_protocol() {
-        let a = study_with(DEFAULT_SEED, 1);
-        let b = study_with(DEFAULT_SEED, 1);
+        let tmp = TempCache::new("protocols");
+        let a = study_with(&tmp.cache, DEFAULT_SEED, 1);
+        let b = study_with(&tmp.cache, DEFAULT_SEED, 1);
         assert!(std::ptr::eq(a, b), "same (seed, runs) shares one study");
         assert_eq!(a.profiles().len(), 18);
+        let c = study_with(&tmp.cache, DEFAULT_SEED + 1, 1);
         assert!(
-            !std::ptr::eq(a, study()),
+            !std::ptr::eq(a, c),
             "distinct protocols get distinct studies"
         );
     }

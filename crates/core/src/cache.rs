@@ -93,9 +93,10 @@ pub const CACHE_MAX_ENV: &str = "MWC_CACHE_MAX";
 
 /// Version of the serialized entry format *and* of the data model it
 /// memoizes. Bump on any change to the simulation, capture, merge or
-/// analysis arithmetic — or to the encoding itself — so stale entries
-/// from older builds are invalidated instead of replayed.
-pub const CACHE_SCHEMA_VERSION: u32 = 4;
+/// analysis arithmetic — or to the encoding itself, or to how keys are
+/// derived — so stale entries from older builds are invalidated instead
+/// of replayed.
+pub const CACHE_SCHEMA_VERSION: u32 = 5;
 
 /// Default cap on on-disk study entries.
 const DEFAULT_MAX_ENTRIES: usize = 64;
@@ -372,14 +373,21 @@ impl StudyCache {
     /// Any other study than the one its manifest records is a miss, and
     /// gets a manifest once every unit has an entry.
     pub fn study_spec(&self, spec: &StudySpec) -> Result<Arc<Characterization>, PipelineError> {
+        self.lookup(spec).map(|(study, _)| study)
+    }
+
+    /// [`StudyCache::study_spec`], and whether the memory layer served
+    /// the study. The key is derived once, and the answer describes this
+    /// lookup: `mwc-server` labels a response cache-hit from it.
+    pub fn lookup(&self, spec: &StudySpec) -> Result<(Arc<Characterization>, bool), PipelineError> {
         if !self.enabled {
-            return Ok(Arc::new(Characterization::try_run_spec(spec)?));
+            return Ok((Arc::new(Characterization::try_run_spec(spec)?), false));
         }
         let key = spec.study_key();
         let mut span = mwc_obs::span("cache.study");
         span.field("key", key);
         if let Some(hit) = self.recall(Kind::Study, &self.studies, key) {
-            return Ok(hit);
+            return Ok((hit, true));
         }
         let units = crate::stages::execute(spec, Some(self))?;
         let study = match self.read::<Manifest>(key) {
@@ -401,7 +409,7 @@ impl StudyCache {
         });
         let study = Arc::new(study);
         self.index_study(key, &study);
-        Ok(study)
+        Ok((study, false))
     }
 
     /// The study `m` records, built from `units` — one study disk hit — if
@@ -432,8 +440,9 @@ impl StudyCache {
 
     /// Whether the study for `spec` is already resident in the in-memory
     /// layer — i.e. an immediate [`StudyCache::study_spec`] call would be a
-    /// memory hit. Used by `mwc-server`'s request telemetry to label
-    /// responses cache-hit/miss without perturbing the cache counters.
+    /// memory hit — without counting a lookup. A caller about to look the
+    /// study up takes the answer from [`StudyCache::lookup`] instead,
+    /// which no concurrent insert can make stale.
     pub fn is_resident(&self, spec: &StudySpec) -> bool {
         self.enabled
             && self
@@ -1842,6 +1851,26 @@ mod tests {
         assert!(cache.stats().summary().contains("disk_hits=0"));
         assert!(cache.stage_summary().contains("sims=0"));
         assert!(cache.stage_summary().contains("reused=0"));
+    }
+
+    #[test]
+    fn lookup_reports_a_memory_hit_and_counts_like_study_spec() {
+        let spec = two_unit_spec(11);
+        let cache = StudyCache::in_memory();
+        let (cold, cold_from_memory) = cache.lookup(&spec).expect("cold study");
+        let (warm, warm_from_memory) = cache.lookup(&spec).expect("warm study");
+        assert!(!cold_from_memory, "the first lookup computes");
+        assert!(warm_from_memory, "the second is served from memory");
+        assert!(Arc::ptr_eq(&cold, &warm));
+
+        let twice = StudyCache::in_memory();
+        for _ in 0..2 {
+            twice.study_spec(&spec).expect("study");
+        }
+        assert_eq!(cache.stats(), twice.stats());
+        for kind in Kind::ALL {
+            assert_eq!(cache.stage(kind), twice.stage(kind));
+        }
     }
 
     #[test]

@@ -60,6 +60,10 @@ pub mod wire;
 pub use cache::{CacheStats, StudyCache};
 pub use error::PipelineError;
 pub use features::FeatureSet;
+/// The worker count a [`StudySpec`] fans out over unless told otherwise,
+/// and the one `mwc-server` runs every study with: `MWC_THREADS`, else the
+/// available parallelism, resolved once per process.
+pub use mwc_parallel::configured_threads;
 pub use pipeline::{Characterization, DegradationReport, UnitProfile};
 pub use spec::{StudySpec, UnitSelection};
 pub use wire::{from_wire, to_wire, WireError};

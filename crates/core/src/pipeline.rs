@@ -10,6 +10,7 @@ use mwc_profiler::derive::BenchmarkMetrics;
 use mwc_profiler::faults::{CaptureError, CaptureHealth, FaultConfig};
 use mwc_profiler::timeseries::TimeSeries;
 use mwc_soc::config::{ClusterKind, SocConfig};
+use mwc_soc::digest::Fnv1a;
 use mwc_workloads::registry::{BenchmarkUnit, ClusterLabel, Suite};
 
 use crate::error::PipelineError;
@@ -364,44 +365,6 @@ fn digest_profile_into(h: &mut Fnv1a, p: &UnitProfile) {
         p.health.outliers_rejected,
     ] {
         h.write_usize(v);
-    }
-}
-
-/// Minimal 64-bit FNV-1a accumulator backing [`Characterization::digest`]
-/// and the content-addressed cache keys in [`crate::cache`].
-pub(crate) struct Fnv1a(u64);
-
-impl Fnv1a {
-    pub(crate) fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    pub(crate) fn write_str(&mut self, s: &str) {
-        self.write_usize(s.len());
-        self.write_bytes(s.as_bytes());
-    }
-
-    pub(crate) fn write_f64(&mut self, v: f64) {
-        self.write_bytes(&v.to_bits().to_le_bytes());
-    }
-
-    pub(crate) fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    pub(crate) fn write_usize(&mut self, v: usize) {
-        self.write_bytes(&(v as u64).to_le_bytes());
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
     }
 }
 

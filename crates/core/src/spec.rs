@@ -19,11 +19,11 @@
 
 use mwc_profiler::faults::FaultConfig;
 use mwc_soc::config::SocConfig;
+use mwc_soc::digest::Fnv1a;
 use mwc_workloads::registry::{all_units, BenchmarkUnit};
 
 use crate::cache::CACHE_SCHEMA_VERSION;
 use crate::error::PipelineError;
-use crate::pipeline::Fnv1a;
 
 /// Which registry units a study profiles.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -200,7 +200,8 @@ impl StudySpec {
         h.write_u64(self.seed);
         h.write_usize(self.runs);
         h.write_u64(self.config.content_digest());
-        h.write_u64(self.faults.content_digest());
+        let baseline = self.faults.content_digest();
+        h.write_u64(baseline);
         // An invalid selection hashes over the resolvable subset; the spec
         // fails validation before any cached entry could be consulted.
         let selected = self.selected().unwrap_or_default();
@@ -210,7 +211,6 @@ impl StudySpec {
             h.write_str(u.suite.name());
             h.write_str(u.label.name());
         }
-        let baseline = self.faults.content_digest();
         for (_, u) in &selected {
             let d = self.effective_faults(u.name).content_digest();
             if d != baseline {

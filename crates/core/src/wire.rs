@@ -30,8 +30,10 @@
 //! same [`StudySpec::study_key`] and per-unit keys. Floats are rendered
 //! with Rust's shortest-exact formatting, so rates survive the round trip
 //! bit-for-bit. The worker-thread count is accepted (`threads = N`) but
-//! never serialized — it is scheduling advice, not study content, and the
-//! server substitutes its own worker budget anyway.
+//! never serialized — it is scheduling advice, not study content.
+//! `profile --spec-file` takes the advice; `mwc-server` does not, and runs
+//! every study on the process's worker count
+//! ([`configured_threads`](crate::configured_threads)).
 
 use std::fmt;
 

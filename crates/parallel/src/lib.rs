@@ -29,7 +29,7 @@
 #![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Environment variable overriding the worker count used by
 /// [`configured_threads`].
@@ -37,17 +37,25 @@ pub const THREADS_ENV: &str = "MWC_THREADS";
 
 /// The worker count to use: `MWC_THREADS` if set to a positive integer,
 /// otherwise [`std::thread::available_parallelism`] (1 if unknown).
+///
+/// Resolved once per process: the first call reads the environment and
+/// the available parallelism (on Linux, cgroup files), and every later
+/// call returns that count without reading either.
 pub fn configured_threads() -> usize {
-    if let Ok(raw) = std::env::var(THREADS_ENV) {
-        if let Ok(n) = raw.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    static RESOLVED: OnceLock<usize> = OnceLock::new();
+    *RESOLVED.get_or_init(|| {
+        let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+        threads_from(std::env::var(THREADS_ENV).ok().as_deref(), available)
+    })
+}
+
+/// The worker count a raw `MWC_THREADS` value asks for: the value if it
+/// is a positive integer (surrounding whitespace allowed), else
+/// `available`.
+fn threads_from(raw: Option<&str>, available: usize) -> usize {
+    raw.and_then(|raw| raw.trim().parse::<usize>().ok())
+        .filter(|&n| n >= 1)
+        .unwrap_or(available)
 }
 
 /// Map `f` over `items` on up to `threads` workers, each with its own state
@@ -188,5 +196,15 @@ mod tests {
     #[test]
     fn configured_threads_is_positive() {
         assert!(configured_threads() >= 1);
+    }
+
+    #[test]
+    fn threads_parse_takes_positive_integers_and_falls_back_otherwise() {
+        assert_eq!(threads_from(None, 6), 6);
+        assert_eq!(threads_from(Some(""), 6), 6);
+        assert_eq!(threads_from(Some("0"), 6), 6);
+        assert_eq!(threads_from(Some(" 3 "), 6), 3);
+        assert_eq!(threads_from(Some("x"), 6), 6);
+        assert_eq!(threads_from(Some("-1"), 6), 6);
     }
 }

@@ -14,6 +14,7 @@
 use std::fmt;
 
 use mwc_soc::counters::Trace;
+use mwc_soc::digest::Fnv1a;
 use mwc_soc::engine::stream_seed;
 
 /// Salt mixed into the stream chain for retry attempts, so attempt `a > 0`
@@ -144,24 +145,41 @@ impl FaultConfig {
     }
 
     /// A stable fingerprint of the fault model for content-addressed
-    /// result caching: FNV-1a over the canonical debug rendering, which
-    /// covers every field (a new knob automatically flows into the
-    /// digest). A disabled config digests to one fixed value regardless of
-    /// seed, retry budget or completeness floor — none of those can
-    /// influence a fault-free capture, so they must not fragment the
-    /// cache key space.
+    /// result caching: FNV-1a over every knob — integers as they are and
+    /// rates by their bits. The struct is destructured without `..`, so a
+    /// knob added later does not compile until it is hashed here. A
+    /// disabled config digests to one fixed sentinel regardless of seed,
+    /// retry budget or completeness floor — none of those can influence a
+    /// fault-free capture, so they must not fragment the cache key space.
     pub fn content_digest(&self) -> u64 {
-        let repr = if self.enabled() {
-            format!("{self:?}")
-        } else {
-            "FaultConfig(disabled)".to_owned()
-        };
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in repr.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        let mut h = Fnv1a::new();
+        if !self.enabled() {
+            h.write_str("FaultConfig(disabled)");
+            return h.finish();
         }
-        h
+        let FaultConfig {
+            seed,
+            dropout_rate,
+            jitter_amplitude,
+            overflow_rate,
+            truncation_rate,
+            run_failure_rate,
+            max_attempts,
+            min_completeness,
+        } = self;
+        h.write_u64(*seed);
+        for rate in [
+            dropout_rate,
+            jitter_amplitude,
+            overflow_rate,
+            truncation_rate,
+            run_failure_rate,
+        ] {
+            h.write_f64(*rate);
+        }
+        h.write_usize(*max_attempts);
+        h.write_f64(*min_completeness);
+        h.finish()
     }
 }
 
@@ -624,6 +642,41 @@ mod tests {
             enabled.content_digest(),
             enabled_other_seed.content_digest()
         );
+    }
+
+    #[test]
+    fn every_knob_of_an_enabled_config_reaches_the_content_digest() {
+        let base = FaultConfig {
+            seed: 7,
+            dropout_rate: 0.05,
+            jitter_amplitude: 0.01,
+            overflow_rate: 0.001,
+            truncation_rate: 0.1,
+            run_failure_rate: 0.1,
+            max_attempts: 3,
+            min_completeness: 0.5,
+        };
+        type Edit = (&'static str, fn(&mut FaultConfig));
+        let edits: [Edit; 8] = [
+            ("seed", |f| f.seed += 1),
+            ("dropout_rate", |f| f.dropout_rate += 0.01),
+            ("jitter_amplitude", |f| f.jitter_amplitude += 0.01),
+            ("overflow_rate", |f| f.overflow_rate += 0.01),
+            ("truncation_rate", |f| f.truncation_rate += 0.01),
+            ("run_failure_rate", |f| f.run_failure_rate += 0.01),
+            ("max_attempts", |f| f.max_attempts += 1),
+            ("min_completeness", |f| f.min_completeness += 0.01),
+        ];
+        let mut seen = std::collections::HashSet::from([base.content_digest()]);
+        for (knob, edit) in edits {
+            let mut f = base.clone();
+            edit(&mut f);
+            assert!(f.enabled());
+            assert!(
+                seen.insert(f.content_digest()),
+                "changing {knob} left the digest on one already seen"
+            );
+        }
     }
 
     #[test]

@@ -635,13 +635,13 @@ fn post_study(
         return deadline_response(state, &deadline);
     }
     let computed = Instant::now();
-    // Memory residency *before* the lookup labels this request's
-    // compute phase cache-hit or miss.
-    scope.cache_hit = Some(state.cache.is_resident(&spec));
-    let result = state.cache.study_spec(&spec);
+    let result = state.cache.lookup(&spec);
     scope.compute_ns = computed.elapsed().as_nanos() as u64;
+    // The lookup that answered labels this request's compute phase
+    // cache-hit or miss.
+    scope.cache_hit = Some(matches!(result, Ok((_, true))));
     match result {
-        Ok(study) => {
+        Ok((study, _)) => {
             let check = Instant::now();
             let expired = deadline.expired();
             scope.deadline_check_ns += check.elapsed().as_nanos() as u64;
@@ -655,14 +655,15 @@ fn post_study(
 }
 
 /// Decode and validate a `POST /study` body, or the `400` that says why
-/// it is not a study spec.
+/// it is not a study spec. The server owns the capture fan-out: a body's
+/// `threads = N` is advice, replaced by the process's worker count.
 fn decode_spec(body: &[u8]) -> Result<StudySpec, Response> {
     let body =
         str::from_utf8(body).map_err(|_| Response::error(400, "wire", "body is not utf-8"))?;
     let spec = from_wire(body).map_err(|e| Response::error(400, "wire", &e.to_string()))?;
     spec.validate()
         .map_err(|e| Response::error(400, "spec", &e.to_string()))?;
-    Ok(spec)
+    Ok(spec.with_threads(mwc_core::configured_threads()))
 }
 
 /// Map a pipeline failure onto a status + typed body. Client-caused

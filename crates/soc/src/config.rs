@@ -10,6 +10,7 @@
 //! configuration is validated before an [`crate::engine::Engine`] accepts it.
 
 use crate::cache::CacheConfig;
+use crate::digest::Fnv1a;
 use crate::error::SocError;
 
 /// The role a CPU cluster plays in a big.LITTLE / DynamIQ topology.
@@ -407,19 +408,132 @@ impl SocConfig {
     }
 
     /// A stable fingerprint of the whole platform for content-addressed
-    /// result caching: FNV-1a over the canonical debug rendering of every
-    /// field. Any change to any knob — a frequency, a cache size, adding
-    /// or removing a component — yields a different digest, and a field
-    /// added to the model in a future revision flows into the digest
-    /// automatically.
+    /// result caching: FNV-1a over every field — integers as they are,
+    /// floats by their bits, each string and the cluster and codec lists
+    /// with their length in front, and each optional component with a
+    /// presence tag. Any change to any knob — a frequency, a cache size,
+    /// adding or removing a component — yields a different digest. Every
+    /// struct is destructured without `..`, so a field added to the model
+    /// does not compile until it is hashed here.
     pub fn content_digest(&self) -> u64 {
-        let repr = format!("{self:?}");
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in repr.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        let SocConfig {
+            name,
+            clusters,
+            l3,
+            slc,
+            gpu,
+            aie,
+            memory,
+            storage,
+            display,
+        } = self;
+        let mut h = Fnv1a::new();
+        h.write_str(name);
+        h.write_usize(clusters.len());
+        for cluster in clusters {
+            let ClusterConfig {
+                model,
+                kind,
+                cores,
+                max_freq_mhz,
+                min_freq_mhz,
+                l1i_kib,
+                l1d_kib,
+                l2_kib,
+                issue_width,
+                branch_predictor_quality,
+            } = cluster;
+            h.write_str(model);
+            h.write_u64(*kind as u64);
+            h.write_usize(*cores);
+            h.write_f64(*max_freq_mhz);
+            h.write_f64(*min_freq_mhz);
+            for kib in [l1i_kib, l1d_kib, l2_kib] {
+                h.write_u64(u64::from(*kib));
+            }
+            h.write_f64(*issue_width);
+            h.write_f64(*branch_predictor_quality);
         }
-        h
+        for cache in [l3, slc] {
+            let CacheConfig {
+                name: level,
+                size_kib,
+            } = cache;
+            h.write_str(level);
+            h.write_u64(u64::from(*size_kib));
+        }
+        h.write_bool(gpu.is_some());
+        if let Some(GpuConfig {
+            model,
+            shader_cores,
+            max_freq_mhz,
+            min_freq_mhz,
+            bus_bandwidth_gbps,
+            texture_cache_kib,
+        }) = gpu
+        {
+            h.write_str(model);
+            h.write_usize(*shader_cores);
+            for v in [max_freq_mhz, min_freq_mhz, bus_bandwidth_gbps] {
+                h.write_f64(*v);
+            }
+            h.write_u64(u64::from(*texture_cache_kib));
+        }
+        h.write_bool(aie.is_some());
+        if let Some(AieConfig {
+            model,
+            max_freq_mhz,
+            min_freq_mhz,
+            peak_tops,
+            supported_codecs,
+        }) = aie
+        {
+            h.write_str(model);
+            for v in [max_freq_mhz, min_freq_mhz, peak_tops] {
+                h.write_f64(*v);
+            }
+            h.write_usize(supported_codecs.len());
+            for codec in supported_codecs {
+                h.write_u64(*codec as u64);
+            }
+        }
+        let MemoryConfig {
+            technology,
+            capacity_mib,
+            bandwidth_gbps,
+            os_baseline_mib,
+        } = memory;
+        h.write_str(technology);
+        for v in [capacity_mib, bandwidth_gbps, os_baseline_mib] {
+            h.write_f64(*v);
+        }
+        let StorageConfig {
+            technology,
+            capacity_gib,
+            seq_read_mbps,
+            seq_write_mbps,
+            rand_read_mbps,
+            rand_write_mbps,
+        } = storage;
+        h.write_str(technology);
+        for v in [
+            capacity_gib,
+            seq_read_mbps,
+            seq_write_mbps,
+            rand_read_mbps,
+            rand_write_mbps,
+        ] {
+            h.write_f64(*v);
+        }
+        let DisplayConfig {
+            width,
+            height,
+            refresh_hz,
+        } = display;
+        for v in [width, height, refresh_hz] {
+            h.write_u64(u64::from(*v));
+        }
+        h.finish()
     }
 
     /// Validate all fields; [`crate::engine::Engine::new`] calls this.
@@ -658,6 +772,112 @@ mod tests {
             .unwrap();
         assert!(soc.gpu.is_none());
         assert!(soc.aie.is_none());
+    }
+
+    fn gpu(soc: &mut SocConfig) -> &mut GpuConfig {
+        soc.gpu.as_mut().expect("the preset has a GPU")
+    }
+
+    fn aie(soc: &mut SocConfig) -> &mut AieConfig {
+        soc.aie.as_mut().expect("the preset has an AIE")
+    }
+
+    #[test]
+    fn every_field_reaches_the_content_digest() {
+        type Edit<T> = (&'static str, fn(&mut T));
+        let cluster_edits: [Edit<ClusterConfig>; 10] = [
+            ("model", |c| c.model.push('!')),
+            ("kind", |c| {
+                c.kind = match c.kind {
+                    ClusterKind::Big => ClusterKind::Little,
+                    _ => ClusterKind::Big,
+                }
+            }),
+            ("cores", |c| c.cores += 1),
+            ("max_freq_mhz", |c| c.max_freq_mhz += 1.0),
+            ("min_freq_mhz", |c| c.min_freq_mhz += 1.0),
+            ("l1i_kib", |c| c.l1i_kib += 1),
+            ("l1d_kib", |c| c.l1d_kib += 1),
+            ("l2_kib", |c| c.l2_kib += 1),
+            ("issue_width", |c| c.issue_width += 1.0),
+            ("branch_predictor_quality", |c| {
+                c.branch_predictor_quality -= 0.01
+            }),
+        ];
+        let soc_edits: [Edit<SocConfig>; 35] = [
+            ("name", |s| s.name.push('!')),
+            ("add a cluster", |s| s.clusters.push(s.clusters[0].clone())),
+            ("remove a cluster", |s| s.clusters.truncate(2)),
+            ("l3.name", |s| s.l3.name.push('!')),
+            ("l3.size_kib", |s| s.l3.size_kib += 1),
+            ("slc.name", |s| s.slc.name.push('!')),
+            ("slc.size_kib", |s| s.slc.size_kib += 1),
+            ("remove the GPU", |s| s.gpu = None),
+            ("gpu.model", |s| gpu(s).model.push('!')),
+            ("gpu.shader_cores", |s| gpu(s).shader_cores += 1),
+            ("gpu.max_freq_mhz", |s| gpu(s).max_freq_mhz += 1.0),
+            ("gpu.min_freq_mhz", |s| gpu(s).min_freq_mhz += 1.0),
+            ("gpu.bus_bandwidth_gbps", |s| {
+                gpu(s).bus_bandwidth_gbps += 1.0
+            }),
+            ("gpu.texture_cache_kib", |s| gpu(s).texture_cache_kib += 1),
+            ("remove the AIE", |s| s.aie = None),
+            ("aie.model", |s| aie(s).model.push('!')),
+            ("aie.max_freq_mhz", |s| aie(s).max_freq_mhz += 1.0),
+            ("aie.min_freq_mhz", |s| aie(s).min_freq_mhz += 1.0),
+            ("aie.peak_tops", |s| aie(s).peak_tops += 1.0),
+            ("drop a codec", |s| {
+                aie(s).supported_codecs.pop();
+            }),
+            ("add a codec", |s| {
+                aie(s).supported_codecs.push(crate::aie::Codec::Av1)
+            }),
+            ("change a codec", |s| {
+                aie(s).supported_codecs[0] = crate::aie::Codec::Av1
+            }),
+            ("memory.technology", |s| s.memory.technology.push('!')),
+            ("memory.capacity_mib", |s| s.memory.capacity_mib += 1.0),
+            ("memory.bandwidth_gbps", |s| s.memory.bandwidth_gbps += 1.0),
+            ("memory.os_baseline_mib", |s| {
+                s.memory.os_baseline_mib += 1.0
+            }),
+            ("storage.technology", |s| s.storage.technology.push('!')),
+            ("storage.capacity_gib", |s| s.storage.capacity_gib += 1.0),
+            ("storage.seq_read_mbps", |s| s.storage.seq_read_mbps += 1.0),
+            ("storage.seq_write_mbps", |s| {
+                s.storage.seq_write_mbps += 1.0
+            }),
+            ("storage.rand_read_mbps", |s| {
+                s.storage.rand_read_mbps += 1.0
+            }),
+            ("storage.rand_write_mbps", |s| {
+                s.storage.rand_write_mbps += 1.0
+            }),
+            ("display.width", |s| s.display.width += 1),
+            ("display.height", |s| s.display.height += 1),
+            ("display.refresh_hz", |s| s.display.refresh_hz += 1),
+        ];
+
+        let base = SocConfig::snapdragon_888();
+        let mut seen = std::collections::HashSet::from([base.content_digest()]);
+        let mut moves = |label: &str, soc: &SocConfig| {
+            assert!(
+                seen.insert(soc.content_digest()),
+                "changing {label} left the digest on one already seen"
+            );
+        };
+        for i in 0..base.clusters.len() {
+            for (field, edit) in cluster_edits {
+                let mut soc = base.clone();
+                edit(&mut soc.clusters[i]);
+                moves(&format!("clusters[{i}].{field}"), &soc);
+            }
+        }
+        for (label, edit) in soc_edits {
+            let mut soc = base.clone();
+            edit(&mut soc);
+            moves(label, &soc);
+        }
     }
 
     #[test]

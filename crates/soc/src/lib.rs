@@ -53,6 +53,7 @@ pub mod cache;
 pub mod config;
 pub mod counters;
 pub mod cpu;
+pub mod digest;
 pub mod engine;
 pub mod error;
 pub mod event;

@@ -60,14 +60,14 @@ cargo build --release -p mwc-bench --bins || exit $?
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace || exit $?
 
-# Tier-1 must pass under any thread count; the run above uses the
+# Every test must pass under any thread count; the run above uses the
 # default (available parallelism), this one a single worker. It also
-# checks that tier-1 writes nothing outside target/ and its own temp
-# dirs: HOME and XDG_CACHE_HOME point at a fresh empty directory, which
-# must still be empty afterwards. CARGO_HOME and RUSTUP_HOME are pinned
-# first so cargo still finds the toolchain, and the cache knobs are unset
-# so a default cache directory would land in the empty one.
-echo "==> cargo test -q at MWC_THREADS=1 (HOME and XDG_CACHE_HOME on an empty dir)"
+# checks that no test of any crate writes outside target/ and its own
+# temp dirs: HOME and XDG_CACHE_HOME point at a fresh empty directory,
+# which must still be empty afterwards. CARGO_HOME and RUSTUP_HOME are
+# pinned first so cargo still finds the toolchain, and the cache knobs
+# are unset so a default cache directory would land in the empty one.
+echo "==> cargo test -q --workspace at MWC_THREADS=1 (HOME and XDG_CACHE_HOME on an empty dir)"
 empty_home="$PWD/target/verify-empty-home"
 cargo_home="${CARGO_HOME:-$HOME/.cargo}"
 rustup_home="${RUSTUP_HOME:-$HOME/.rustup}"
@@ -76,11 +76,11 @@ mkdir -p "$empty_home" || exit 1
 (
     unset MWC_CACHE MWC_CACHE_DIR
     CARGO_HOME="$cargo_home" RUSTUP_HOME="$rustup_home" HOME="$empty_home" \
-        XDG_CACHE_HOME="$empty_home/xdg" MWC_THREADS=1 cargo test -q
+        XDG_CACHE_HOME="$empty_home/xdg" MWC_THREADS=1 cargo test -q --workspace
 ) || exit $?
 left_behind=$(cd "$empty_home" && find . -mindepth 1 | sed 's|^\./||')
 if [ -n "$left_behind" ]; then
-    echo "error: tier-1 wrote outside target/ and its temp dirs (under HOME or XDG_CACHE_HOME):" >&2
+    echo "error: the workspace tests wrote outside target/ and their temp dirs (under HOME or XDG_CACHE_HOME):" >&2
     printf '%s\n' "$left_behind" >&2
     exit 1
 fi

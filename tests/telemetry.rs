@@ -383,6 +383,31 @@ fn metrics_render_the_registry_of_the_collector_current_at_bind() {
 }
 
 #[test]
+fn a_body_threads_value_is_advice_and_the_study_fans_out_over_the_process_count() {
+    let collector = Collector::default();
+    let server = {
+        let _entered = collector.enter();
+        boot(|c| c.workers = 1)
+    };
+    let addr = server.local_addr().to_string();
+    let body = "mwc-spec v1\nconfig = snapdragon_888\nseed = 68\nruns = 1\n\
+                units = Antutu CPU\nthreads = 977\n";
+    assert_eq!(post_study(&addr, body, &[]).status, 200);
+    let text = get(&addr, "/metrics").body_str();
+    let threads = text
+        .lines()
+        .find_map(|l| l.strip_prefix("pipeline_threads "))
+        .and_then(|v| v.parse::<f64>().ok());
+    assert_eq!(
+        threads,
+        Some(mwc_core::configured_threads() as f64),
+        "the cold study ran on the process's worker count, not the body's 977"
+    );
+    server.request_shutdown();
+    server.join();
+}
+
+#[test]
 fn debug_endpoints_are_404_until_the_ring_is_enabled() {
     let server = boot(|c| c.debug_ring = 0);
     let addr = server.local_addr().to_string();
