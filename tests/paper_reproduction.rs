@@ -8,6 +8,8 @@ use mobile_workload_characterization::prelude::*;
 use mwc_analysis::validation::Algorithm;
 use mwc_core::features::clustering_matrix;
 use mwc_core::{figures, subsets, tables};
+use mwc_profiler::timeseries::TimeSeries;
+use mwc_soc::digest::Fnv1a;
 use mwc_workloads::registry::ClusterLabel;
 
 /// One shared single-run study per test binary (the paper's three-run
@@ -262,4 +264,68 @@ fn gpu_benchmarks_hold_more_memory() {
     };
     assert!(mean_of(ClusterLabel::IntenseGraphics) > mean_of(ClusterLabel::Mixed));
     assert!(mean_of(ClusterLabel::IntenseGraphics) > mean_of(ClusterLabel::Cpu));
+}
+
+/// Mix a series' tick, length and every value by its bits.
+fn write_series(h: &mut Fnv1a, s: &TimeSeries) {
+    h.write_f64(s.tick_seconds);
+    h.write_usize(s.len());
+    for &v in &s.values {
+        h.write_f64(v);
+    }
+}
+
+#[test]
+fn report_is_pinned() {
+    // The checks above read conclusions; this one pins the analysis
+    // outputs beneath them to the bit, so a kernel rewrite that moves any
+    // value (a sum reordered, a tie broken the other way) fails here even
+    // when every conclusion survives.
+    let s = study();
+    let mut h = Fnv1a::new();
+    for (name, row) in &figures::fig2(s, 50).rows {
+        h.write_str(name);
+        row.iter().for_each(|series| write_series(&mut h, series));
+    }
+    for (name, row) in &figures::fig3(s, 50).rows {
+        h.write_str(name);
+        row.iter().for_each(|series| write_series(&mut h, series));
+    }
+    for v in tables::table5_data(s).iter().flatten() {
+        h.write_f64(*v);
+    }
+    for p in &figures::fig4(s).expect("sweep succeeds").points {
+        h.write_str(p.algorithm.name());
+        h.write_usize(p.k);
+        for v in [p.dunn, p.silhouette, p.apn, p.ad] {
+            h.write_f64(v);
+        }
+    }
+    for m in figures::fig5(s).expect("full study").merges() {
+        h.write_usize(m.a);
+        h.write_usize(m.b);
+        h.write_f64(m.distance);
+    }
+    let fig6 = figures::fig6(s).expect("full study");
+    fig6.labels().iter().for_each(|&l| h.write_usize(l));
+    let m = clustering_matrix(s).expect("full study");
+    for k in 1..=m.rows() {
+        let c = pam(&m, k, 42).expect("k valid");
+        c.labels().iter().for_each(|&l| h.write_usize(l));
+    }
+    let sets = [
+        subsets::naive_subset(s, &fig6),
+        subsets::select_subset(s),
+        subsets::select_plus_gpu_subset(s),
+    ];
+    for (name, curve) in figures::fig7(s, &sets).expect("full study") {
+        h.write_str(&name);
+        curve.iter().for_each(|&v| h.write_f64(v));
+    }
+    for o in check_all(s) {
+        h.write_usize(usize::from(o.id));
+        h.write_bool(o.holds);
+        h.write_str(&o.evidence);
+    }
+    assert_eq!(format!("{:016x}", h.finish()), "47772654be426d03");
 }
