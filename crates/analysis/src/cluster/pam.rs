@@ -26,6 +26,14 @@ pub fn pam(m: &Matrix, k: usize, _seed: u64) -> Result<Clustering, AnalysisError
 /// the distance matrix (validation sweeps, stability measures) can share
 /// one computation across many clusterings. The result is identical to
 /// [`pam`] on the matrix the distances came from.
+///
+/// Both phases keep FastPAM's bookkeeping (Schubert & Rousseeuw, "Faster
+/// k-Medoids Clustering", SISAP 2019) only where it leaves PAM's
+/// arithmetic exact: each point's nearest and second-nearest medoid
+/// distance are minima, which are exact, and every cost is summed over the
+/// points in ascending order, as a fresh assignment cost over the trial
+/// medoid list would sum it. So every gain and trial cost is the same f64
+/// as the textbook clone-per-trial loop's, and so is every decision.
 pub fn pam_with_distances(d: &SymMatrix, k: usize) -> Result<Clustering, AnalysisError> {
     let _t = KernelTimer::new("kernel.pam_ns");
     let n = d.rows();
@@ -34,6 +42,12 @@ pub fn pam_with_distances(d: &SymMatrix, k: usize) -> Result<Clustering, Analysi
             "k = {k} for {n} observations"
         )));
     }
+    // Dense copy: row `j` holds point `j`'s distance to every point, so
+    // one pass over a row feeds one accumulator per candidate.
+    let dense: Vec<f64> = (0..n)
+        .flat_map(|j| (0..n).map(move |c| d.get(j, c)))
+        .collect();
+    let row = |j: usize| &dense[j * n..(j + 1) * n];
 
     // BUILD: first medoid minimizes total distance; each further medoid
     // maximizes the decrease in total dissimilarity. Row sums come off the
@@ -41,24 +55,32 @@ pub fn pam_with_distances(d: &SymMatrix, k: usize) -> Result<Clustering, Analysi
     // comparison.
     let row_sums: Vec<f64> = (0..n).map(|i| d.row_sum(i)).collect();
     let mut medoids: Vec<usize> = Vec::with_capacity(k);
+    let mut is_medoid = vec![false; n];
     let first = (0..n)
         .min_by(|&a, &b| row_sums[a].total_cmp(&row_sums[b]))
         .ok_or_else(|| AnalysisError::EmptyInput("no observations to seed medoids".into()))?;
     medoids.push(first);
+    is_medoid[first] = true;
+    // Each point's distance to its nearest medoid: the running `f64::min`
+    // fold over the medoids in the order they were chosen.
+    let mut near: Vec<f64> = row(first)
+        .iter()
+        .map(|&v| f64::min(f64::INFINITY, v))
+        .collect();
+    // One accumulator per candidate, filled point by point in ascending
+    // order from -0.0, the value `Iterator::sum` folds from.
+    let mut acc = vec![-0.0; n];
     while medoids.len() < k {
+        acc.fill(-0.0);
+        for (j, &current) in near.iter().enumerate() {
+            for (a, &dj) in acc.iter_mut().zip(row(j)) {
+                *a += (current - dj).max(0.0);
+            }
+        }
         let mut best_gain = f64::NEG_INFINITY;
         let mut best = None;
-        for cand in 0..n {
-            if medoids.contains(&cand) {
-                continue;
-            }
-            let gain: f64 = (0..n)
-                .map(|j| {
-                    let current = nearest_dist(d, &medoids, j);
-                    (current - d.get(j, cand)).max(0.0)
-                })
-                .sum();
-            if gain > best_gain {
+        for (cand, &gain) in acc.iter().enumerate() {
+            if !is_medoid[cand] && gain > best_gain {
                 best_gain = gain;
                 best = Some(cand);
             }
@@ -70,21 +92,52 @@ pub fn pam_with_distances(d: &SymMatrix, k: usize) -> Result<Clustering, Analysi
             ))
         })?;
         medoids.push(next);
+        is_medoid[next] = true;
+        for (nj, &v) in near.iter_mut().zip(row(next)) {
+            *nj = f64::min(*nj, v);
+        }
     }
 
     // SWAP: steepest-descent exchange until no swap improves the cost.
-    let mut cost = assignment_cost(d, &medoids, n);
+    // Removing medoid `mi` leaves each point `j` at `other[j]`: its
+    // second-nearest distance if `mi` was its nearest medoid, else its
+    // nearest. Swapping in `cand` then costs Σ_j min(other[j], d(j, cand)).
+    let mut cost = near.iter().fold(-0.0, |sum, &v| sum + v);
+    // Per point: (nearest distance, that medoid's position in the list,
+    // second-nearest distance). A NaN distance never wins a comparison,
+    // so both minima skip it, as `f64::min` does.
+    let nearest_two = |medoids: &[usize]| -> Vec<(f64, usize, f64)> {
+        (0..n)
+            .map(|j| {
+                let dj = row(j);
+                let (mut near, mut at, mut second) = (f64::INFINITY, 0, f64::INFINITY);
+                for (pos, &m) in medoids.iter().enumerate() {
+                    if dj[m] < near {
+                        (second, near, at) = (near, dj[m], pos);
+                    } else if dj[m] < second {
+                        second = dj[m];
+                    }
+                }
+                (near, at, second)
+            })
+            .collect()
+    };
+    let mut nearest = nearest_two(&medoids);
     loop {
         let mut best_delta = -1e-12;
         let mut best_swap = None;
         for mi in 0..medoids.len() {
-            for cand in 0..n {
-                if medoids.contains(&cand) {
+            acc.fill(-0.0);
+            for (j, &(near, at, second)) in nearest.iter().enumerate() {
+                let oj = if at == mi { second } else { near };
+                for (a, &dj) in acc.iter_mut().zip(row(j)) {
+                    *a += f64::min(oj, dj);
+                }
+            }
+            for (cand, &trial_cost) in acc.iter().enumerate() {
+                if is_medoid[cand] {
                     continue;
                 }
-                let mut trial = medoids.clone();
-                trial[mi] = cand;
-                let trial_cost = assignment_cost(d, &trial, n);
                 let delta = trial_cost - cost;
                 if delta < best_delta {
                     best_delta = delta;
@@ -94,8 +147,11 @@ pub fn pam_with_distances(d: &SymMatrix, k: usize) -> Result<Clustering, Analysi
         }
         match best_swap {
             Some((mi, cand, new_cost)) => {
+                is_medoid[medoids[mi]] = false;
+                is_medoid[cand] = true;
                 medoids[mi] = cand;
                 cost = new_cost;
+                nearest = nearest_two(&medoids);
             }
             None => break,
         }
@@ -103,25 +159,13 @@ pub fn pam_with_distances(d: &SymMatrix, k: usize) -> Result<Clustering, Analysi
 
     let labels = (0..n)
         .map(|j| {
+            let dj = row(j);
             (0..k)
-                .min_by(|&a, &b| d.get(j, medoids[a]).total_cmp(&d.get(j, medoids[b])))
+                .min_by(|&a, &b| dj[medoids[a]].total_cmp(&dj[medoids[b]]))
                 .unwrap_or(0)
         })
         .collect();
     Clustering::new(labels, k)
-}
-
-// Small helpers kept private to the module.
-
-fn nearest_dist(d: &SymMatrix, medoids: &[usize], j: usize) -> f64 {
-    medoids
-        .iter()
-        .map(|&m| d.get(j, m))
-        .fold(f64::INFINITY, f64::min)
-}
-
-fn assignment_cost(d: &SymMatrix, medoids: &[usize], n: usize) -> f64 {
-    (0..n).map(|j| nearest_dist(d, medoids, j)).sum()
 }
 
 #[cfg(test)]

@@ -49,16 +49,19 @@ pub fn apn_from(full: &Clustering, reduced: &[Clustering]) -> f64 {
     if n == 0 || reduced.is_empty() {
         return 0.0;
     }
+    let full_members = full.members();
     let mut total = 0.0;
     for r in reduced {
-        for i in 0..n {
-            let full_members = cluster_of(full, i);
-            let reduced_members = cluster_of(r, i);
-            let overlap = full_members
+        let reduced_labels = r.labels();
+        for (i, &label) in full.labels().iter().enumerate() {
+            // Co-members of `i` in the full clustering that the reduced
+            // clustering also places with `i`.
+            let members = &full_members[label];
+            let overlap = members
                 .iter()
-                .filter(|x| reduced_members.contains(x))
+                .filter(|&&x| reduced_labels[x] == reduced_labels[i])
                 .count();
-            total += 1.0 - overlap as f64 / full_members.len() as f64;
+            total += 1.0 - overlap as f64 / members.len() as f64;
         }
     }
     total / (n as f64 * reduced.len() as f64)
@@ -91,34 +94,30 @@ pub fn ad_from(d_full: &SymMatrix, full: &Clustering, reduced: &[Clustering]) ->
     if n == 0 || reduced.is_empty() {
         return 0.0;
     }
+    let full_members = full.members();
     let mut total = 0.0;
     for r in reduced {
-        for i in 0..n {
-            let full_members = cluster_of(full, i);
-            let reduced_members = cluster_of(r, i);
-            // Mean pairwise distance between the two member sets, in the
-            // full feature space.
-            let mut sum = 0.0;
-            for &a in &full_members {
-                for &b in &reduced_members {
-                    sum += d_full.get(a, b);
+        let reduced_members = r.members();
+        // The mean distance between a full cluster and a reduced cluster,
+        // computed the first time an observation pairs them and reused
+        // for every later observation in the same pair.
+        let mut terms: Vec<Option<f64>> = vec![None; full.k() * r.k()];
+        for (i, &fl) in full.labels().iter().enumerate() {
+            let rl = r.labels()[i];
+            let term = terms[fl * r.k() + rl].get_or_insert_with(|| {
+                let (fm, rm) = (&full_members[fl], &reduced_members[rl]);
+                let mut sum = 0.0;
+                for &a in fm {
+                    for &b in rm {
+                        sum += d_full.get(a, b);
+                    }
                 }
-            }
-            total += sum / (full_members.len() * reduced_members.len()) as f64;
+                sum / (fm.len() * rm.len()) as f64
+            });
+            total += *term;
         }
     }
     total / (n as f64 * reduced.len() as f64)
-}
-
-/// Members of the cluster containing observation `i`.
-fn cluster_of(c: &Clustering, i: usize) -> Vec<usize> {
-    let label = c.labels()[i];
-    c.labels()
-        .iter()
-        .enumerate()
-        .filter(|(_, &l)| l == label)
-        .map(|(j, _)| j)
-        .collect()
 }
 
 #[cfg(test)]

@@ -94,9 +94,9 @@ pub fn fig2(study: &Characterization, bins: usize) -> Fig2 {
     let mut hi = [f64::NEG_INFINITY; 6];
     for p in study.profiles() {
         for m in 0..6 {
-            let s = extract(p, m);
-            lo[m] = lo[m].min(s.min());
-            hi[m] = hi[m].max(s.max());
+            let (s_lo, s_hi) = extract(p, m).min_max();
+            lo[m] = lo[m].min(s_lo);
+            hi[m] = hi[m].max(s_hi);
         }
     }
     let rows = study

@@ -12,7 +12,7 @@ use mwc_soc::gpu::GraphicsApi;
 use mwc_workloads::registry::ClusterLabel;
 use mwc_workloads::suites::gfxbench;
 
-use crate::pipeline::{Characterization, UnitProfile};
+use crate::pipeline::Characterization;
 
 /// Result of checking one observation.
 #[derive(Debug, Clone, PartialEq)]
@@ -190,18 +190,18 @@ fn obs4(study: &Characterization) -> ObservationResult {
 /// Observation #5: benchmarks make little use of the AIE — average load
 /// around 5%, with GFXBench Special the strongest user.
 fn obs5(study: &Characterization) -> ObservationResult {
-    let mean_aie: f64 = study
+    let means: Vec<f64> = study
         .profiles()
         .iter()
         .map(|p| p.series.aie_load.mean())
-        .sum::<f64>()
-        / study.profiles().len() as f64;
-    let Some(strongest) = study.profiles().iter().max_by(|a, b| {
-        a.series
-            .aie_load
-            .mean()
-            .total_cmp(&b.series.aie_load.mean())
-    }) else {
+        .collect();
+    let mean_aie = means.iter().sum::<f64>() / means.len() as f64;
+    let Some((strongest, strongest_mean)) = study
+        .profiles()
+        .iter()
+        .zip(&means)
+        .max_by(|a, b| a.1.total_cmp(b.1))
+    else {
         return inconclusive(5, "Benchmarks make little use of AIE", "any");
     };
     let holds = mean_aie < 0.12 && mean_aie > 0.005;
@@ -213,7 +213,7 @@ fn obs5(study: &Characterization) -> ObservationResult {
             "mean AIE load {:.1}% (paper: 5%); strongest user: {} at {:.1}%",
             mean_aie * 100.0,
             strongest.name,
-            strongest.series.aie_load.mean() * 100.0
+            strongest_mean * 100.0
         ),
     }
 }
@@ -262,23 +262,17 @@ fn obs6(study: &Characterization) -> ObservationResult {
     }
 }
 
-/// Units whose CPU side meaningfully uses the big/mid clusters at all.
-fn actively_uses_big_or_mid(p: &UnitProfile) -> bool {
-    high_fraction(&p.series.big_load) + high_fraction(&p.series.mid_load) > 0.02
-}
-
 /// Observation #7: the big core sustains high load longer than the mids in
 /// every active benchmark except Aitutu.
 fn obs7(study: &Characterization) -> ObservationResult {
     let mut exceptions = Vec::new();
-    for p in study
-        .profiles()
-        .iter()
-        .filter(|p| actively_uses_big_or_mid(p))
-    {
+    for p in study.profiles() {
         let big = high_fraction(&p.series.big_load);
         let mid = high_fraction(&p.series.mid_load);
-        if mid > big {
+        // Only units whose CPU side meaningfully uses the big/mid clusters
+        // at all.
+        let active = big + mid > 0.02;
+        if active && mid > big {
             exceptions.push(p.name.clone());
         }
     }

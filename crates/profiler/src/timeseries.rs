@@ -81,6 +81,20 @@ impl TimeSeries {
         }
     }
 
+    /// `(min(), max())` in one pass: each fold sees the finite samples in
+    /// order, as its own pass would.
+    pub fn min_max(&self) -> (f64, f64) {
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for &v in &self.values {
+            if v.is_finite() {
+                lo = f64::min(lo, v);
+                hi = f64::max(hi, v);
+            }
+        }
+        let or_zero = |m: f64| if m.is_finite() { m } else { 0.0 };
+        (or_zero(lo), or_zero(hi))
+    }
+
     /// Fraction of samples that are finite (1.0 for an empty series).
     pub fn completeness(&self) -> f64 {
         if self.values.is_empty() {
@@ -190,11 +204,15 @@ impl TimeSeries {
     /// Fraction of finite samples strictly above `threshold` (gaps are
     /// excluded from the denominator; 0 for an empty or all-gap series).
     pub fn fraction_above(&self, threshold: f64) -> f64 {
-        let finite = self.values.iter().filter(|v| v.is_finite()).count();
+        let (mut finite, mut above) = (0usize, 0usize);
+        for &v in &self.values {
+            finite += usize::from(v.is_finite());
+            above += usize::from(v > threshold);
+        }
         if finite == 0 {
             return 0.0;
         }
-        self.values.iter().filter(|&&v| v > threshold).count() as f64 / finite as f64
+        above as f64 / finite as f64
     }
 
     /// Element-wise mean of several same-length series (the paper averages

@@ -19,14 +19,27 @@ pub fn heat_row(values: &[f64]) -> String {
 }
 
 /// Fraction of samples in each of the four levels (the rows of Table V).
+///
+/// A value's level is the number of quarter marks it reaches, so the
+/// counts come from three branch-free comparisons per value. They equal
+/// counting [`level_of`] for every input: NaN reaches no mark (level 0),
+/// +∞ every mark (level 3) and −∞ none (level 0).
 pub fn level_histogram(values: &[f64]) -> [f64; 4] {
-    let mut counts = [0usize; 4];
-    for &v in values {
-        counts[level_of(v)] += 1;
-    }
     if values.is_empty() {
         return [0.0; 4];
     }
+    let mut reached = [0usize; 3];
+    for &v in values {
+        reached[0] += usize::from(v >= 0.25);
+        reached[1] += usize::from(v >= 0.5);
+        reached[2] += usize::from(v >= 0.75);
+    }
+    let counts = [
+        values.len() - reached[0],
+        reached[0] - reached[1],
+        reached[1] - reached[2],
+        reached[2],
+    ];
     counts.map(|c| c as f64 / values.len() as f64)
 }
 

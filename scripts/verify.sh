@@ -129,6 +129,29 @@ fi
 rm -f "$trace_tmp"
 echo "    traced digest matches the pinned $pinned_digest; trace written"
 
+echo "==> report worker-count invariance (all at MWC_THREADS=1, then at the default count)"
+# The printed report must not depend on the worker count. Both runs share
+# one cache directory: the first, on one worker, simulates and fills it;
+# the second, at the default count, replays the study from it and
+# recomputes every figure, table and observation.
+report_cache="target/verify-report-cache"
+report_one="target/verify-report-1.txt"
+report_default="target/verify-report-default.txt"
+rm -rf "$report_cache"
+MWC_CACHE_DIR="$report_cache" MWC_THREADS=1 ./target/release/all >"$report_one" || exit 1
+(
+    unset MWC_THREADS
+    MWC_CACHE_DIR="$report_cache" ./target/release/all >"$report_default"
+) || exit 1
+if ! cmp -s "$report_one" "$report_default"; then
+    echo "error: all printed different reports at MWC_THREADS=1 (<) and at the default worker count (>):" >&2
+    diff "$report_one" "$report_default" >&2
+    exit 1
+fi
+report_lines=$(wc -l <"$report_one" | tr -d ' ')
+rm -rf "$report_cache" "$report_one" "$report_default"
+echo "    $report_lines lines, byte-identical on one worker and at the default count"
+
 echo "==> result cache (cold vs warm digest, corruption degradation)"
 cache_dir="target/verify-cache"
 rm -rf "$cache_dir"

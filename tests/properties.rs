@@ -3,15 +3,19 @@
 
 use proptest::prelude::*;
 
-use mwc_analysis::cluster::{hierarchical, kmeans, pam, Clustering, Linkage};
+use mwc_analysis::cluster::{hierarchical, kmeans, pam, pam_with_distances, Clustering, Linkage};
 use mwc_analysis::distance::{euclidean, pairwise_euclidean};
+use mwc_analysis::error::AnalysisError;
 use mwc_analysis::matrix::Matrix;
 use mwc_analysis::stats::{
     correlation_matrix, max_normalize, min_max_normalize, normalize_columns, pearson,
     CorrelationStrength, NormalizeMode,
 };
 use mwc_analysis::subset::{incremental_distances, runtime_reduction, total_min_euclidean};
-use mwc_analysis::validation::{dunn_index, silhouette_width};
+use mwc_analysis::sym::SymMatrix;
+use mwc_analysis::validation::{ad_from, apn_from, dunn_index, silhouette_width};
+use mwc_profiler::timeseries::TimeSeries;
+use mwc_report::heat::{level_histogram, level_of};
 use mwc_soc::cache::{CacheConfig, CacheHierarchy, MemoryProfile};
 use mwc_soc::config::SocConfig;
 use mwc_soc::cpu::{CpuDemand, InstructionMix, ThreadDemand};
@@ -826,6 +830,338 @@ proptest! {
             let te = event.run(&w);
             prop_assert_eq!(td.samples.len(), te.samples.len());
             prop_assert_eq!(td, te);
+        }
+    }
+}
+
+// ---------- rewritten analysis loops vs the loops they replaced ----------
+// PAM's swap bookkeeping, the stability measures' member lists, Table V's
+// branch-free level count and the one-pass series scans each replaced a
+// loop that survives below as the reference it must match to the bit.
+
+/// The clone-per-trial PAM that `pam_with_distances` replaced, verbatim.
+fn pam_reference(d: &SymMatrix, k: usize) -> Result<Clustering, AnalysisError> {
+    let n = d.rows();
+    if k == 0 || k > n {
+        return Err(AnalysisError::InvalidClusterCount(format!(
+            "k = {k} for {n} observations"
+        )));
+    }
+
+    // BUILD: first medoid minimizes total distance; each further medoid
+    // maximizes the decrease in total dissimilarity. Row sums come off the
+    // packed triangle, computed once per candidate instead of once per
+    // comparison.
+    let row_sums: Vec<f64> = (0..n).map(|i| d.row_sum(i)).collect();
+    let mut medoids: Vec<usize> = Vec::with_capacity(k);
+    let first = (0..n)
+        .min_by(|&a, &b| row_sums[a].total_cmp(&row_sums[b]))
+        .ok_or_else(|| AnalysisError::EmptyInput("no observations to seed medoids".into()))?;
+    medoids.push(first);
+    while medoids.len() < k {
+        let mut best_gain = f64::NEG_INFINITY;
+        let mut best = None;
+        for cand in 0..n {
+            if medoids.contains(&cand) {
+                continue;
+            }
+            let gain: f64 = (0..n)
+                .map(|j| {
+                    let current = nearest_dist(d, &medoids, j);
+                    (current - d.get(j, cand)).max(0.0)
+                })
+                .sum();
+            if gain > best_gain {
+                best_gain = gain;
+                best = Some(cand);
+            }
+        }
+        let next = best.ok_or_else(|| {
+            AnalysisError::InvalidClusterCount(format!(
+                "no medoid candidates left at {} of {k}",
+                medoids.len()
+            ))
+        })?;
+        medoids.push(next);
+    }
+
+    // SWAP: steepest-descent exchange until no swap improves the cost.
+    let mut cost = assignment_cost(d, &medoids, n);
+    loop {
+        let mut best_delta = -1e-12;
+        let mut best_swap = None;
+        for mi in 0..medoids.len() {
+            for cand in 0..n {
+                if medoids.contains(&cand) {
+                    continue;
+                }
+                let mut trial = medoids.clone();
+                trial[mi] = cand;
+                let trial_cost = assignment_cost(d, &trial, n);
+                let delta = trial_cost - cost;
+                if delta < best_delta {
+                    best_delta = delta;
+                    best_swap = Some((mi, cand, trial_cost));
+                }
+            }
+        }
+        match best_swap {
+            Some((mi, cand, new_cost)) => {
+                medoids[mi] = cand;
+                cost = new_cost;
+            }
+            None => break,
+        }
+    }
+
+    let labels = (0..n)
+        .map(|j| {
+            (0..k)
+                .min_by(|&a, &b| d.get(j, medoids[a]).total_cmp(&d.get(j, medoids[b])))
+                .unwrap_or(0)
+        })
+        .collect();
+    Clustering::new(labels, k)
+}
+
+fn nearest_dist(d: &SymMatrix, medoids: &[usize], j: usize) -> f64 {
+    medoids
+        .iter()
+        .map(|&m| d.get(j, m))
+        .fold(f64::INFINITY, f64::min)
+}
+
+fn assignment_cost(d: &SymMatrix, medoids: &[usize], n: usize) -> f64 {
+    (0..n).map(|j| nearest_dist(d, medoids, j)).sum()
+}
+
+/// Dissimilarities that need not form a metric: zeros and ties
+/// everywhere, and magnitudes far enough apart (1e16 has an ulp of 2) that
+/// a cost's rounding depends on the order of its terms.
+const DISSIMILARITIES: [f64; 8] = [0.0, 0.1, 0.2, 0.3, 1.0, 2.0, 3.0, 1e16];
+
+fn assert_pam_matches_reference(d: &SymMatrix) {
+    for k in 1..=d.rows() {
+        let got = pam_with_distances(d, k).expect("valid k");
+        assert_eq!(got, pam_reference(d, k).expect("valid k"), "k = {k}");
+    }
+}
+
+#[test]
+fn pam_sums_every_cost_in_point_order() {
+    // Found by searching random matrices over DISSIMILARITIES: on the
+    // first, a trial cost summed in any other point order picks another
+    // swap at k = 4; on the second, a BUILD gain summed so picks another
+    // medoid at k = 5.
+    assert_pam_matches_reference(&SymMatrix::from_packed(
+        7,
+        vec![
+            0.3, 3.0, 3.0, 3.0, 1.0, 3.0, 3.0, 3.0, 0.3, 0.2, 0.3, 1.0, 1.0, 1e16, 1.0, 0.1, 2.0,
+            1.0, 1.0, 0.1, 1.0,
+        ],
+    ));
+    assert_pam_matches_reference(&SymMatrix::from_packed(
+        6,
+        vec![
+            0.2, 1.0, 2.0, 0.2, 0.1, 1.0, 1e16, 3.0, 0.2, 3.0, 1e16, 0.3, 0.0, 0.2, 1e16,
+        ],
+    ));
+}
+
+/// Members of the cluster containing observation `i`.
+fn cluster_of(c: &Clustering, i: usize) -> Vec<usize> {
+    let label = c.labels()[i];
+    c.labels()
+        .iter()
+        .enumerate()
+        .filter(|(_, &l)| l == label)
+        .map(|(j, _)| j)
+        .collect()
+}
+
+/// The `apn_from` that rebuilt both member lists per observation.
+fn apn_reference(full: &Clustering, reduced: &[Clustering]) -> f64 {
+    let n = full.len();
+    if n == 0 || reduced.is_empty() {
+        return 0.0;
+    }
+    let mut total = 0.0;
+    for r in reduced {
+        for i in 0..n {
+            let full_members = cluster_of(full, i);
+            let reduced_members = cluster_of(r, i);
+            let overlap = full_members
+                .iter()
+                .filter(|x| reduced_members.contains(x))
+                .count();
+            total += 1.0 - overlap as f64 / full_members.len() as f64;
+        }
+    }
+    total / (n as f64 * reduced.len() as f64)
+}
+
+/// The `ad_from` that rebuilt both member lists per observation.
+fn ad_reference(d_full: &SymMatrix, full: &Clustering, reduced: &[Clustering]) -> f64 {
+    let n = full.len();
+    if n == 0 || reduced.is_empty() {
+        return 0.0;
+    }
+    let mut total = 0.0;
+    for r in reduced {
+        for i in 0..n {
+            let full_members = cluster_of(full, i);
+            let reduced_members = cluster_of(r, i);
+            // Mean pairwise distance between the two member sets, in the
+            // full feature space.
+            let mut sum = 0.0;
+            for &a in &full_members {
+                for &b in &reduced_members {
+                    sum += d_full.get(a, b);
+                }
+            }
+            total += sum / (full_members.len() * reduced_members.len()) as f64;
+        }
+    }
+    total / (n as f64 * reduced.len() as f64)
+}
+
+/// The `level_histogram` that counted each value's `level_of`.
+fn level_histogram_reference(values: &[f64]) -> [f64; 4] {
+    let mut counts = [0usize; 4];
+    for &v in values {
+        counts[level_of(v)] += 1;
+    }
+    if values.is_empty() {
+        return [0.0; 4];
+    }
+    counts.map(|c| c as f64 / values.len() as f64)
+}
+
+/// The two-pass `fraction_above`.
+fn fraction_above_reference(s: &TimeSeries, threshold: f64) -> f64 {
+    let finite = s.values.iter().filter(|v| v.is_finite()).count();
+    if finite == 0 {
+        return 0.0;
+    }
+    s.values.iter().filter(|&&v| v > threshold).count() as f64 / finite as f64
+}
+
+/// Strategy: 2..=`max_rows` rows drawn from a pool of four small-integer
+/// points, so rows repeat (zero distances) and distinct pairs tie on
+/// distance.
+fn tied_matrix_strategy(max_rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
+    let pool = 4 * cols;
+    prop::collection::vec(-3i64..=3, pool + 2..=pool + max_rows).prop_map(move |draws| {
+        let (pool, picks) = draws.split_at(pool);
+        let rows: Vec<Vec<f64>> = picks
+            .iter()
+            .map(|&p| {
+                let at = (p.rem_euclid(4) as usize) * cols;
+                pool[at..at + cols].iter().map(|&v| v as f64).collect()
+            })
+            .collect();
+        Matrix::from_rows(&rows).expect("uniform rows")
+    })
+}
+
+/// Values that hit every edge of the level and extrema scans: NaN, ±∞,
+/// ±0, the quarter marks and their neighbours, mixed with plain draws.
+fn edge_values(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
+    let below = |v: f64| f64::from_bits(v.to_bits() - 1);
+    let above = |v: f64| f64::from_bits(v.to_bits() + 1);
+    let edges = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        0.0,
+        0.25,
+        0.5,
+        0.75,
+        1.0,
+        below(0.25),
+        above(0.5),
+        below(0.75),
+        -1.0,
+        2.0,
+    ];
+    prop::collection::vec(0usize..2 * edges.len(), 0..=max_len).prop_map(move |picks| {
+        picks
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| match edges.get(p) {
+                Some(&v) => v,
+                None => ((i * 7919 + p * 104_729) % 1000) as f64 / 800.0 - 0.1,
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn pam_matches_the_clone_per_trial_reference(m in tied_matrix_strategy(12, 2)) {
+        assert_pam_matches_reference(&pairwise_euclidean(&m));
+    }
+
+    #[test]
+    fn pam_matches_the_reference_on_arbitrary_dissimilarities(
+        n in 2usize..=10,
+        picks in prop::collection::vec(0usize..DISSIMILARITIES.len(), 45),
+    ) {
+        let packed = picks[..n * (n - 1) / 2].iter().map(|&p| DISSIMILARITIES[p]).collect();
+        assert_pam_matches_reference(&SymMatrix::from_packed(n, packed));
+    }
+
+    #[test]
+    fn stability_measures_match_the_cluster_of_reference(
+        n in 2usize..=12,
+        k in 1usize..=4,
+        reductions in 1usize..=4,
+        labels in prop::collection::vec(0usize..4, 60),
+        packed in prop::collection::vec(0.0f64..10.0, 66),
+    ) {
+        let labeling = |at: usize| {
+            let labels = labels[at * n..(at + 1) * n].iter().map(|l| l % k).collect();
+            Clustering::new(labels, k).expect("labels below k")
+        };
+        let full = labeling(0);
+        let reduced: Vec<Clustering> = (1..=reductions).map(labeling).collect();
+        let d = SymMatrix::from_packed(n, packed[..n * (n - 1) / 2].to_vec());
+        prop_assert_eq!(
+            apn_from(&full, &reduced).to_bits(),
+            apn_reference(&full, &reduced).to_bits()
+        );
+        prop_assert_eq!(
+            ad_from(&d, &full, &reduced).to_bits(),
+            ad_reference(&d, &full, &reduced).to_bits()
+        );
+    }
+
+    #[test]
+    fn level_histogram_matches_counting_level_of(values in edge_values(40)) {
+        let got = level_histogram(&values);
+        let want = level_histogram_reference(&values);
+        for (g, w) in got.iter().zip(&want) {
+            prop_assert_eq!(g.to_bits(), w.to_bits());
+        }
+    }
+
+    #[test]
+    fn one_pass_series_scans_match_their_two_pass_forms(
+        values in edge_values(40),
+        threshold in -0.5f64..1.5,
+    ) {
+        let s = TimeSeries::new(0.1, values);
+        let (lo, hi) = s.min_max();
+        prop_assert_eq!(lo.to_bits(), s.min().to_bits());
+        prop_assert_eq!(hi.to_bits(), s.max().to_bits());
+        for t in [threshold, 0.5, 0.25] {
+            prop_assert_eq!(
+                s.fraction_above(t).to_bits(),
+                fraction_above_reference(&s, t).to_bits()
+            );
         }
     }
 }
