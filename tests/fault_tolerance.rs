@@ -179,3 +179,31 @@ fn env_fault_plan_yields_a_usable_study() {
         "fault-off path is the historical pipeline"
     );
 }
+
+/// A fault-injected paper-default study is pinned bit for bit. The spec
+/// exercises dropout, jitter, counter wraps and their repair, truncation,
+/// failed runs and retries, and one unit whose every attempt fails.
+/// Uncached, so the digest comes from a real simulation, and at two
+/// worker counts, so no fan-out order can move it.
+#[test]
+fn faulty_study_digest_is_pinned() {
+    let spec = mwc_core::from_wire(include_str!("data/faulty.spec")).expect("valid spec");
+    for threads in [1, 4] {
+        let study = Characterization::try_run_spec(&spec.clone().with_threads(threads))
+            .expect("the faulty study completes");
+        assert_eq!(
+            study.report().summary(),
+            "17/18 units profiled (excluded: PCMark Storage)",
+            "threads = {threads}"
+        );
+        assert_eq!(
+            format!("{:016x}", study.digest()),
+            EXPECTED_FAULTY_DIGEST,
+            "faulty study digest moved at threads = {threads}"
+        );
+    }
+}
+
+/// Digest of the `tests/data/faulty.spec` study, as `profile --spec-file`
+/// prints it.
+const EXPECTED_FAULTY_DIGEST: &str = "69dd78275bfcd04c";
