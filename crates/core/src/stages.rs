@@ -28,6 +28,7 @@ use std::sync::Arc;
 
 use mwc_profiler::capture::Profiler;
 use mwc_soc::engine::Engine;
+use mwc_soc::workload::Workload;
 use mwc_workloads::registry::BenchmarkUnit;
 
 use crate::cache::StudyCache;
@@ -149,15 +150,32 @@ pub(crate) fn collect(units: Vec<UnitOutcome>) -> Result<Collected, PipelineErro
     })
 }
 
+/// The positions in `selected` in the order the fan-out starts them:
+/// longest workload first, ties in unit order.
+fn longest_first(selected: &[(usize, &BenchmarkUnit)]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..selected.len()).collect();
+    order.sort_by(|&a, &b| {
+        let duration = |i: usize| selected[i].1.workload.duration_seconds();
+        duration(b)
+            .total_cmp(&duration(a))
+            .then(selected[a].0.cmp(&selected[b].0))
+    });
+    order
+}
+
 /// The per-unit fan-out: the `mwc_parallel` worker pool, artifact-cache
-/// first.
+/// first. Units start longest first ([`longest_first`]), so the fan-out
+/// ends on short units instead of leaving one worker alone with a long
+/// one. Each profile depends only on `(seed, unit, run)`, and each
+/// outcome goes back to its unit's slot, so the order moves no result.
 fn run_units_local(
     spec: &StudySpec,
     selected: &[(usize, &BenchmarkUnit)],
     cache: Option<&StudyCache>,
 ) -> Vec<UnitOutcome> {
-    mwc_parallel::ordered_map_with(
-        selected,
+    let order = longest_first(selected);
+    let outcomes = mwc_parallel::ordered_map_with(
+        &order,
         spec.threads,
         || {
             // `execute` validates engine construction before the
@@ -167,9 +185,11 @@ fn run_units_local(
                 .map(|engine| Profiler::new(engine, spec.seed))
                 .map_err(|e| PipelineError::from(e).to_string())
         },
-        |worker, (unit_index, unit), _| match worker {
-            Ok(profiler) => unit_task(profiler, *unit_index, unit, spec, cache),
-            Err(error) => {
+        |worker, &slot, _| match (worker, selected[slot]) {
+            (Ok(profiler), (unit_index, unit)) => {
+                unit_task(profiler, unit_index, unit, spec, cache)
+            }
+            (Err(error), (_, unit)) => {
                 mwc_obs::metrics::counter_add("pipeline.engine_failures", 1);
                 // Environmental failure, not unit content: never cached.
                 UnitOutcome {
@@ -180,7 +200,10 @@ fn run_units_local(
                 }
             }
         },
-    )
+    );
+    let mut placed: Vec<(usize, UnitOutcome)> = order.into_iter().zip(outcomes).collect();
+    placed.sort_unstable_by_key(|&(slot, _)| slot);
+    placed.into_iter().map(|(_, outcome)| outcome).collect()
 }
 
 /// One unit through the capture → derive stages, artifact-cache first.
@@ -237,5 +260,45 @@ mod tests {
             other => panic!("expected a failed artifact, got {other:?}"),
         }
         assert!(outcomes[0].computed);
+    }
+
+    #[test]
+    fn units_start_longest_first_and_come_back_in_unit_order() {
+        let spec = StudySpec::paper_default();
+        let selected = spec.selected().unwrap();
+        let order = longest_first(&selected);
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..selected.len()).collect::<Vec<_>>());
+        for pair in order.windows(2) {
+            let (a, b) = (&selected[pair[0]], &selected[pair[1]]);
+            let (da, db) = (
+                a.1.workload.duration_seconds(),
+                b.1.workload.duration_seconds(),
+            );
+            assert!(
+                da > db || (da == db && a.0 < b.0),
+                "{} before {}",
+                a.1.name,
+                b.1.name
+            );
+        }
+        assert_ne!(order, sorted, "the paper's units are not in duration order");
+
+        let spec = StudySpec::new(SocConfig::snapdragon_888(), 7, 1)
+            .with_units(["Aitutu", "PCMark Storage", "Antutu CPU"])
+            .with_threads(2);
+        let selected = spec.selected().unwrap();
+        assert_ne!(
+            longest_first(&selected),
+            [0, 1, 2],
+            "the subset is reordered"
+        );
+        let names: Vec<String> = run_units_local(&spec, &selected, None)
+            .into_iter()
+            .map(|o| o.name)
+            .collect();
+        let want: Vec<&str> = selected.iter().map(|(_, u)| u.name).collect();
+        assert_eq!(names, want);
     }
 }

@@ -1,11 +1,16 @@
 //! Capture sessions: run workloads on an engine and extract named series.
+//!
+//! A [`Capture`] holds one run's counter columns as the engine wrote them.
+//! [`Capture::into_series_map`], the study's path, moves the raw series
+//! columns into a [`SeriesMap`] and computes the rest;
+//! [`Capture::series_map`] copies them and leaves the capture whole.
 
 use mwc_soc::config::ClusterKind;
-use mwc_soc::counters::{TickSample, Trace};
+use mwc_soc::counters::{RunTotals, Trace};
 use mwc_soc::engine::Engine;
 use mwc_soc::workload::Workload;
 
-use crate::columns::TraceColumns;
+use crate::columns::{column_of, TraceColumns};
 use crate::faults::{attempt_seed, CaptureError, CaptureHealth, FaultConfig, FaultPlan};
 use crate::timeseries::TimeSeries;
 
@@ -99,65 +104,6 @@ impl SeriesKey {
         }
     }
 
-    /// Extract this metric from one counter sample. A dropped sample (lost
-    /// capture row) extracts as NaN for every key, so gaps propagate into
-    /// the series instead of masquerading as zeros.
-    pub(crate) fn extract(self, s: &TickSample) -> f64 {
-        if s.is_dropped() {
-            return f64::NAN;
-        }
-        match self {
-            SeriesKey::CpuLoad => {
-                if s.clusters.is_empty() {
-                    0.0
-                } else {
-                    s.clusters.iter().map(|c| c.load).sum::<f64>() / s.clusters.len() as f64
-                }
-            }
-            SeriesKey::ClusterLoad(kind) => s
-                .clusters
-                .iter()
-                .find(|c| c.kind == kind)
-                .map_or(0.0, |c| c.load),
-            SeriesKey::ClusterUtilization(kind) => s
-                .clusters
-                .iter()
-                .find(|c| c.kind == kind)
-                .map_or(0.0, |c| c.utilization),
-            SeriesKey::GpuLoad => s.gpu_load,
-            SeriesKey::GpuShadersBusy => s.gpu_shaders_busy,
-            SeriesKey::GpuBusBusy => s.gpu_bus_busy,
-            SeriesKey::AieLoad => s.aie_load,
-            SeriesKey::MemoryUsedFraction => s.memory_used_fraction,
-            SeriesKey::MemoryUsedMib => s.memory_used_mib,
-            SeriesKey::MemoryBandwidth => s.memory_bandwidth_utilization,
-            SeriesKey::StorageBusy => s.storage_busy,
-            SeriesKey::Ipc => {
-                if s.cycles > 0.0 {
-                    s.instructions / s.cycles
-                } else {
-                    0.0
-                }
-            }
-            SeriesKey::CacheMpki => {
-                if s.instructions > 0.0 {
-                    s.cache_misses / s.instructions * 1000.0
-                } else {
-                    0.0
-                }
-            }
-            SeriesKey::BranchMpki => {
-                if s.instructions > 0.0 {
-                    s.branch_misses / s.instructions * 1000.0
-                } else {
-                    0.0
-                }
-            }
-            SeriesKey::Instructions => s.instructions,
-            SeriesKey::GpuL1TextureMisses => s.gpu_l1_texture_misses_m,
-        }
-    }
-
     /// Stable display name for tables and CSV headers.
     pub fn name(self) -> String {
         match self {
@@ -216,41 +162,30 @@ impl Capture {
         self.trace.duration_seconds()
     }
 
-    /// Extract one named time series.
+    /// Extract one named time series. A dropped sample (lost capture row)
+    /// is NaN in every series, so gaps propagate instead of masquerading
+    /// as zeros.
     pub fn series(&self, key: SeriesKey) -> TimeSeries {
-        let values = self.trace.samples.iter().map(|s| key.extract(s)).collect();
-        TimeSeries::new(self.trace.tick_seconds, values)
+        TimeSeries::new(self.trace.tick_seconds, column_of(&self.trace.samples, key))
     }
 
-    /// Extract every series in [`SeriesKey::ALL`] in one pass over the
-    /// trace into a columnar [`TraceColumns`] buffer. Metric derivation
-    /// needs a dozen-plus series per capture; extracting them together
-    /// avoids re-walking the samples per key, and the columnar layout
-    /// keeps each metric contiguous for the downstream reductions.
+    /// Every series in [`SeriesKey::ALL`] plus the run-level aggregates,
+    /// copied out of the capture, which stays whole.
     pub fn series_map(&self) -> SeriesMap {
-        let columns = TraceColumns::from_trace(&self.trace);
-        // Dropped ticks remove their instructions from the raw sum, which
-        // would bias the count low by exactly the dropout rate. Ratio
-        // metrics (IPC, MPKI) are computed over the same surviving ticks
-        // and stay unbiased; the count is extrapolated from the captured
-        // fraction instead. A clean capture divides by exactly 1.0, which
-        // is a bit-exact no-op.
-        let completeness = self.trace.completeness();
-        let count_scale = if completeness > 0.0 {
-            1.0 / completeness
-        } else {
-            1.0
-        };
-        SeriesMap {
-            tick_seconds: self.trace.tick_seconds,
-            workload: self.trace.workload.clone(),
-            runtime_seconds: self.trace.duration_seconds(),
-            total_instructions: self.trace.total_instructions() * count_scale,
-            ipc: self.trace.ipc(),
-            cache_mpki: self.trace.cache_mpki(),
-            branch_mpki: self.trace.branch_mpki(),
-            columns,
-        }
+        SeriesMap::new(
+            self.trace.workload.clone(),
+            self.trace.totals(),
+            TraceColumns::copied_from(&self.trace),
+        )
+    }
+
+    /// [`Capture::series_map`] by value: the raw series columns move into
+    /// the map instead of being copied.
+    pub fn into_series_map(self) -> SeriesMap {
+        let mut trace = self.trace;
+        let workload = std::mem::take(&mut trace.workload);
+        let totals = trace.totals();
+        SeriesMap::new(workload, totals, TraceColumns::from_trace(trace))
     }
 
     /// Number of dropped (lost) samples in the underlying trace.
@@ -264,9 +199,8 @@ impl Capture {
     }
 }
 
-/// All named series of one capture, extracted in a single pass into
-/// columnar storage, plus the run-level aggregates the metric derivation
-/// needs.
+/// All named series of one capture in columnar storage, plus the
+/// run-level aggregates the metric derivation needs.
 #[derive(Debug, Clone)]
 pub struct SeriesMap {
     /// Sampling period in seconds.
@@ -287,6 +221,31 @@ pub struct SeriesMap {
 }
 
 impl SeriesMap {
+    fn new(workload: String, totals: RunTotals, columns: TraceColumns) -> Self {
+        // Dropped ticks remove their instructions from the raw sum, which
+        // would bias the count low by exactly the dropout rate. Ratio
+        // metrics (IPC, MPKI) are computed over the same surviving ticks
+        // and stay unbiased; the count is extrapolated from the captured
+        // fraction instead. A clean capture divides by exactly 1.0, which
+        // is a bit-exact no-op.
+        let completeness = totals.completeness();
+        let count_scale = if completeness > 0.0 {
+            1.0 / completeness
+        } else {
+            1.0
+        };
+        SeriesMap {
+            tick_seconds: columns.tick_seconds(),
+            workload,
+            runtime_seconds: columns.ticks() as f64 * columns.tick_seconds(),
+            total_instructions: totals.instructions * count_scale,
+            ipc: totals.ipc(),
+            cache_mpki: totals.cache_mpki(),
+            branch_mpki: totals.branch_mpki(),
+            columns,
+        }
+    }
+
     /// One metric's samples as a contiguous slice.
     pub fn column(&self, key: SeriesKey) -> &[f64] {
         self.columns.column(key)

@@ -13,7 +13,7 @@
 
 use std::fmt;
 
-use mwc_soc::counters::Trace;
+use mwc_soc::counters::{Counter, Trace};
 use mwc_soc::digest::Fnv1a;
 use mwc_soc::engine::stream_seed;
 
@@ -237,9 +237,15 @@ impl FaultPlan {
     ///
     /// Truncated ticks are invalidated rather than removed so the trace
     /// keeps its uniform tick grid and run averaging stays well-defined.
+    ///
+    /// The trace is stored by column, but every kept tick still takes its
+    /// draws in the same order: four jitter factors (instructions, cycles,
+    /// cache misses, branch misses), then the overflow draw, then the
+    /// dropout draw.
     pub fn apply(&mut self, trace: &mut Trace) -> InjectionSummary {
         let mut summary = InjectionSummary::default();
-        let n = trace.samples.len();
+        let samples = &mut trace.samples;
+        let n = samples.len();
         // An empty trace has nothing to truncate — and `clamp(1, 0)` would
         // panic with `min > max`.
         let cut = if n == 0 {
@@ -249,33 +255,37 @@ impl FaultPlan {
                 .map(|frac| ((n as f64 * frac) as usize).clamp(1, n))
         };
 
-        for s in &mut trace.samples {
-            if s.is_dropped() {
+        for t in 0..n {
+            if samples.is_dropped(t) {
                 continue;
             }
             if self.cfg.jitter_amplitude > 0.0 {
-                let noise = 1.0 + self.cfg.jitter_amplitude * self.rng.next_signed();
-                s.instructions *= noise;
-                s.cycles *= 1.0 + self.cfg.jitter_amplitude * self.rng.next_signed();
-                s.cache_misses *= 1.0 + self.cfg.jitter_amplitude * self.rng.next_signed();
-                s.branch_misses *= 1.0 + self.cfg.jitter_amplitude * self.rng.next_signed();
+                for counter in [
+                    Counter::Instructions,
+                    Counter::Cycles,
+                    Counter::CacheMisses,
+                    Counter::BranchMisses,
+                ] {
+                    samples[counter][t] *= 1.0 + self.cfg.jitter_amplitude * self.rng.next_signed();
+                }
             }
             if self.cfg.overflow_rate > 0.0 && self.rng.next_f64() < self.cfg.overflow_rate {
                 // A 32-bit counter register wrapped once mid-tick: the
                 // delta read by the profiler comes out negative.
-                s.instructions -= WRAP_32;
+                samples[Counter::Instructions][t] -= WRAP_32;
             }
             if self.cfg.dropout_rate > 0.0 && self.rng.next_f64() < self.cfg.dropout_rate {
-                s.invalidate();
+                samples.invalidate(t);
                 summary.dropped += 1;
             }
         }
 
         // Repair pass: negative or non-finite counters can only come from
         // a wrap — mark the sample lost instead of poisoning aggregates.
-        for s in &mut trace.samples {
-            if !s.is_dropped() && (s.instructions < 0.0 || !s.instructions.is_finite()) {
-                s.invalidate();
+        for t in 0..n {
+            let instructions = samples[Counter::Instructions][t];
+            if !instructions.is_nan() && (instructions < 0.0 || !instructions.is_finite()) {
+                samples.invalidate(t);
                 summary.wraps += 1;
                 summary.dropped += 1;
             }
@@ -285,9 +295,9 @@ impl FaultPlan {
             // Only report a truncation that actually invalidated a tick:
             // a cut at (or past) the last live sample dropped nothing.
             let mut cut_drops = 0usize;
-            for s in &mut trace.samples[cut..] {
-                if !s.is_dropped() {
-                    s.invalidate();
+            for t in cut..n {
+                if !samples.is_dropped(t) {
+                    samples.invalidate(t);
                     cut_drops += 1;
                 }
             }
@@ -485,12 +495,16 @@ mod tests {
     use mwc_soc::engine::Engine;
     use mwc_soc::workload::{ConstantWorkload, Demand};
 
-    fn trace() -> Trace {
+    fn trace_of(seconds: f64) -> Trace {
         let mut engine = Engine::new(SocConfig::snapdragon_888(), 0).expect("valid preset");
         engine.reset_for(100, 0, 0);
         let mut d = Demand::idle();
         d.cpu = CpuDemand::single_thread(0.8);
-        engine.run(&ConstantWorkload::new("t", 20.0, d))
+        engine.run(&ConstantWorkload::new("t", seconds, d))
+    }
+
+    fn trace() -> Trace {
+        trace_of(20.0)
     }
 
     #[test]
@@ -524,7 +538,8 @@ mod tests {
         FaultPlan::new(&cfg, 3, 1, 0).apply(&mut b);
         // NaN != NaN, so compare bit patterns sample by sample.
         let bits = |t: &Trace| -> Vec<u64> {
-            t.samples.iter().map(|s| s.instructions.to_bits()).collect()
+            let instructions = &t.samples[Counter::Instructions];
+            instructions.iter().map(|v| v.to_bits()).collect()
         };
         assert_eq!(bits(&a), bits(&b));
         assert_eq!(a.dropped_samples(), b.dropped_samples());
@@ -542,11 +557,8 @@ mod tests {
         FaultPlan::new(&cfg, 3, 1, 0).apply(&mut a);
         FaultPlan::new(&cfg, 3, 1, 1).apply(&mut b);
         let dropped = |t: &Trace| -> Vec<usize> {
-            t.samples
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.is_dropped())
-                .map(|(i, _)| i)
+            (0..t.samples.len())
+                .filter(|&i| t.samples.is_dropped(i))
                 .collect()
         };
         assert_ne!(dropped(&a), dropped(&b), "attempts share a dropout plan");
@@ -580,8 +592,8 @@ mod tests {
         assert!(summary.truncated);
         assert!(summary.dropped > 0);
         assert_eq!(t.samples.len(), n, "truncation keeps the tick grid");
-        assert!(t.samples[n - 1].is_dropped());
-        assert!(!t.samples[0].is_dropped());
+        assert!(t.samples.is_dropped(n - 1));
+        assert!(!t.samples.is_dropped(0));
     }
 
     #[test]
@@ -593,8 +605,8 @@ mod tests {
             truncation_rate: 1.0,
             ..FaultConfig::default()
         };
-        let mut t = trace();
-        t.samples.clear();
+        let mut t = trace_of(0.0);
+        assert!(t.samples.is_empty());
         let summary = FaultPlan::new(&cfg, 0, 0, 0).apply(&mut t);
         assert!(!summary.truncated, "nothing was dropped");
         assert_eq!(summary.dropped, 0);
@@ -610,12 +622,12 @@ mod tests {
             truncation_rate: 1.0,
             ..FaultConfig::default()
         };
-        let mut t = trace();
-        t.samples.truncate(1);
+        let mut t = trace_of(0.1);
+        assert_eq!(t.samples.len(), 1);
         let summary = FaultPlan::new(&cfg, 0, 0, 0).apply(&mut t);
         assert!(!summary.truncated);
         assert_eq!(summary.dropped, 0);
-        assert!(!t.samples[0].is_dropped());
+        assert!(!t.samples.is_dropped(0));
     }
 
     #[test]
@@ -692,10 +704,9 @@ mod tests {
             summary.wraps > 0,
             "5% over 200 ticks should wrap at least once"
         );
-        assert!(t
-            .samples
+        assert!(t.samples[Counter::Instructions]
             .iter()
-            .all(|s| s.is_dropped() || s.instructions >= 0.0));
+            .all(|&v| v.is_nan() || v >= 0.0));
     }
 
     #[test]

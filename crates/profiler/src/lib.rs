@@ -10,8 +10,9 @@
 //! * [`timeseries`] — time series with normalization and resampling;
 //! * [`capture`] — capture sessions: run a workload `n` times (the paper
 //!   runs everything thrice) and collect per-run counter traces;
-//! * [`columns`] — columnar (struct-of-arrays) trace storage: every named
-//!   series extracted once into contiguous per-metric buffers;
+//! * [`columns`] — columnar (struct-of-arrays) series storage: one
+//!   contiguous buffer per named series, the raw ones moved in from the
+//!   engine's counter columns;
 //! * [`baseline`] — idle-baseline measurement and subtraction for memory
 //!   (the paper's Limitations §IV-A item 3);
 //! * [`derive`] — derived benchmark-level metrics (IC, IPC, cache MPKI,

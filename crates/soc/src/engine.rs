@@ -10,17 +10,18 @@
 //! 3. tick the GPU — texture residency becomes shared-cache contention for
 //!    the CPU clusters (the paper's explanation for low graphics IPC);
 //! 4. place CPU threads with the EAS scheduler and tick every cluster;
-//! 5. tick memory and storage and record a [`TickSample`].
+//! 5. tick memory and storage and write the tick's counters into the
+//!    run's [`Samples`] columns, at the tick's index.
 //!
 //! Two interchangeable cores drive that loop. The **dense** core executes
 //! every tick. The **event** core (the default) executes only ticks where
 //! something can change — a workload phase boundary, a demand whose noise
 //! must advance the RNG, or a device still ramping its DVFS governor —
-//! and materializes the in-between samples by replication, because at
-//! those ticks the whole SoC is provably at a fixpoint and a dense tick
-//! would be a state-preserving identity. Both cores produce bit-identical
-//! traces; `tests/event_engine.rs` pins that equivalence on every trace
-//! the paper-default study consumes. [`Engine::new`] always builds the
+//! and materializes the in-between samples by copying the stepped tick's
+//! values forward, because at those ticks the whole SoC is provably at a
+//! fixpoint and a dense tick would be a state-preserving identity. Both
+//! cores produce bit-identical traces; `tests/event_engine.rs` pins that
+//! equivalence on every trace the paper-default study consumes. [`Engine::new`] always builds the
 //! event core; [`Engine::set_mode`] selects the dense one for the
 //! equivalence tests and the `soc_engine` bench. See `DESIGN.md` §15.
 
@@ -29,7 +30,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::aie::Aie;
 use crate::config::SocConfig;
-use crate::counters::{ClusterSample, TickSample, Trace};
+use crate::counters::{ClusterCounter, Counter, Samples, Trace};
 use crate::cpu::{Cluster, ThreadDemand};
 use crate::error::SocError;
 use crate::event::{DeviceId, EventKind, EventQueue, SimClock};
@@ -126,8 +127,7 @@ pub struct Engine {
     rng: StdRng,
     mode: EngineMode,
     /// The current tick's perturbed demand and its placement: buffers
-    /// reused from tick to tick, so a stepped tick allocates nothing but
-    /// the sample it returns.
+    /// reused from tick to tick, so a stepped tick allocates nothing.
     demand: Demand,
     placement: Placement,
 }
@@ -221,7 +221,9 @@ impl Engine {
         self.reset(stream_seed(study_seed, unit_index, run_index));
     }
 
-    /// Run a workload to completion and return the counter trace.
+    /// Run a workload to completion and return the counter trace. Every
+    /// column is sized from the tick count before the first tick, and each
+    /// tick is written at its index.
     ///
     /// Workloads with a non-positive duration yield an empty trace; any
     /// positive duration — however short — executes at least one tick,
@@ -245,10 +247,12 @@ impl Engine {
         mwc_obs::metrics::counter_add("soc.ticks", clock.ticks());
         mwc_obs::metrics::counter_add("soc.runs", 1);
 
-        let samples = match self.mode {
-            EngineMode::Event => self.run_event(workload, &clock),
-            EngineMode::Dense => self.run_dense(workload, &clock),
-        };
+        let kinds = self.config.clusters.iter().map(|c| c.kind);
+        let mut samples = Samples::new(clock.ticks() as usize, kinds);
+        match self.mode {
+            EngineMode::Event => self.run_event(workload, &clock, &mut samples),
+            EngineMode::Dense => self.run_dense(workload, &clock, &mut samples),
+        }
 
         if let Some(ns) = run_span.elapsed_ns() {
             mwc_obs::metrics::observe_duration_ns("soc.run_ns", ns);
@@ -263,18 +267,16 @@ impl Engine {
     /// The dense core: execute every component model on every tick. This
     /// is the executable specification of the simulator's semantics; the
     /// event core is gated bit-for-bit against it.
-    fn run_dense(&mut self, workload: &dyn Workload, clock: &SimClock) -> Vec<TickSample> {
-        let mut samples = Vec::with_capacity(clock.ticks() as usize);
+    fn run_dense(&mut self, workload: &dyn Workload, clock: &SimClock, samples: &mut Samples) {
         for tick in 0..clock.ticks() {
             self.demand = workload.demand_at(clock.t_norm(tick));
             self.perturb();
-            samples.push(self.step(clock.time_s(tick)));
+            self.step(samples, tick as usize, clock.time_s(tick));
         }
-        samples
     }
 
-    /// The event core: execute only ticks with scheduled events and
-    /// replicate samples across the quiescent stretches in between.
+    /// The event core: execute only ticks with scheduled events and copy
+    /// their values across the quiescent stretches in between.
     ///
     /// A tick must execute ([`Engine::step`]) when any of these hold:
     ///
@@ -292,13 +294,12 @@ impl Engine {
     /// consumes no randomness and reproduces the previous sample exactly
     /// (memory and storage are stateless pure functions, and the
     /// scheduler sees no runnable threads) — so the sampler materializes
-    /// the remaining samples by replicating the last one with an updated
-    /// timestamp, at zero model cost. This is what makes idle-heavy and
-    /// phase-sparse workloads cheap: cost scales with *activity*, not
-    /// duration.
-    fn run_event(&mut self, workload: &dyn Workload, clock: &SimClock) -> Vec<TickSample> {
+    /// the remaining ticks by copying the stepped tick's column values
+    /// forward under their own timestamps, at zero model cost. This is
+    /// what makes idle-heavy and phase-sparse workloads cheap: cost scales
+    /// with *activity*, not duration.
+    fn run_event(&mut self, workload: &dyn Workload, clock: &SimClock, samples: &mut Samples) {
         let ticks = clock.ticks();
-        let mut samples: Vec<TickSample> = Vec::with_capacity(ticks as usize);
         let mut queue = EventQueue::new();
         let mut held_demand = Demand::idle();
         let mut stepped: u64 = 0;
@@ -322,7 +323,7 @@ impl Engine {
 
             copy_demand(&mut self.demand, &held_demand);
             self.perturb();
-            samples.push(self.step(clock.time_s(tick)));
+            self.step(samples, tick as usize, clock.time_s(tick));
             stepped += 1;
 
             // Decide what must wake the model next.
@@ -349,13 +350,11 @@ impl Engine {
 
             // Coast: every tick before the next event reproduces the
             // sample just taken (same fixpoint state, same inputs, zero
-            // RNG draws), so materialize those samples by replication.
+            // RNG draws), so copy its values forward.
             let resume = queue.next_tick().unwrap_or(ticks).min(ticks);
-            let last = samples.len() - 1;
+            samples.copy_forward(tick as usize, (tick + 1) as usize..resume as usize);
             for coast_tick in (tick + 1)..resume {
-                let mut sample = samples[last].clone();
-                sample.time_s = clock.time_s(coast_tick);
-                samples.push(sample);
+                samples.time_s[coast_tick as usize] = clock.time_s(coast_tick);
             }
         }
 
@@ -369,7 +368,6 @@ impl Engine {
         mwc_obs::metrics::counter_add("soc.ticks_coasted", ticks.saturating_sub(stepped));
         mwc_obs::metrics::counter_add("soc.cpi_memo_hits", memo_hits);
         mwc_obs::metrics::counter_add("soc.cpi_memo_misses", memo_misses);
-        samples
     }
 
     /// Apply seeded run-to-run noise to the current tick's demand.
@@ -387,8 +385,9 @@ impl Engine {
         }
     }
 
-    /// Advance the whole SoC by one tick under the current tick's demand.
-    fn step(&mut self, time_s: f64) -> TickSample {
+    /// Advance the whole SoC by one tick under the current tick's demand,
+    /// and write its counters into `samples` at tick `t`.
+    fn step(&mut self, samples: &mut Samples, t: usize, time_s: f64) {
         let demand = &mut self.demand;
         // 1. AIE first: unsupported work falls back to the CPU.
         let aie_result = match &mut self.aie {
@@ -432,14 +431,14 @@ impl Engine {
         let memoize = self.mode == EngineMode::Event;
         self.scheduler.place(&demand.cpu, &mut self.placement);
         let threads = &demand.cpu.threads;
-        let mut cluster_samples = Vec::with_capacity(self.clusters.len());
         let mut instructions = 0.0;
         let mut cycles = 0.0;
         let mut cache_misses = 0.0;
         let mut branches = 0.0;
         let mut branch_misses = 0.0;
         let mut dram_accesses = 0.0;
-        for (cluster, assigned) in self.clusters.iter_mut().zip(&self.placement.assignments) {
+        let placed = self.clusters.iter_mut().zip(&self.placement.assignments);
+        for ((cluster, assigned), columns) in placed.zip(&mut samples.clusters) {
             cluster.set_shared_contention(l3_contention, slc_contention);
             let assigned = assigned.iter().map(|&i| &threads[i]);
             let r = cluster.tick(assigned, TICK_SECONDS, memoize);
@@ -449,14 +448,15 @@ impl Engine {
             branches += r.counters.branches;
             branch_misses += r.counters.branch_misses;
             dram_accesses += r.counters.dram_accesses;
-            cluster_samples.push(ClusterSample {
-                kind: cluster.config().kind,
-                utilization: r.utilization,
-                frequency_mhz: r.frequency_mhz,
-                load: r.load(cluster.config().max_freq_mhz),
-                instructions: r.counters.instructions,
-                cycles: r.counters.cycles,
-            });
+            for (counter, value) in [
+                (ClusterCounter::Utilization, r.utilization),
+                (ClusterCounter::FrequencyMhz, r.frequency_mhz),
+                (ClusterCounter::Load, r.load(cluster.config().max_freq_mhz)),
+                (ClusterCounter::Instructions, r.counters.instructions),
+                (ClusterCounter::Cycles, r.counters.cycles),
+            ] {
+                columns[counter][t] = value;
+            }
         }
 
         // 4. Memory: CPU DRAM traffic + GPU texture traffic + workload
@@ -485,30 +485,34 @@ impl Engine {
             .map(|a| a.max_freq_mhz)
             .unwrap_or(0.0);
 
-        TickSample {
-            time_s,
-            clusters: cluster_samples,
-            instructions,
-            cycles,
-            cache_misses,
-            branches,
-            branch_misses,
-            dram_accesses,
-            gpu_utilization: gpu_result.utilization,
-            gpu_frequency_mhz: gpu_result.frequency_mhz,
-            gpu_load: gpu_result.load(gpu_max_freq),
-            gpu_shaders_busy: gpu_result.shaders_busy,
-            gpu_bus_busy: gpu_result.bus_busy,
-            gpu_l1_texture_misses_m: gpu_result.l1_texture_misses_m,
-            aie_utilization: aie_result.utilization,
-            aie_frequency_mhz: aie_result.frequency_mhz,
-            aie_load: aie_result.load(aie_max_freq),
-            memory_used_mib: memory_result.total_used_mib,
-            memory_used_fraction: memory_result.used_fraction,
-            memory_bandwidth_utilization: memory_result.bandwidth_utilization,
-            storage_busy: storage_result.busy,
-            storage_read_mbps: storage_result.read_mbps,
-            storage_write_mbps: storage_result.write_mbps,
+        samples.time_s[t] = time_s;
+        for (counter, value) in [
+            (Counter::Instructions, instructions),
+            (Counter::Cycles, cycles),
+            (Counter::CacheMisses, cache_misses),
+            (Counter::Branches, branches),
+            (Counter::BranchMisses, branch_misses),
+            (Counter::DramAccesses, dram_accesses),
+            (Counter::GpuUtilization, gpu_result.utilization),
+            (Counter::GpuFrequencyMhz, gpu_result.frequency_mhz),
+            (Counter::GpuLoad, gpu_result.load(gpu_max_freq)),
+            (Counter::GpuShadersBusy, gpu_result.shaders_busy),
+            (Counter::GpuBusBusy, gpu_result.bus_busy),
+            (Counter::GpuL1TextureMissesM, gpu_result.l1_texture_misses_m),
+            (Counter::AieUtilization, aie_result.utilization),
+            (Counter::AieFrequencyMhz, aie_result.frequency_mhz),
+            (Counter::AieLoad, aie_result.load(aie_max_freq)),
+            (Counter::MemoryUsedMib, memory_result.total_used_mib),
+            (Counter::MemoryUsedFraction, memory_result.used_fraction),
+            (
+                Counter::MemoryBandwidthUtilization,
+                memory_result.bandwidth_utilization,
+            ),
+            (Counter::StorageBusy, storage_result.busy),
+            (Counter::StorageReadMbps, storage_result.read_mbps),
+            (Counter::StorageWriteMbps, storage_result.write_mbps),
+        ] {
+            samples[counter][t] = value;
         }
     }
 }
@@ -518,12 +522,24 @@ mod tests {
     use super::*;
     use crate::aie::{AieDemand, Codec, DspKernel};
     use crate::config::ClusterKind;
+    use crate::counters::TickSample;
     use crate::cpu::CpuDemand;
     use crate::gpu::GpuDemand;
     use crate::workload::ConstantWorkload;
 
     fn engine() -> Engine {
         Engine::new(SocConfig::snapdragon_888(), 7).unwrap()
+    }
+
+    /// The last tick of a trace, as a row.
+    fn last_row(trace: &Trace) -> TickSample {
+        trace.samples.row(trace.samples.len() - 1)
+    }
+
+    /// Mean of a per-tick metric over the trace's rows.
+    fn mean_of(trace: &Trace, f: impl Fn(&TickSample) -> f64) -> f64 {
+        let sum: f64 = trace.samples.iter().map(|s| f(&s)).sum();
+        sum / trace.samples.len() as f64
     }
 
     fn cpu_workload(intensity: f64, secs: f64) -> ConstantWorkload {
@@ -588,7 +604,7 @@ mod tests {
     fn heavy_single_thread_loads_big_cluster() {
         let mut e = engine();
         let trace = e.run(&cpu_workload(0.95, 10.0));
-        let last = trace.samples.last().unwrap();
+        let last = last_row(&trace);
         let big = last
             .clusters
             .iter()
@@ -610,7 +626,7 @@ mod tests {
         d.cpu = CpuDemand::multi_thread(2, 0.25);
         d.gpu = Some(GpuDemand::scene(0.9));
         let trace = e.run(&ConstantWorkload::new("gfx", 10.0, d));
-        let last = trace.samples.last().unwrap();
+        let last = last_row(&trace);
         let little = last
             .clusters
             .iter()
@@ -639,14 +655,14 @@ mod tests {
         let mut e2 = engine();
         let t_av1 = e2.run(&make(Codec::Av1));
         let cpu_util =
-            |t: &Trace| t.mean_of(|s| s.clusters.iter().map(|c| c.utilization).sum::<f64>());
+            |t: &Trace| mean_of(t, |s| s.clusters.iter().map(|c| c.utilization).sum::<f64>());
         assert!(
             cpu_util(&t_av1) > cpu_util(&t_h264) * 1.5,
             "AV1 fallback must add CPU load: {} vs {}",
             cpu_util(&t_av1),
             cpu_util(&t_h264)
         );
-        assert!(t_h264.mean_of(|s| s.aie_load) > t_av1.mean_of(|s| s.aie_load));
+        assert!(mean_of(&t_h264, |s| s.aie_load) > mean_of(&t_av1, |s| s.aie_load));
     }
 
     #[test]
@@ -679,7 +695,7 @@ mod tests {
     fn idle_workload_reports_baseline_memory() {
         let mut e = engine();
         let trace = e.run(&ConstantWorkload::new("idle", 2.0, Demand::idle()));
-        let last = trace.samples.last().unwrap();
+        let last = last_row(&trace);
         assert!((last.memory_used_mib - e.config().memory.os_baseline_mib).abs() < 1.0);
         assert_eq!(last.storage_busy, 0.0);
     }
@@ -730,7 +746,7 @@ mod tests {
         .unwrap();
         let t_stock = stock.run(&w);
         let t_pinned = pinned.run(&w);
-        let load = |t: &Trace| t.mean_of(|s| s.clusters.iter().map(|c| c.load).sum::<f64>());
+        let load = |t: &Trace| mean_of(t, |s| s.clusters.iter().map(|c| c.load).sum::<f64>());
         assert!(
             load(&t_pinned) > load(&t_stock),
             "pinning frequencies raises the load metric for the same work"
@@ -747,7 +763,7 @@ mod tests {
         )
         .unwrap();
         let trace = e.run(&cpu_workload(0.95, 5.0));
-        let last = trace.samples.last().unwrap();
+        let last = last_row(&trace);
         let big = last
             .clusters
             .iter()
@@ -766,7 +782,7 @@ mod tests {
         let mut e = Engine::new(cfg, 3).unwrap();
         let trace = e.run(&cpu_workload(0.8, 3.0));
         assert!(trace.total_instructions() > 0.0);
-        assert_eq!(trace.samples.last().unwrap().gpu_load, 0.0);
+        assert_eq!(last_row(&trace).gpu_load, 0.0);
     }
 
     /// Workload shim that records every `t_norm` the engine samples.
@@ -885,12 +901,12 @@ mod tests {
         let trace = e.run(&idle);
         assert_eq!(trace.samples.len(), 600);
         // All samples identical except the timestamp.
-        let first = &trace.samples[0];
+        let first = trace.samples.row(0);
         for (i, s) in trace.samples.iter().enumerate() {
             assert!((s.time_s - i as f64 * TICK_SECONDS).abs() < 1e-12);
             let mut expect = first.clone();
             expect.time_s = s.time_s;
-            assert_eq!(&expect, s, "sample {i} diverged while idle");
+            assert_eq!(expect, s, "sample {i} diverged while idle");
         }
     }
 
@@ -919,8 +935,10 @@ mod tests {
         let mut d = Demand::idle();
         d.aie = Some(AieDemand::new(DspKernel::VideoDecode(Codec::H264), 0.9));
         let trace = e.run(&ConstantWorkload::new("video", 5.0, d));
-        let cpu_util = trace.mean_of(|s| s.clusters.iter().map(|c| c.utilization).sum::<f64>());
+        let cpu_util = mean_of(&trace, |s| {
+            s.clusters.iter().map(|c| c.utilization).sum::<f64>()
+        });
         assert!(cpu_util > 0.05, "software decode must load the CPU");
-        assert_eq!(trace.mean_of(|s| s.aie_load), 0.0);
+        assert_eq!(mean_of(&trace, |s| s.aie_load), 0.0);
     }
 }

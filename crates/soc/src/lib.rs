@@ -18,8 +18,8 @@
 //! * an AI engine (DSP) with a video-codec support matrix ([`aie`]),
 //! * DRAM and flash-storage models ([`memory`], [`storage`]),
 //! * an EAS-style big.LITTLE scheduler ([`sched`]), and
-//! * a time-stepped simulation engine that turns a [`Workload`] into a
-//!   stream of hardware-counter samples ([`engine`]).
+//! * a time-stepped simulation engine that turns a [`Workload`] into one
+//!   time series per hardware counter ([`engine`], [`counters`]).
 //!
 //! The simulation is fully deterministic for a given seed: every run of the
 //! same workload on the same configuration produces bit-identical counter

@@ -127,7 +127,23 @@ if [ ! -s "$trace_tmp" ]; then
     exit 1
 fi
 rm -f "$trace_tmp"
-echo "    traced digest matches the pinned $pinned_digest; trace written"
+# The fault-injected study takes the fault model's column paths (dropout,
+# jitter, wraps and their repair, truncation, retries, one excluded unit);
+# its traced digest must equal the one tests/fault_tolerance.rs pins from
+# runs with no collector.
+faulty_digest="69dd78275bfcd04c"
+faulty_on=$(MWC_CACHE=off MWC_TRACE="$trace_tmp" ./target/release/profile --spec-file tests/data/faulty.spec \
+    | awk '/^study digest:/ { print $3 }') || exit 1
+if [ "$faulty_on" != "$faulty_digest" ]; then
+    echo "error: traced faulty-study digest ${faulty_on:-?} differs from the pinned untraced $faulty_digest" >&2
+    exit 1
+fi
+if [ ! -s "$trace_tmp" ]; then
+    echo "error: MWC_TRACE=$trace_tmp produced no trace file for the faulty study" >&2
+    exit 1
+fi
+rm -f "$trace_tmp"
+echo "    traced digests match the pinned $pinned_digest (clean) and $faulty_digest (tests/data/faulty.spec); traces written"
 
 echo "==> report worker-count invariance (all at MWC_THREADS=1, then at the default count)"
 # The printed report must not depend on the worker count. Both runs share

@@ -33,7 +33,7 @@ fn assert_traces_bit_identical(dense: &Trace, event: &Trace, ctx: &str) {
         event.samples.len(),
         "{ctx}: sample count"
     );
-    for (i, (d, e)) in dense.samples.iter().zip(&event.samples).enumerate() {
+    for (i, (d, e)) in dense.samples.iter().zip(event.samples.iter()).enumerate() {
         let pairs: &[(&str, f64, f64)] = &[
             ("time_s", d.time_s, e.time_s),
             ("instructions", d.instructions, e.instructions),
@@ -192,7 +192,7 @@ fn fnv1a(mut h: u64, word: u64) -> u64 {
 /// Fold every field of every sample, by `to_bits`, into an FNV-1a hash.
 fn fold_trace(mut h: u64, trace: &Trace) -> u64 {
     h = fnv1a(h, trace.samples.len() as u64);
-    for s in &trace.samples {
+    for s in trace.samples.iter() {
         h = fnv1a(h, s.time_s.to_bits());
         h = fnv1a(h, s.clusters.len() as u64);
         for c in &s.clusters {

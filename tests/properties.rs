@@ -14,17 +14,21 @@ use mwc_analysis::stats::{
 use mwc_analysis::subset::{incremental_distances, runtime_reduction, total_min_euclidean};
 use mwc_analysis::sym::SymMatrix;
 use mwc_analysis::validation::{ad_from, apn_from, dunn_index, silhouette_width};
+use mwc_profiler::faults::{FaultConfig, FaultPlan, InjectionSummary};
 use mwc_profiler::timeseries::TimeSeries;
+use mwc_profiler::{Capture, SeriesKey, SeriesMap};
 use mwc_report::heat::{level_histogram, level_of};
 use mwc_soc::cache::{CacheConfig, CacheHierarchy, MemoryProfile};
-use mwc_soc::config::SocConfig;
+use mwc_soc::config::{ClusterKind, SocConfig};
+use mwc_soc::counters::{TickSample, Trace};
 use mwc_soc::cpu::{CpuDemand, InstructionMix, ThreadDemand};
-use mwc_soc::engine::Engine;
+use mwc_soc::engine::{stream_seed, Engine};
 use mwc_soc::freq::Governor;
 use mwc_soc::gpu::GpuDemand;
 use mwc_soc::sched::{Placement, Scheduler};
 use mwc_soc::workload::{ConstantWorkload, Demand};
 use mwc_workloads::kernels::{compress, crypto, fft, psnr, raytrace};
+use mwc_workloads::registry::all_units;
 
 /// Strategy: a small matrix of finite values in a reasonable range.
 fn matrix_strategy(max_rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -372,7 +376,7 @@ proptest! {
         let mut engine = Engine::new(SocConfig::snapdragon_888(), seed).expect("preset");
         let trace = engine.run(&w);
         prop_assert_eq!(trace.samples.len(), (seconds / mwc_soc::TICK_SECONDS).round() as usize);
-        for s in &trace.samples {
+        for s in trace.samples.iter() {
             prop_assert!(s.instructions >= 0.0);
             prop_assert!(s.cycles >= s.instructions / 8.0 - 1e-6, "IPC can never exceed 8");
             prop_assert!(s.cache_misses >= 0.0);
@@ -1163,5 +1167,547 @@ proptest! {
                 fraction_above_reference(&s, t).to_bits()
             );
         }
+    }
+}
+
+// ---------- the columnar capture path vs the row code it replaced ----------
+// The engine writes each tick into columns, the fault model works on them
+// and the series map takes them over, so no `TickSample` row is built
+// outside tests. The row code survives below, verbatim, as the reference
+// each columnar path must match to the bit on the trace's row views.
+
+/// `SeriesKey::extract`, verbatim.
+fn extract_reference(key: SeriesKey, s: &TickSample) -> f64 {
+    if s.is_dropped() {
+        return f64::NAN;
+    }
+    match key {
+        SeriesKey::CpuLoad => {
+            if s.clusters.is_empty() {
+                0.0
+            } else {
+                s.clusters.iter().map(|c| c.load).sum::<f64>() / s.clusters.len() as f64
+            }
+        }
+        SeriesKey::ClusterLoad(kind) => s
+            .clusters
+            .iter()
+            .find(|c| c.kind == kind)
+            .map_or(0.0, |c| c.load),
+        SeriesKey::ClusterUtilization(kind) => s
+            .clusters
+            .iter()
+            .find(|c| c.kind == kind)
+            .map_or(0.0, |c| c.utilization),
+        SeriesKey::GpuLoad => s.gpu_load,
+        SeriesKey::GpuShadersBusy => s.gpu_shaders_busy,
+        SeriesKey::GpuBusBusy => s.gpu_bus_busy,
+        SeriesKey::AieLoad => s.aie_load,
+        SeriesKey::MemoryUsedFraction => s.memory_used_fraction,
+        SeriesKey::MemoryUsedMib => s.memory_used_mib,
+        SeriesKey::MemoryBandwidth => s.memory_bandwidth_utilization,
+        SeriesKey::StorageBusy => s.storage_busy,
+        SeriesKey::Ipc => {
+            if s.cycles > 0.0 {
+                s.instructions / s.cycles
+            } else {
+                0.0
+            }
+        }
+        SeriesKey::CacheMpki => {
+            if s.instructions > 0.0 {
+                s.cache_misses / s.instructions * 1000.0
+            } else {
+                0.0
+            }
+        }
+        SeriesKey::BranchMpki => {
+            if s.instructions > 0.0 {
+                s.branch_misses / s.instructions * 1000.0
+            } else {
+                0.0
+            }
+        }
+        SeriesKey::Instructions => s.instructions,
+        SeriesKey::GpuL1TextureMisses => s.gpu_l1_texture_misses_m,
+    }
+}
+
+/// `TickSample::invalidate`, verbatim.
+fn invalidate_reference(s: &mut TickSample) {
+    for c in &mut s.clusters {
+        c.utilization = f64::NAN;
+        c.frequency_mhz = f64::NAN;
+        c.load = f64::NAN;
+        c.instructions = f64::NAN;
+        c.cycles = f64::NAN;
+    }
+    s.instructions = f64::NAN;
+    s.cycles = f64::NAN;
+    s.cache_misses = f64::NAN;
+    s.branches = f64::NAN;
+    s.branch_misses = f64::NAN;
+    s.dram_accesses = f64::NAN;
+    s.gpu_utilization = f64::NAN;
+    s.gpu_frequency_mhz = f64::NAN;
+    s.gpu_load = f64::NAN;
+    s.gpu_shaders_busy = f64::NAN;
+    s.gpu_bus_busy = f64::NAN;
+    s.gpu_l1_texture_misses_m = f64::NAN;
+    s.aie_utilization = f64::NAN;
+    s.aie_frequency_mhz = f64::NAN;
+    s.aie_load = f64::NAN;
+    s.memory_used_mib = f64::NAN;
+    s.memory_used_fraction = f64::NAN;
+    s.memory_bandwidth_utilization = f64::NAN;
+    s.storage_busy = f64::NAN;
+    s.storage_read_mbps = f64::NAN;
+    s.storage_write_mbps = f64::NAN;
+}
+
+/// A trace as rows, with the multi-pass aggregates `Trace` computed over
+/// them, verbatim.
+struct RowTrace {
+    tick_seconds: f64,
+    samples: Vec<TickSample>,
+}
+
+impl RowTrace {
+    fn of(trace: &Trace) -> Self {
+        RowTrace {
+            tick_seconds: trace.tick_seconds,
+            samples: trace.samples.iter().collect(),
+        }
+    }
+
+    fn valid_samples(&self) -> impl Iterator<Item = &TickSample> {
+        self.samples.iter().filter(|s| !s.is_dropped())
+    }
+
+    fn dropped_samples(&self) -> usize {
+        self.samples.iter().filter(|s| s.is_dropped()).count()
+    }
+
+    fn completeness(&self) -> f64 {
+        if self.samples.is_empty() {
+            return 1.0;
+        }
+        1.0 - self.dropped_samples() as f64 / self.samples.len() as f64
+    }
+
+    fn total_instructions(&self) -> f64 {
+        self.valid_samples().map(|s| s.instructions).sum()
+    }
+
+    fn total_cycles(&self) -> f64 {
+        self.valid_samples().map(|s| s.cycles).sum()
+    }
+
+    fn ipc(&self) -> f64 {
+        let cycles = self.total_cycles();
+        if cycles > 0.0 {
+            self.total_instructions() / cycles
+        } else {
+            0.0
+        }
+    }
+
+    fn cache_mpki(&self) -> f64 {
+        let instr = self.total_instructions();
+        if instr > 0.0 {
+            self.valid_samples().map(|s| s.cache_misses).sum::<f64>() / instr * 1000.0
+        } else {
+            0.0
+        }
+    }
+
+    fn branch_mpki(&self) -> f64 {
+        let instr = self.total_instructions();
+        if instr > 0.0 {
+            self.valid_samples().map(|s| s.branch_misses).sum::<f64>() / instr * 1000.0
+        } else {
+            0.0
+        }
+    }
+}
+
+/// `FaultPlan`'s private stream salt and wrap modulus, verbatim.
+const PLAN_SALT: u64 = 0xFA17_0001;
+const WRAP_32: f64 = 4_294_967_296.0;
+
+/// `FaultPlan`'s private SplitMix64 stream, verbatim.
+struct PlanRng {
+    state: u64,
+}
+
+impl PlanRng {
+    fn next_u64(&mut self) -> u64 {
+        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn next_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    fn next_signed(&mut self) -> f64 {
+        2.0 * self.next_f64() - 1.0
+    }
+}
+
+/// `FaultPlan` as it worked on rows, verbatim.
+struct RowFaultPlan {
+    cfg: FaultConfig,
+    rng: PlanRng,
+    fails: bool,
+    truncate_at: Option<f64>,
+}
+
+impl RowFaultPlan {
+    fn new(cfg: &FaultConfig, unit: u64, run: u64, attempt: u64) -> Self {
+        let base = stream_seed(cfg.seed ^ PLAN_SALT, unit, run);
+        let mut rng = PlanRng {
+            state: stream_seed(base, attempt, PLAN_SALT),
+        };
+        let fails = rng.next_f64() < cfg.run_failure_rate;
+        let truncate_at = if rng.next_f64() < cfg.truncation_rate {
+            Some(0.2 + 0.75 * rng.next_f64())
+        } else {
+            None
+        };
+        RowFaultPlan {
+            cfg: cfg.clone(),
+            rng,
+            fails,
+            truncate_at,
+        }
+    }
+
+    fn apply(&mut self, samples: &mut [TickSample]) -> InjectionSummary {
+        let mut summary = InjectionSummary::default();
+        let n = samples.len();
+        let cut = if n == 0 {
+            None
+        } else {
+            self.truncate_at
+                .map(|frac| ((n as f64 * frac) as usize).clamp(1, n))
+        };
+
+        for s in samples.iter_mut() {
+            if s.is_dropped() {
+                continue;
+            }
+            if self.cfg.jitter_amplitude > 0.0 {
+                let noise = 1.0 + self.cfg.jitter_amplitude * self.rng.next_signed();
+                s.instructions *= noise;
+                s.cycles *= 1.0 + self.cfg.jitter_amplitude * self.rng.next_signed();
+                s.cache_misses *= 1.0 + self.cfg.jitter_amplitude * self.rng.next_signed();
+                s.branch_misses *= 1.0 + self.cfg.jitter_amplitude * self.rng.next_signed();
+            }
+            if self.cfg.overflow_rate > 0.0 && self.rng.next_f64() < self.cfg.overflow_rate {
+                s.instructions -= WRAP_32;
+            }
+            if self.cfg.dropout_rate > 0.0 && self.rng.next_f64() < self.cfg.dropout_rate {
+                invalidate_reference(s);
+                summary.dropped += 1;
+            }
+        }
+
+        for s in samples.iter_mut() {
+            if !s.is_dropped() && (s.instructions < 0.0 || !s.instructions.is_finite()) {
+                invalidate_reference(s);
+                summary.wraps += 1;
+                summary.dropped += 1;
+            }
+        }
+
+        if let Some(cut) = cut {
+            let mut cut_drops = 0usize;
+            for s in &mut samples[cut..] {
+                if !s.is_dropped() {
+                    invalidate_reference(s);
+                    cut_drops += 1;
+                }
+            }
+            summary.dropped += cut_drops;
+            summary.truncated = cut_drops > 0;
+        }
+        summary
+    }
+}
+
+/// Every field of a row, by its bits, in field order.
+fn row_bits(s: &TickSample) -> Vec<u64> {
+    let mut bits = vec![s.time_s.to_bits(), s.clusters.len() as u64];
+    for c in &s.clusters {
+        bits.push(c.kind as u64);
+        for v in [
+            c.utilization,
+            c.frequency_mhz,
+            c.load,
+            c.instructions,
+            c.cycles,
+        ] {
+            bits.push(v.to_bits());
+        }
+    }
+    for v in [
+        s.instructions,
+        s.cycles,
+        s.cache_misses,
+        s.branches,
+        s.branch_misses,
+        s.dram_accesses,
+        s.gpu_utilization,
+        s.gpu_frequency_mhz,
+        s.gpu_load,
+        s.gpu_shaders_busy,
+        s.gpu_bus_busy,
+        s.gpu_l1_texture_misses_m,
+        s.aie_utilization,
+        s.aie_frequency_mhz,
+        s.aie_load,
+        s.memory_used_mib,
+        s.memory_used_fraction,
+        s.memory_bandwidth_utilization,
+        s.storage_busy,
+        s.storage_read_mbps,
+        s.storage_write_mbps,
+    ] {
+        bits.push(v.to_bits());
+    }
+    bits
+}
+
+fn bits_of(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The one-pass `Trace` aggregates against the multi-pass ones.
+fn assert_totals_match_rows(trace: &Trace, rows: &RowTrace, ctx: &str) {
+    let totals = trace.totals();
+    assert_eq!(totals.dropped, rows.dropped_samples(), "{ctx}: dropped");
+    assert_eq!(trace.dropped_samples(), rows.dropped_samples(), "{ctx}");
+    for (name, got, want) in [
+        (
+            "instructions",
+            totals.instructions,
+            rows.total_instructions(),
+        ),
+        (
+            "instructions",
+            trace.total_instructions(),
+            rows.total_instructions(),
+        ),
+        ("cycles", trace.total_cycles(), rows.total_cycles()),
+        ("ipc", trace.ipc(), rows.ipc()),
+        ("cache_mpki", trace.cache_mpki(), rows.cache_mpki()),
+        ("branch_mpki", trace.branch_mpki(), rows.branch_mpki()),
+        ("completeness", trace.completeness(), rows.completeness()),
+    ] {
+        assert_eq!(got.to_bits(), want.to_bits(), "{ctx}: {name}");
+    }
+}
+
+/// Every column, mean and max of `map`, and its run aggregates, against
+/// the row references over `rows`, the trace the map was built from.
+fn assert_series_map_matches_rows(map: &SeriesMap, rows: &RowTrace, ctx: &str) {
+    for key in SeriesKey::ALL {
+        let values: Vec<f64> = rows
+            .samples
+            .iter()
+            .map(|s| extract_reference(key, s))
+            .collect();
+        let name = key.name();
+        assert_eq!(bits_of(map.column(key)), bits_of(&values), "{ctx}: {name}");
+        assert_eq!(
+            bits_of(&map.series(key).values),
+            bits_of(&values),
+            "{ctx}: {name}"
+        );
+        let series = TimeSeries::new(rows.tick_seconds, values);
+        assert_eq!(
+            map.mean(key).to_bits(),
+            series.mean().to_bits(),
+            "{ctx}: mean {name}"
+        );
+        assert_eq!(
+            map.max(key).to_bits(),
+            series.max().to_bits(),
+            "{ctx}: max {name}"
+        );
+    }
+    // The aggregates `Capture::series_map` took from the multi-pass sums.
+    let completeness = rows.completeness();
+    let count_scale = if completeness > 0.0 {
+        1.0 / completeness
+    } else {
+        1.0
+    };
+    for (name, got, want) in [
+        (
+            "runtime_seconds",
+            map.runtime_seconds,
+            rows.samples.len() as f64 * rows.tick_seconds,
+        ),
+        (
+            "total_instructions",
+            map.total_instructions,
+            rows.total_instructions() * count_scale,
+        ),
+        ("ipc", map.ipc, rows.ipc()),
+        ("cache_mpki", map.cache_mpki, rows.cache_mpki()),
+        ("branch_mpki", map.branch_mpki, rows.branch_mpki()),
+    ] {
+        assert_eq!(got.to_bits(), want.to_bits(), "{ctx}: {name}");
+    }
+}
+
+/// One capture through both series-map paths, the copying one and the
+/// consuming one, and its per-key series, against the row references.
+fn assert_capture_matches_rows(trace: Trace, ctx: &str) {
+    let rows = RowTrace::of(&trace);
+    assert_totals_match_rows(&trace, &rows, ctx);
+    let capture = Capture::from_trace(trace);
+    for key in SeriesKey::ALL {
+        let want: Vec<f64> = rows
+            .samples
+            .iter()
+            .map(|s| extract_reference(key, s))
+            .collect();
+        assert_eq!(
+            bits_of(&capture.series(key).values),
+            bits_of(&want),
+            "{ctx}"
+        );
+    }
+    let copied = capture.series_map();
+    assert_series_map_matches_rows(&copied, &rows, ctx);
+    let workload = capture.workload().to_owned();
+    let moved = capture.into_series_map();
+    assert_series_map_matches_rows(&moved, &rows, ctx);
+    assert_eq!(copied.workload, workload, "{ctx}");
+    assert_eq!(moved.workload, workload, "{ctx}");
+}
+
+/// The paper's platform, or the same platform without its mid cluster.
+fn platform(without_mid: bool) -> SocConfig {
+    let mut config = SocConfig::snapdragon_888();
+    if without_mid {
+        config.clusters.retain(|c| c.kind != ClusterKind::Mid);
+    }
+    config
+}
+
+#[test]
+fn series_maps_match_row_extraction_on_every_unit() {
+    let mut engine = Engine::new(SocConfig::snapdragon_888(), 0).expect("preset");
+    for (i, unit) in all_units().iter().enumerate() {
+        engine.reset_for(2024, i as u64, 0);
+        assert_capture_matches_rows(engine.run(&unit.workload), unit.name);
+    }
+}
+
+#[test]
+fn empty_and_fully_dropped_traces_match_the_row_references() {
+    let mut d = Demand::idle();
+    d.cpu = CpuDemand::single_thread(0.8);
+    let mut engine = Engine::new(SocConfig::snapdragon_888(), 0).expect("preset");
+    let empty = engine.run(&ConstantWorkload::new("empty", 0.0, d.clone()));
+    assert!(empty.samples.is_empty());
+    assert_capture_matches_rows(empty, "empty");
+    // No kept tick: every run sum is the empty sum, −0.0.
+    let mut dropped = engine.run(&ConstantWorkload::new("dropped", 3.0, d));
+    for t in 0..dropped.samples.len() {
+        dropped.samples.invalidate(t);
+    }
+    assert_eq!(dropped.totals().instructions.to_bits(), (-0.0f64).to_bits());
+    assert_capture_matches_rows(dropped, "fully dropped");
+}
+
+#[test]
+fn a_missing_cluster_kind_reads_zero_on_kept_ticks_and_nan_on_dropped() {
+    let units = all_units();
+    let mut engine = Engine::new(platform(true), 0).expect("a valid platform");
+    let faults = FaultConfig {
+        seed: 3,
+        dropout_rate: 0.2,
+        ..FaultConfig::default()
+    };
+    for (i, unit) in units.iter().enumerate().take(3) {
+        engine.reset_for(2024, i as u64, 0);
+        let mut trace = engine.run(&unit.workload);
+        FaultPlan::new(&faults, i as u64, 0, 0).apply(&mut trace);
+        let dropped = trace.dropped_samples();
+        assert!(
+            dropped > 0 && dropped < trace.samples.len(),
+            "{}",
+            unit.name
+        );
+        let map = Capture::from_trace(trace.clone()).into_series_map();
+        let mid = map.column(SeriesKey::ClusterLoad(ClusterKind::Mid));
+        for (t, &v) in mid.iter().enumerate() {
+            if trace.samples.is_dropped(t) {
+                assert!(v.is_nan(), "{}: tick {t}", unit.name);
+            } else {
+                assert_eq!(v.to_bits(), 0.0f64.to_bits(), "{}: tick {t}", unit.name);
+            }
+        }
+        assert_capture_matches_rows(trace, unit.name);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn columnar_fault_plan_matches_the_row_plan(
+        seed in 0u64..1000,
+        coordinates in prop::collection::vec(0u64..4, 3..=3),
+        rates in prop::collection::vec(0.0f64..1.0, 5..=5),
+        active in prop::collection::vec(0u8..2, 5..=5),
+        duration in 0.05f64..12.0,
+        busy in 0.0f64..1.0,
+        without_mid in 0u8..2,
+    ) {
+        use mwc_workloads::phase::PhasedWorkload;
+
+        // Each mechanism is on or off; its rate stays in its usual range.
+        let rate = |i: usize, max: f64| if active[i] == 1 { rates[i] * max } else { 0.0 };
+        let cfg = FaultConfig {
+            seed,
+            dropout_rate: rate(0, 0.5),
+            jitter_amplitude: rate(1, 0.05),
+            overflow_rate: rate(2, 0.3),
+            truncation_rate: rate(3, 1.0),
+            run_failure_rate: rate(4, 1.0),
+            ..FaultConfig::default()
+        };
+        let mut d = Demand::idle();
+        d.cpu = CpuDemand::multi_thread(2, 0.3 + 0.6 * busy);
+        d.gpu = Some(GpuDemand::scene(busy));
+        // A busy phase, then an idle one the event core coasts through.
+        let w = PhasedWorkload::builder("faulted", duration)
+            .phase("busy", 0.2 + busy, d)
+            .phase("idle", 1.0, Demand::idle())
+            .build();
+        let mut engine = Engine::new(platform(without_mid == 1), seed).expect("a valid platform");
+        let mut trace = engine.run(&w);
+        let mut rows: Vec<TickSample> = trace.samples.iter().collect();
+
+        let (unit, run, attempt) = (coordinates[0], coordinates[1], coordinates[2]);
+        let mut plan = FaultPlan::new(&cfg, unit, run, attempt);
+        let mut reference = RowFaultPlan::new(&cfg, unit, run, attempt);
+        prop_assert_eq!(plan.run_fails(), reference.fails);
+        let summary = plan.apply(&mut trace);
+        prop_assert_eq!(summary, reference.apply(&mut rows));
+        prop_assert_eq!(trace.samples.len(), rows.len());
+        for (t, (got, want)) in trace.samples.iter().zip(&rows).enumerate() {
+            prop_assert_eq!(row_bits(&got), row_bits(want), "tick {}", t);
+        }
+        assert_capture_matches_rows(trace, "faulted");
     }
 }
