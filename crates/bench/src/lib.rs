@@ -2,10 +2,10 @@
 //!
 //! One binary per table and figure of the paper (`table1` … `table6`,
 //! `fig1` … `fig7`, `observations`, and `all` for everything in paper
-//! order), plus Criterion performance benches of the analysis kernels and
-//! the simulator (`cargo bench`). Around them: `profile` (where the time
-//! goes), `sweep` (a seed sweep that resumes from the result cache) and
-//! `report` (list and diff the cache's stored studies).
+//! order). Around them: `profile` (where the time goes), `sweep` (a seed
+//! sweep that resumes from the result cache) and `report` (list and diff
+//! the cache's stored studies). Performance is measured by the separate
+//! end-to-end benchmark in `perfbench/`.
 //!
 //! Every binary runs the same deterministic study: the 18 characterization
 //! units on the simulated Snapdragon 888 platform, three runs each,
@@ -64,12 +64,6 @@ pub fn study_with(cache: &StudyCache, seed: u64, runs: usize) -> &'static Charac
 /// (e.g. a heavily degraded study).
 pub fn try_clustering() -> Result<Clustering, PipelineError> {
     mwc_core::figures::fig6(study()).map_err(PipelineError::from)
-}
-
-/// Infallible wrapper around [`try_clustering`] kept for benches and tests
-/// on the known-good default study.
-pub fn clustering() -> Clustering {
-    try_clustering().expect("18 units cluster into 5 groups")
 }
 
 /// Run a fallible binary body, printing the diagnostic and exiting

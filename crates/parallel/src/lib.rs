@@ -75,7 +75,8 @@ fn threads_from(raw: Option<&str>, available: usize) -> usize {
 /// entered, the instrumentation is one thread-local read and the map is
 /// byte-for-byte the uninstrumented loop.
 ///
-/// Panics in `init` or `f` propagate to the caller when the scope joins.
+/// Every worker thread has exited when the map returns. Panics in `init`
+/// or `f` propagate to the caller when the map joins its workers.
 pub fn ordered_map_with<T, S, R, I, F>(items: &[T], threads: usize, init: I, f: F) -> Vec<R>
 where
     T: Sync,
@@ -109,19 +110,32 @@ where
     let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..items.len()).map(|_| None).collect());
 
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut state = init();
-                loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(index) else {
-                        break;
-                    };
-                    let result = run_task(&mut state, item, index);
-                    slots.lock().expect("worker panicked holding results lock")[index] =
-                        Some(result);
-                }
-            });
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut state = init();
+                    loop {
+                        let index = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(index) else {
+                            break;
+                        };
+                        let result = run_task(&mut state, item, index);
+                        slots.lock().expect("worker panicked holding results lock")[index] =
+                            Some(result);
+                    }
+                })
+            })
+            .collect();
+        // A scope returns once its workers' closures are done, while each
+        // detached thread is still exiting and has not yet handed its
+        // malloc arena back. A map started then finds no free arena and
+        // makes another, so the process's arena count, and with it its
+        // peak RSS, would depend on thread timing. Joining waits for the
+        // exit.
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
 
@@ -191,6 +205,24 @@ mod tests {
         // More threads than items must still visit each item exactly once.
         let out = ordered_map(&[10, 20], 64, |&x: &i32, _| x);
         assert_eq!(out, vec![10, 20]);
+    }
+
+    #[test]
+    fn workers_have_exited_when_the_map_returns() {
+        // A thread runs its thread-local destructors as it exits, after
+        // its closure is done; every worker touches one in `init`.
+        static EXITED: AtomicUsize = AtomicUsize::new(0);
+        struct CountsExit;
+        impl Drop for CountsExit {
+            fn drop(&mut self) {
+                EXITED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local!(static ON_EXIT: CountsExit = const { CountsExit });
+        for round in 1..=200 {
+            ordered_map_with(&[0; 8], 4, || ON_EXIT.with(|_| ()), |(), &x, _| x);
+            assert_eq!(EXITED.load(Ordering::SeqCst), 4 * round, "round {round}");
+        }
     }
 
     #[test]

@@ -305,10 +305,9 @@ impl Profiler {
     ///
     /// The capture is also independent of the engine's simulation core
     /// ([`mwc_soc::engine::EngineMode`]). [`mwc_soc::engine::Engine::new`]
-    /// always builds the event-driven core, and only tests and the
-    /// `soc_engine` bench switch to the dense one; the two produce
-    /// bit-identical traces, so profiles, digests and cache keys never
-    /// observe which core ran.
+    /// always builds the event core, and only tests switch to the dense
+    /// one; the two produce bit-identical traces, so profiles, digests
+    /// and cache keys never observe which core ran.
     pub fn capture_unit_runs(
         &mut self,
         workload: &dyn Workload,

@@ -1,13 +1,11 @@
-//! `wrkr` — load generator and bench driver for `mwc-server`.
+//! `wrkr` — load generator for `mwc-server`.
 //!
 //! Modes:
 //!
 //! * default: replay one request under load and print a report
 //!   (`wrkr --addr H:P --spec-file spec.mwc -c 8 -n 200 --rate 50`);
 //! * `--get PATH`: issue a single GET and print status + body;
-//! * `--shutdown`: POST `/admin/shutdown`;
-//! * `--bench OUT.json`: the cold/warm/overload protocol behind
-//!   `BENCH_server.json` (see `scripts/bench_server.sh`).
+//! * `--shutdown`: POST `/admin/shutdown`.
 //!
 //! Retries honor the server's shedding contract: 503 (and connect-level
 //! failures) back off with seeded jittered exponential delays, never
@@ -17,7 +15,6 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use mwc_core::{to_wire, StudySpec};
-use mwc_obs::export::parse_json;
 use mwc_server::client;
 use mwc_server::loadgen::{self, LoadOptions, LoadReport};
 
@@ -29,7 +26,6 @@ struct Args {
     spec_file: Option<String>,
     get: Option<String>,
     shutdown: bool,
-    bench: Option<String>,
     connections: usize,
     requests: usize,
     rate: f64,
@@ -49,7 +45,6 @@ impl Default for Args {
             spec_file: None,
             get: None,
             shutdown: false,
-            bench: None,
             connections: 8,
             requests: 200,
             rate: 0.0,
@@ -63,7 +58,7 @@ impl Default for Args {
 
 const USAGE: &str = "usage: wrkr [--addr H:P] [--spec-file F] [--path /study] [--method M] \
 [--header 'k: v']... [-c N] [-n TOTAL] [--rate R] [--timeout-ms T] [--retries K] \
-[--backoff-ms B] [--seed S] [--get PATH | --shutdown | --bench OUT.json]";
+[--backoff-ms B] [--seed S] [--get PATH | --shutdown]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args::default();
@@ -77,7 +72,6 @@ fn parse_args() -> Result<Args, String> {
             "--spec-file" => args.spec_file = Some(value("--spec-file")?),
             "--get" => args.get = Some(value("--get")?),
             "--shutdown" => args.shutdown = true,
-            "--bench" => args.bench = Some(value("--bench")?),
             "--header" => {
                 let raw = value("--header")?;
                 let (k, v) = raw
@@ -126,9 +120,9 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// The bench protocol's study: four Antutu units, one run — heavy enough
-/// to measure, light enough that an overload phase finishes promptly.
-fn bench_spec_body(seed: u64) -> String {
+/// The study a `POST /study` sends without `--spec-file`: four Antutu
+/// units, one run — light enough for a quick smoke load.
+fn default_spec_body(seed: u64) -> String {
     let mut spec = StudySpec::paper_default().with_units([
         "Antutu CPU",
         "Antutu GPU",
@@ -137,7 +131,7 @@ fn bench_spec_body(seed: u64) -> String {
     ]);
     spec.seed = seed;
     spec.runs = 1;
-    to_wire(&spec).expect("bench spec serializes")
+    to_wire(&spec).expect("default spec serializes")
 }
 
 fn load_options(args: &Args, body: Vec<u8>) -> LoadOptions {
@@ -147,7 +141,6 @@ fn load_options(args: &Args, body: Vec<u8>) -> LoadOptions {
         path: args.path.clone(),
         headers: args.headers.clone(),
         body,
-        body_variants: Vec::new(),
         connections: args.connections,
         requests: args.requests,
         rate: args.rate,
@@ -201,129 +194,6 @@ fn print_report(report: &LoadReport) {
     }
 }
 
-fn digest_of(body: &str) -> Option<String> {
-    parse_json(body)
-        .ok()?
-        .get("digest")?
-        .as_str()
-        .map(str::to_owned)
-}
-
-fn quantile_us(report: &LoadReport, q: f64) -> f64 {
-    report.latency_quantile_ns(q).unwrap_or(0.0) / 1.0e3
-}
-
-fn run_bench(args: &Args, out_path: &str) -> Result<(), String> {
-    let one = |body: &str, what: &str| {
-        client::request(
-            &args.addr,
-            "POST",
-            "/study",
-            &[],
-            body.as_bytes(),
-            args.timeout,
-        )
-        .map_err(|e| format!("{what} request failed: {e}"))
-    };
-
-    // Phase 1 — cold: one spec never seen by this server process.
-    let body = bench_spec_body(args.seed);
-    let t0 = std::time::Instant::now();
-    let cold = one(&body, "cold")?;
-    let cold_ms = t0.elapsed().as_secs_f64() * 1e3;
-    if cold.status != 200 {
-        return Err(format!(
-            "cold request answered {}: {}",
-            cold.status,
-            cold.body_str()
-        ));
-    }
-    let cold_digest = digest_of(&cold.body_str()).ok_or("cold response had no digest")?;
-    eprintln!("bench: cold study {cold_ms:.1} ms, digest {cold_digest}");
-
-    // Phase 2 — warm: same spec, served from cache; digests must be
-    // bit-identical to the cold compute.
-    let warm_check = one(&body, "warm")?;
-    let warm_digest = digest_of(&warm_check.body_str()).ok_or("warm response had no digest")?;
-    if warm_digest != cold_digest {
-        return Err(format!(
-            "warm digest {warm_digest} != cold digest {cold_digest}"
-        ));
-    }
-    let mut warm_opts = load_options(args, body.clone().into_bytes());
-    warm_opts.requests = args.requests;
-    warm_opts.rate = args.rate;
-    // Stay inside the bench server's in-flight capacity (2 workers + 4
-    // queue slots, pinned by scripts/bench_server.sh): the warm phase
-    // measures cache-hit serving, not shedding — that is phase 3's job.
-    warm_opts.connections = args.connections.min(4);
-    let warm = loadgen::run(&warm_opts);
-    eprintln!(
-        "bench: warm {} requests, {:.0} req/s, p99 {:.0} µs",
-        warm.completed,
-        warm.throughput(),
-        quantile_us(&warm, 0.99)
-    );
-
-    // Phase 3 — overload: distinct seeds make every request a cold
-    // compute; offered flat-out over more connections than workers, the
-    // admission queue must shed with 503s rather than buffer.
-    let overload_requests = (args.requests / 2).max(32);
-    let mut overload_opts = load_options(args, Vec::new());
-    overload_opts.body_variants = (0..overload_requests)
-        .map(|i| bench_spec_body(args.seed + 1_000 + i as u64).into_bytes())
-        .collect();
-    overload_opts.requests = overload_requests;
-    overload_opts.connections = args.connections * 2;
-    overload_opts.rate = 0.0;
-    overload_opts.retries = 1;
-    let overload = loadgen::run(&overload_opts);
-    eprintln!(
-        "bench: overload {} offered, {} ok, {} sheds (rate {:.1}%)",
-        overload.completed,
-        overload.ok,
-        overload.shed_responses,
-        overload.shed_rate() * 100.0
-    );
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"schema\": \"mwc-bench-server-v1\",\n",
-            "  \"config\": {{\"connections\": {}, \"warm_requests\": {}, \"overload_requests\": {}, \"seed\": {}}},\n",
-            "  \"cold\": {{\"latency_ms\": {:.3}, \"digest\": \"{}\"}},\n",
-            "  \"warm\": {{\"digest_matches_cold\": true, \"requests\": {}, \"ok\": {}, \"throughput_rps\": {:.1}, ",
-            "\"p50_us\": {:.1}, \"p95_us\": {:.1}, \"p99_us\": {:.1}}},\n",
-            "  \"overload\": {{\"offered\": {}, \"ok\": {}, \"shed_responses\": {}, \"shed_rate\": {:.4}, ",
-            "\"retries\": {}, \"exhausted\": {}, \"errors\": {}, \"p99_us\": {:.1}}}\n",
-            "}}\n",
-        ),
-        args.connections,
-        args.requests,
-        overload_requests,
-        args.seed,
-        cold_ms,
-        cold_digest,
-        warm.completed,
-        warm.ok,
-        warm.throughput(),
-        quantile_us(&warm, 0.50),
-        quantile_us(&warm, 0.95),
-        quantile_us(&warm, 0.99),
-        overload.completed,
-        overload.ok,
-        overload.shed_responses,
-        overload.shed_rate(),
-        overload.retries,
-        overload.exhausted,
-        overload.errors,
-        quantile_us(&overload, 0.99),
-    );
-    std::fs::write(out_path, &json).map_err(|e| format!("writing {out_path}: {e}"))?;
-    println!("bench report written to {out_path}");
-    Ok(())
-}
-
 fn run() -> Result<(), String> {
     let args = parse_args()?;
 
@@ -350,14 +220,10 @@ fn run() -> Result<(), String> {
         }
         return Ok(());
     }
-    if let Some(out) = &args.bench {
-        return run_bench(&args, out);
-    }
-
     let body = match &args.spec_file {
         Some(path) => std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?,
         None if args.method == "POST" && args.path == "/study" => {
-            bench_spec_body(args.seed).into_bytes()
+            default_spec_body(args.seed).into_bytes()
         }
         None => Vec::new(),
     };

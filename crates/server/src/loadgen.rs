@@ -39,9 +39,6 @@ pub struct LoadOptions {
     pub headers: Vec<(String, String)>,
     /// Request body.
     pub body: Vec<u8>,
-    /// When non-empty, request `i` sends `body_variants[i % len]` instead
-    /// of `body` — lets the overload phase offer distinct (cold) specs.
-    pub body_variants: Vec<Vec<u8>>,
     /// Concurrent connections (worker threads).
     pub connections: usize,
     /// Total requests to issue (retries not counted).
@@ -67,7 +64,6 @@ impl Default for LoadOptions {
             path: "/healthz".to_owned(),
             headers: Vec::new(),
             body: Vec::new(),
-            body_variants: Vec::new(),
             connections: 4,
             requests: 64,
             rate: 0.0,
@@ -101,7 +97,8 @@ pub struct LoadReport {
     /// Wall-clock duration of the whole run.
     pub elapsed: Duration,
     /// Terminal-response latency in nanoseconds (includes backoff time
-    /// of retried requests — the client-observed truth).
+    /// of retried requests — the client-observed truth). Under a `rate`
+    /// it counts from the request's due time, so a late send is charged.
     pub latency_ns: Histogram,
     /// One line per failure/retry event, each carrying the request ID it
     /// belongs to (capped at [`MAX_NOTES`]; later events are counted in
@@ -197,11 +194,6 @@ fn drive_one(opts: &LoadOptions, index: usize, totals: &Totals, rng: &mut StdRng
     {
         headers.push(("x-mwc-request-id", id.as_str()));
     }
-    let body: &[u8] = if opts.body_variants.is_empty() {
-        &opts.body
-    } else {
-        &opts.body_variants[index % opts.body_variants.len()]
-    };
     let mut attempt = 0u32;
     loop {
         let outcome = client::request(
@@ -209,7 +201,7 @@ fn drive_one(opts: &LoadOptions, index: usize, totals: &Totals, rng: &mut StdRng
             &opts.method,
             &opts.path,
             &headers,
-            body,
+            &opts.body,
             opts.timeout,
         );
         let (retryable, retry_after) = match &outcome {
@@ -279,15 +271,19 @@ pub fn run(opts: &LoadOptions) -> LoadReport {
                 if index >= opts.requests {
                     break;
                 }
-                // Global open-loop schedule: request `index` fires at
-                // `start + index / rate`, whichever thread claims it.
-                if opts.rate > 0.0 {
+                // Global open-loop schedule: request `index` is due at
+                // `start + index / rate`, whichever thread claims it, and
+                // its latency counts from then: a request sent late because
+                // the connections fell behind is charged for the wait.
+                let t0 = if opts.rate > 0.0 {
                     let due = started + Duration::from_secs_f64(index as f64 / opts.rate);
                     if let Some(wait) = due.checked_duration_since(Instant::now()) {
                         thread::sleep(wait);
                     }
-                }
-                let t0 = Instant::now();
+                    due
+                } else {
+                    Instant::now()
+                };
                 let terminal = drive_one(opts, index, totals, &mut rng);
                 let elapsed_ns = t0.elapsed().as_nanos() as u64;
                 match terminal {

@@ -213,14 +213,6 @@ impl Aie {
         }
     }
 
-    /// Whether an idle tick (no demand) would leave the AIE bit-identical:
-    /// the model's only evolving state is its DVFS governor, so quiescence
-    /// is the governor's zero-utilization fixpoint. The event engine uses
-    /// this to skip the AIE while it is idle and fully ramped down.
-    pub fn is_quiescent(&self) -> bool {
-        self.governor.is_settled_at(0.0)
-    }
-
     /// Reset DVFS state between benchmark runs.
     pub fn reset(&mut self) {
         self.governor.reset();
@@ -313,15 +305,12 @@ mod tests {
     }
 
     #[test]
-    fn quiescence_tracks_the_idle_ramp() {
+    fn idle_ticks_at_the_fixpoint_repeat() {
         let mut a = aie();
-        assert!(a.is_quiescent(), "fresh AIE rests at the floor OPP");
         a.tick(Some(&AieDemand::new(DspKernel::ObjectDetection, 1.0)), 0.1);
-        assert!(!a.is_quiescent(), "ramping after load");
         for _ in 0..200 {
             a.tick(None, 0.1);
         }
-        assert!(a.is_quiescent());
         let r1 = a.tick(None, 0.1);
         let r2 = a.tick(None, 0.1);
         assert_eq!(r1, r2, "idle ticks at the fixpoint are no-ops");

@@ -14,7 +14,7 @@
 //! row views of one tick ([`Samples::row`], [`Samples::iter`]), for tests
 //! and trace digests.
 
-use std::ops::{Index, IndexMut, Range};
+use std::ops::{Index, IndexMut};
 
 use crate::config::ClusterKind;
 
@@ -257,19 +257,6 @@ impl Samples {
         let clusters = self.clusters.iter_mut().flat_map(|c| &mut c.columns);
         for column in self.counters.iter_mut().chain(clusters) {
             column[t] = f64::NAN;
-        }
-    }
-
-    /// Copy tick `from`'s counter values into every tick of `to`; `time_s`
-    /// is left to the caller.
-    pub(crate) fn copy_forward(&mut self, from: usize, to: Range<usize>) {
-        if to.is_empty() {
-            return;
-        }
-        let clusters = self.clusters.iter_mut().flat_map(|c| &mut c.columns);
-        for column in self.counters.iter_mut().chain(clusters) {
-            let value = column[from];
-            column[to.clone()].fill(value);
         }
     }
 
@@ -598,19 +585,5 @@ mod tests {
         assert_eq!(rows[2].time_s, t.samples.time_s[2]);
         assert_eq!(rows[0].clusters[1].kind, ClusterKind::Big);
         assert_eq!(rows[0], t.samples.row(0));
-    }
-
-    #[test]
-    fn copy_forward_replicates_every_counter() {
-        let mut t = trace(5);
-        t.samples[Counter::Instructions][1] = 7.0;
-        t.samples.clusters[0][ClusterCounter::Load][1] = 0.5;
-        t.samples.copy_forward(1, 2..5);
-        for i in 2..5 {
-            let row = t.samples.row(i);
-            assert_eq!(row.instructions, 7.0);
-            assert_eq!(row.clusters[0].load, 0.5);
-            assert_eq!(row.time_s, i as f64 * 0.1, "time is left alone");
-        }
     }
 }

@@ -246,15 +246,6 @@ impl Cluster {
         )
     }
 
-    /// Whether an *idle* tick (no assigned threads) would leave the
-    /// cluster bit-identical: with nothing assigned the pipeline, caches
-    /// and predictor are pure and unused, so the only evolving state is
-    /// the DVFS governor — quiescence is its zero-utilization fixpoint.
-    /// The event engine uses this to skip idle clusters entirely.
-    pub fn is_quiescent(&self) -> bool {
-        self.governor.is_settled_at(0.0)
-    }
-
     /// Reset DVFS state between benchmark runs. The CPI memo is kept: an
     /// entry is a pure function of its key, so it stays exact.
     pub fn reset(&mut self) {
@@ -430,17 +421,14 @@ mod tests {
     }
 
     #[test]
-    fn quiescence_means_idle_ticks_are_identities() {
+    fn idle_ticks_at_the_fixpoint_repeat() {
         let mut c = big_cluster();
-        assert!(c.is_quiescent(), "fresh cluster rests at the floor OPP");
         let t = ThreadDemand::new(1.0);
         c.tick(std::slice::from_ref(&t), 0.1, false);
-        assert!(!c.is_quiescent(), "ramping after load");
         // Ramp back down to the idle fixpoint.
         for _ in 0..200 {
             c.tick(&[], 0.1, false);
         }
-        assert!(c.is_quiescent());
         let before = c.tick(&[], 0.1, false);
         let after = c.tick(&[], 0.1, false);
         assert_eq!(before, after, "idle ticks at the fixpoint are no-ops");

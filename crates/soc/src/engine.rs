@@ -1,7 +1,7 @@
 //! The simulation engine.
 //!
 //! [`Engine::run`] executes a [`Workload`] over a tick-granular
-//! [`SimClock`]; each executed tick:
+//! [`SimClock`]; each tick:
 //!
 //! 1. sample the workload's demand and apply small seeded run-to-run noise
 //!    (the paper averages three runs of every benchmark);
@@ -13,17 +13,17 @@
 //! 5. tick memory and storage and write the tick's counters into the
 //!    run's [`Samples`] columns, at the tick's index.
 //!
-//! Two interchangeable cores drive that loop. The **dense** core executes
-//! every tick. The **event** core (the default) executes only ticks where
-//! something can change — a workload phase boundary, a demand whose noise
-//! must advance the RNG, or a device still ramping its DVFS governor —
-//! and materializes the in-between samples by copying the stepped tick's
-//! values forward, because at those ticks the whole SoC is provably at a
-//! fixpoint and a dense tick would be a state-preserving identity. Both
-//! cores produce bit-identical traces; `tests/event_engine.rs` pins that
-//! equivalence on every trace the paper-default study consumes. [`Engine::new`] always builds the
-//! event core; [`Engine::set_mode`] selects the dense one for the
-//! equivalence tests and the `soc_engine` bench. See `DESIGN.md` §15.
+//! Two cores drive that loop, and both step every tick. The **dense**
+//! core is the executable reference: it calls [`Workload::demand_at`] on
+//! every tick and computes every CPI stack directly. The **event** core
+//! (the default) samples the workload once per constant phase, holding
+//! the demand until [`Workload::demand_hold_until`] expires at
+//! [`SimClock::boundary_tick`], and memoizes each thread's CPI stack, so
+//! its tick allocates nothing. Both cores produce bit-identical traces;
+//! `tests/event_engine.rs` pins that equivalence on every trace the
+//! paper-default study consumes. [`Engine::new`] always builds the event
+//! core; [`Engine::set_mode`] selects the dense one for the equivalence
+//! tests. See `DESIGN.md` §15.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,7 +33,7 @@ use crate::config::SocConfig;
 use crate::counters::{ClusterCounter, Counter, Samples, Trace};
 use crate::cpu::{Cluster, ThreadDemand};
 use crate::error::SocError;
-use crate::event::{DeviceId, EventKind, EventQueue, SimClock};
+use crate::event::SimClock;
 use crate::gpu::Gpu;
 use crate::memory::Memory;
 use crate::sched::{Placement, Scheduler};
@@ -94,13 +94,13 @@ const CACHE_LINE_BYTES: f64 = 64.0;
 /// traces; they differ only in how much work they do per simulated second.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineMode {
-    /// Event-driven core (default): only ticks with scheduled events
-    /// execute the component models; quiescent stretches are sampled by
-    /// replication.
+    /// Event core (default): samples the workload once per constant phase
+    /// and memoizes per-thread CPI stacks.
     #[default]
     Event,
-    /// Dense core: every tick executes every component model. Kept as the
-    /// executable specification the event core is gated against.
+    /// Dense core: samples the workload and computes every CPI stack on
+    /// every tick. Kept as the executable specification the event core is
+    /// gated against.
     Dense,
 }
 
@@ -234,8 +234,8 @@ impl Engine {
     /// When `mwc-obs` collection is enabled the run is wrapped in a
     /// `soc.run` span (fields: workload name, tick count, engine mode)
     /// and the tick count feeds the `soc.ticks` counter; the event core
-    /// additionally reports `soc.ticks_stepped` / `soc.ticks_coasted` and
-    /// its CPI-memo lookups as `soc.cpi_memo_hits` / `soc.cpi_memo_misses`.
+    /// additionally reports its CPI-memo lookups as `soc.cpi_memo_hits` /
+    /// `soc.cpi_memo_misses`.
     /// The simulation itself never reads any observability state, so
     /// traced and untraced runs are bit-identical.
     pub fn run(&mut self, workload: &dyn Workload) -> Trace {
@@ -275,87 +275,24 @@ impl Engine {
         }
     }
 
-    /// The event core: execute only ticks with scheduled events and copy
-    /// their values across the quiescent stretches in between.
-    ///
-    /// A tick must execute ([`Engine::step`]) when any of these hold:
-    ///
-    /// * **demand change** — the workload's constancy hint
-    ///   ([`Workload::demand_hold_until`]) expires, so the demand must be
-    ///   re-sampled (scheduled via [`SimClock::boundary_tick`], which
-    ///   agrees bit-for-bit with per-tick re-sampling);
-    /// * **noise** — the held demand has CPU threads or GPU/AIE work, so
-    ///   [`Engine::perturb`] draws from the RNG every tick and skipping
-    ///   one would desynchronize the noise stream from the dense core;
-    /// * **device wake** — some device's DVFS governor has not reached
-    ///   its idle fixpoint, so ticking it still changes state.
-    ///
-    /// When none hold, a dense tick is a state-preserving identity that
-    /// consumes no randomness and reproduces the previous sample exactly
-    /// (memory and storage are stateless pure functions, and the
-    /// scheduler sees no runnable threads) — so the sampler materializes
-    /// the remaining ticks by copying the stepped tick's column values
-    /// forward under their own timestamps, at zero model cost. This is
-    /// what makes idle-heavy and phase-sparse workloads cheap: cost scales
-    /// with *activity*, not duration.
+    /// The event core: step every tick like the dense core, but re-sample
+    /// the workload only where its demand can change. Each sample holds
+    /// until the tick [`SimClock::boundary_tick`] derives from
+    /// [`Workload::demand_hold_until`], which agrees bit for bit with
+    /// per-tick re-sampling, so `demand_at` runs once per constant phase
+    /// and the held demand is copied into the engine's reused buffer.
     fn run_event(&mut self, workload: &dyn Workload, clock: &SimClock, samples: &mut Samples) {
-        let ticks = clock.ticks();
-        let mut queue = EventQueue::new();
         let mut held_demand = Demand::idle();
-        let mut stepped: u64 = 0;
-        if ticks > 0 {
-            queue.schedule(0, EventKind::DemandChange);
-        }
-
-        while let Some(tick) = queue.next_tick() {
-            if tick >= ticks {
-                break;
-            }
-            let due = queue.pop_due(tick);
-            if due.demand_change {
+        let mut hold_end = 0;
+        for tick in 0..clock.ticks() {
+            if tick == hold_end {
                 let t_norm = clock.t_norm(tick);
                 held_demand = workload.demand_at(t_norm);
-                let boundary = clock.boundary_tick(tick, workload.demand_hold_until(t_norm));
-                if boundary < ticks {
-                    queue.schedule(boundary, EventKind::DemandChange);
-                }
+                hold_end = clock.boundary_tick(tick, workload.demand_hold_until(t_norm));
             }
-
             copy_demand(&mut self.demand, &held_demand);
             self.perturb();
             self.step(samples, tick as usize, clock.time_s(tick));
-            stepped += 1;
-
-            // Decide what must wake the model next.
-            if !held_demand.is_noise_free() {
-                // The RNG draws for this demand every tick; every tick of
-                // the hold interval must execute.
-                queue.schedule(tick + 1, EventKind::NoiseTick);
-            } else {
-                // No randomness in play: only devices still moving toward
-                // their fixpoints need further ticks. Memory and storage
-                // are stateless and never wake.
-                for (i, cluster) in self.clusters.iter().enumerate() {
-                    if !cluster.is_quiescent() {
-                        queue.schedule(tick + 1, EventKind::DeviceWake(DeviceId::Cluster(i)));
-                    }
-                }
-                if self.gpu.as_ref().is_some_and(|g| !g.is_quiescent()) {
-                    queue.schedule(tick + 1, EventKind::DeviceWake(DeviceId::Gpu));
-                }
-                if self.aie.as_ref().is_some_and(|a| !a.is_quiescent()) {
-                    queue.schedule(tick + 1, EventKind::DeviceWake(DeviceId::Aie));
-                }
-            }
-
-            // Coast: every tick before the next event reproduces the
-            // sample just taken (same fixpoint state, same inputs, zero
-            // RNG draws), so copy its values forward.
-            let resume = queue.next_tick().unwrap_or(ticks).min(ticks);
-            samples.copy_forward(tick as usize, (tick + 1) as usize..resume as usize);
-            for coast_tick in (tick + 1)..resume {
-                samples.time_s[coast_tick as usize] = clock.time_s(coast_tick);
-            }
         }
 
         let (mut memo_hits, mut memo_misses) = (0, 0);
@@ -364,8 +301,6 @@ impl Engine {
             memo_hits += hits;
             memo_misses += misses;
         }
-        mwc_obs::metrics::counter_add("soc.ticks_stepped", stepped);
-        mwc_obs::metrics::counter_add("soc.ticks_coasted", ticks.saturating_sub(stepped));
         mwc_obs::metrics::counter_add("soc.cpi_memo_hits", memo_hits);
         mwc_obs::metrics::counter_add("soc.cpi_memo_misses", memo_misses);
     }
@@ -785,13 +720,18 @@ mod tests {
         assert_eq!(last_row(&trace).gpu_load, 0.0);
     }
 
-    /// Workload shim that records every `t_norm` the engine samples.
+    /// Workload shim that records every `t_norm` the engine samples. Its
+    /// demand is constant over each quarter of the run, and
+    /// `demand_hold_until` says so: quarters keep the phase arithmetic
+    /// exact in binary floating point.
     struct TNormProbe {
         duration: f64,
         sampled: std::cell::RefCell<Vec<f64>>,
     }
 
     impl TNormProbe {
+        const PHASES: f64 = 4.0;
+
         fn new(duration: f64) -> Self {
             TNormProbe {
                 duration,
@@ -809,10 +749,13 @@ mod tests {
         }
         fn demand_at(&self, t_norm: f64) -> Demand {
             self.sampled.borrow_mut().push(t_norm);
+            let phase = (t_norm * Self::PHASES).floor();
             let mut d = Demand::idle();
-            // Noisy demand: forces the engine to sample every tick.
-            d.cpu = CpuDemand::single_thread(0.5);
+            d.cpu = CpuDemand::single_thread(0.3 + 0.1 * phase);
             d
+        }
+        fn demand_hold_until(&self, t_norm: f64) -> f64 {
+            ((t_norm * Self::PHASES).floor() + 1.0) / Self::PHASES
         }
     }
 
@@ -857,7 +800,13 @@ mod tests {
                 let trace = e.run(&probe);
                 let sampled = probe.sampled.borrow();
                 assert!(!sampled.is_empty());
-                assert_eq!(trace.samples.len(), sampled.len(), "noisy: no coasting");
+                if mode == EngineMode::Dense {
+                    assert_eq!(
+                        trace.samples.len(),
+                        sampled.len(),
+                        "dense samples every tick"
+                    );
+                }
                 for &t in sampled.iter() {
                     assert!(
                         (0.0..1.0).contains(&t),
@@ -869,13 +818,29 @@ mod tests {
     }
 
     #[test]
+    fn event_core_samples_the_workload_once_per_phase() {
+        // 10 s is 100 ticks; the probe's phases start at ticks 0, 25, 50
+        // and 75. The event core must hold each phase's demand instead of
+        // re-sampling it, and still match the dense core's trace.
+        let mut traces = Vec::new();
+        for (mode, calls) in [(EngineMode::Event, 4), (EngineMode::Dense, 100)] {
+            let probe = TNormProbe::new(10.0);
+            let trace = engine_in(mode).run(&probe);
+            assert_eq!(trace.samples.len(), 100, "mode {mode:?}");
+            assert_eq!(probe.sampled.borrow().len(), calls, "mode {mode:?}");
+            traces.push(trace);
+        }
+        assert_eq!(traces[0], traces[1]);
+    }
+
+    #[test]
     fn event_core_matches_dense_core_bit_for_bit() {
         let mut dense = engine_in(EngineMode::Dense);
         let mut event = engine_in(EngineMode::Event);
         // Constant busy workload (noisy every tick).
         let w = cpu_workload(0.8, 5.0);
         assert_eq!(dense.run(&w), event.run(&w));
-        // Fully idle workload (pure coasting after tick 0).
+        // Fully idle workload.
         dense.reset(7);
         event.reset(7);
         let idle = ConstantWorkload::new("idle", 30.0, Demand::idle());
@@ -891,16 +856,13 @@ mod tests {
     }
 
     #[test]
-    fn event_core_coasts_the_idle_tail() {
-        // Busy then idle: after the ramp-down the event core must stop
-        // stepping. Observable without obs counters: a probe workload's
-        // demand_at is called once per *executed* demand change only, and
-        // the trace still has one sample per tick.
+    fn idle_ticks_repeat_the_first_sample() {
+        // A fresh engine rests at every governor's floor, so each idle
+        // tick reproduces the first one; only the timestamp moves.
         let mut e = engine_in(EngineMode::Event);
         let idle = ConstantWorkload::new("idle", 60.0, Demand::idle());
         let trace = e.run(&idle);
         assert_eq!(trace.samples.len(), 600);
-        // All samples identical except the timestamp.
         let first = trace.samples.row(0);
         for (i, s) in trace.samples.iter().enumerate() {
             assert!((s.time_s - i as f64 * TICK_SECONDS).abs() < 1e-12);

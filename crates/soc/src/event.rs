@@ -1,25 +1,11 @@
-//! The event layer of the simulation engine: a tick-granular simulation
-//! clock, a binary-heap event queue and the device/event vocabulary the
-//! event-driven core (`Engine::run_event`) schedules with.
+//! The simulation clock: tick counts, wall-clock times and normalized
+//! times for a fixed-duration run, plus the tick at which a held demand
+//! expires ([`SimClock::boundary_tick`]).
 //!
-//! The dense engine advances every component model on every tick, so
-//! simulation cost scales with duration × component count regardless of
-//! activity. The event layer inverts that: the engine only *steps* the
-//! model at ticks where something is scheduled to happen — a workload
-//! phase boundary ([`EventKind::DemandChange`]), an active demand whose
-//! per-tick noise must advance the RNG ([`EventKind::NoiseTick`]), or a
-//! device whose internal state (a DVFS ramp) is still evolving
-//! ([`EventKind::DeviceWake`]). Between scheduled ticks the model is
-//! provably at a fixpoint and the counter sampler materializes samples by
-//! replication, without touching the model — which is what keeps the
-//! event engine bit-identical to the dense one (see `DESIGN.md` §15).
-//!
-//! All time arithmetic shared by the dense and event paths lives in
-//! [`SimClock`], so the two engines cannot disagree about tick counts or
-//! normalized times.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! Both engine cores take all of their time arithmetic from here, so they
+//! cannot disagree about tick counts or normalized times. The module is
+//! named for the event queue it held until the tick-skipping path that
+//! used it was removed (see `DESIGN.md` §15).
 
 use crate::TICK_SECONDS;
 
@@ -32,9 +18,9 @@ pub const MAX_T_NORM: f64 = 1.0 - f64::EPSILON / 2.0;
 
 /// A tick-granular simulation clock over a fixed-duration run.
 ///
-/// Both engine paths derive tick counts, wall-clock times and normalized
-/// times from here, so the dense and event engines share one definition
-/// of time — including the two domain guarantees:
+/// Both engine cores derive tick counts, wall-clock times and normalized
+/// times from here, so they share one definition of time — including the
+/// two domain guarantees:
 ///
 /// * any *positive* duration executes at least one tick, even when it is
 ///   shorter than half a tick (the naive `round()` would yield zero and
@@ -87,7 +73,7 @@ impl SimClock {
 
     /// The first tick after `after` whose normalized time falls outside
     /// the constant-demand interval ending (exclusively) at `hold_norm` —
-    /// i.e. where a [`EventKind::DemandChange`] event must fire. Clamped
+    /// i.e. where the event core must re-sample the workload. Clamped
     /// to `[after + 1, ticks]`; a hold that does not extend past `after`
     /// (including NaN) degenerates to `after + 1`, which is the dense
     /// re-sample-every-tick behaviour.
@@ -95,8 +81,8 @@ impl SimClock {
     /// The arithmetic first estimates the boundary in closed form, then
     /// adjusts against the authoritative per-tick predicate
     /// (`t_norm(tick) < hold_norm`) so floating-point error in the
-    /// estimate can never make the event engine hold a demand one tick
-    /// longer (or shorter) than the dense engine would observe it.
+    /// estimate can never make the event core hold a demand one tick
+    /// longer (or shorter) than the dense core would observe it.
     pub fn boundary_tick(&self, after: u64, hold_norm: f64) -> u64 {
         // `partial_cmp` so a NaN hold (incomparable) also degenerates.
         if hold_norm.partial_cmp(&self.t_norm(after)) != Some(std::cmp::Ordering::Greater) {
@@ -118,140 +104,6 @@ impl SimClock {
             b += 1;
         }
         b
-    }
-}
-
-/// A simulated device the engine can schedule a wakeup for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeviceId {
-    /// CPU cluster at the given `SocConfig::clusters` index.
-    Cluster(usize),
-    /// The GPU.
-    Gpu,
-    /// The AI engine.
-    Aie,
-    /// System DRAM (stateless model — never actually scheduled).
-    Memory,
-    /// Flash storage (stateless model — never actually scheduled).
-    Storage,
-}
-
-/// What the engine must do at a scheduled tick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
-    /// The workload's demand may change at this tick (phase boundary
-    /// reached, or the workload gives no constancy hint): re-sample
-    /// [`crate::workload::Workload::demand_at`] and schedule the next
-    /// boundary.
-    DemandChange,
-    /// The current demand is subject to per-tick run-to-run noise, so the
-    /// RNG stream (and therefore the whole model) must advance this tick
-    /// even though the underlying demand is constant.
-    NoiseTick,
-    /// A device's internal state (its DVFS ramp) has not reached its
-    /// fixpoint yet and must be ticked.
-    DeviceWake(DeviceId),
-}
-
-/// One scheduled event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Event {
-    /// Tick index the event fires at.
-    pub tick: u64,
-    /// What fires.
-    pub kind: EventKind,
-    /// Monotonic insertion index: makes the heap order total and FIFO
-    /// among events scheduled for the same tick.
-    seq: u64,
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed on purpose: BinaryHeap is a max-heap, and the queue
-        // must pop the earliest (tick, seq) first.
-        other
-            .tick
-            .cmp(&self.tick)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Summary of every event due at one tick, as drained by
-/// [`EventQueue::pop_due`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DueEvents {
-    /// A [`EventKind::DemandChange`] was due: re-sample the workload.
-    pub demand_change: bool,
-    /// A [`EventKind::NoiseTick`] was due: the RNG must advance.
-    pub noise: bool,
-    /// Number of [`EventKind::DeviceWake`]s due.
-    pub device_wakes: usize,
-}
-
-impl DueEvents {
-    /// Whether anything at all was due.
-    pub fn any(&self) -> bool {
-        self.demand_change || self.noise || self.device_wakes > 0
-    }
-}
-
-/// A binary-heap event queue ordered by `(tick, insertion order)`.
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<Event>,
-    seq: u64,
-}
-
-impl EventQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        EventQueue::default()
-    }
-
-    /// Schedule an event. Duplicate `(tick, kind)` entries are allowed;
-    /// [`EventQueue::pop_due`] coalesces them.
-    pub fn schedule(&mut self, tick: u64, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Event { tick, kind, seq });
-    }
-
-    /// Tick of the earliest pending event, if any.
-    pub fn next_tick(&self) -> Option<u64> {
-        self.heap.peek().map(|e| e.tick)
-    }
-
-    /// Drain every event due at or before `tick` into a summary.
-    pub fn pop_due(&mut self, tick: u64) -> DueEvents {
-        let mut due = DueEvents::default();
-        while let Some(e) = self.heap.peek() {
-            if e.tick > tick {
-                break;
-            }
-            match e.kind {
-                EventKind::DemandChange => due.demand_change = true,
-                EventKind::NoiseTick => due.noise = true,
-                EventKind::DeviceWake(_) => due.device_wakes += 1,
-            }
-            self.heap.pop();
-        }
-        due
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -338,45 +190,5 @@ mod tests {
         let c = SimClock::for_duration(10.0);
         assert_eq!(c.boundary_tick(0, 1.0), c.ticks());
         assert_eq!(c.boundary_tick(42, 2.0), c.ticks());
-    }
-
-    #[test]
-    fn queue_pops_in_tick_then_fifo_order() {
-        let mut q = EventQueue::new();
-        q.schedule(5, EventKind::NoiseTick);
-        q.schedule(2, EventKind::DemandChange);
-        q.schedule(2, EventKind::DeviceWake(DeviceId::Gpu));
-        assert_eq!(q.next_tick(), Some(2));
-        let due = q.pop_due(2);
-        assert!(due.demand_change);
-        assert_eq!(due.device_wakes, 1);
-        assert!(!due.noise);
-        assert_eq!(q.next_tick(), Some(5));
-        let due = q.pop_due(5);
-        assert!(due.noise && !due.demand_change);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn pop_due_leaves_future_events_alone() {
-        let mut q = EventQueue::new();
-        q.schedule(3, EventKind::DemandChange);
-        q.schedule(9, EventKind::DemandChange);
-        let due = q.pop_due(3);
-        assert!(due.demand_change);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.next_tick(), Some(9));
-        assert!(!q.pop_due(8).any());
-    }
-
-    #[test]
-    fn duplicate_events_coalesce() {
-        let mut q = EventQueue::new();
-        q.schedule(1, EventKind::DeviceWake(DeviceId::Cluster(0)));
-        q.schedule(1, EventKind::DeviceWake(DeviceId::Cluster(1)));
-        q.schedule(1, EventKind::DeviceWake(DeviceId::Cluster(0)));
-        let due = q.pop_due(1);
-        assert_eq!(due.device_wakes, 3);
-        assert!(q.is_empty());
     }
 }

@@ -156,9 +156,7 @@ impl Governor {
 
     /// The frequency one [`Governor::tick`] at the given utilization would
     /// move to, without mutating any state. `tick` is defined in terms of
-    /// this, so the prediction is exact to the bit — which is what lets
-    /// the event engine treat `next_frequency(u) == current_mhz` as proof
-    /// that ticking the governor would be a no-op.
+    /// this, so the prediction is exact to the bit.
     pub fn next_frequency(&self, utilization: f64) -> f64 {
         match self.policy {
             GovernorPolicy::Performance => return self.opps.max(),
@@ -172,13 +170,6 @@ impl Governor {
         // Governors react within a few scheduling periods; close most of
         // the gap each tick rather than jumping instantly.
         self.current_mhz + (target - self.current_mhz) * self.ramp
-    }
-
-    /// Whether the governor has reached its fixpoint for the given
-    /// utilization: ticking it would reproduce the current frequency bit
-    /// for bit, so the tick can be skipped entirely.
-    pub fn is_settled_at(&self, utilization: f64) -> bool {
-        self.next_frequency(utilization) == self.current_mhz
     }
 
     /// Advance one tick with the observed utilization in `[0, 1]`; returns
@@ -349,30 +340,20 @@ mod tests {
         for _ in 0..30 {
             g.tick(1.0);
         }
-        assert!(!g.is_settled_at(0.0), "still ramping down");
         for _ in 0..200 {
             g.tick(0.0);
         }
-        assert!(g.is_settled_at(0.0), "idle ramp must reach a fixpoint");
         let before = g.frequency_mhz();
         assert_eq!(g.tick(0.0).to_bits(), before.to_bits());
     }
 
     #[test]
-    fn fixed_policies_are_always_settled() {
-        let opps = OppTable::linear(300.0, 3000.0, 8);
-        let g = Governor::with_policy(opps.clone(), GovernorPolicy::Performance);
-        assert!(g.is_settled_at(0.0) && g.is_settled_at(1.0));
-        let g = Governor::with_policy(opps, GovernorPolicy::Powersave);
-        assert!(g.is_settled_at(0.0) && g.is_settled_at(1.0));
-    }
-
-    #[test]
-    fn freshly_reset_governor_is_settled_at_idle() {
-        let g = Governor::for_range(300.0, 3000.0);
+    fn freshly_reset_governor_holds_its_floor_at_idle() {
+        let mut g = Governor::for_range(300.0, 3000.0);
         // At the minimum OPP with zero utilization the target is the
         // minimum OPP: the gap is exactly zero.
-        assert!(g.is_settled_at(0.0));
+        let floor = g.frequency_mhz();
+        assert_eq!(g.tick(0.0).to_bits(), floor.to_bits());
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! A [`Workload`] is a pure function from normalized execution time to a
 //! [`Demand`] on the SoC's components. Benchmark models (crate
 //! `mwc-workloads`) implement this trait; the engine samples it once per
-//! tick.
+//! tick, or once per phase where [`Workload::demand_hold_until`] vouches
+//! that the demand holds.
 
 use crate::aie::AieDemand;
 use crate::cpu::CpuDemand;
@@ -31,16 +32,6 @@ impl Demand {
     pub fn idle() -> Self {
         Demand::default()
     }
-
-    /// Whether the engine's seeded run-to-run noise leaves this demand
-    /// untouched: noise perturbs CPU thread intensities and GPU/AIE
-    /// intensities, so a demand with no threads and no GPU/AIE work
-    /// consumes zero random draws per tick. The event engine relies on
-    /// this to coast over idle stretches without desynchronizing the RNG
-    /// stream from the dense engine.
-    pub fn is_noise_free(&self) -> bool {
-        self.cpu.threads.is_empty() && self.gpu.is_none() && self.aie.is_none()
-    }
 }
 
 /// A workload the engine can execute.
@@ -61,16 +52,15 @@ pub trait Workload {
     /// How long the demand at `t_norm` is guaranteed to stay constant: a
     /// normalized time `hold` such that `demand_at(t)` returns a demand
     /// equal (by `PartialEq`) to `demand_at(t_norm)` for every
-    /// `t ∈ [t_norm, hold)`. The event engine uses this hint to schedule
-    /// one demand-change event per constant phase instead of re-sampling
-    /// the workload every tick.
+    /// `t ∈ [t_norm, hold)`. The engine's event core uses this hint to
+    /// sample the workload once per constant phase instead of every tick.
     ///
     /// The default returns `t_norm` itself — "no guarantee past this
-    /// instant" — which degrades the event engine to dense per-tick
-    /// sampling and is always correct. Implementations returning a larger
-    /// value (phase boundaries, or `1.0` for constant workloads) must
-    /// uphold the constancy contract or the event engine will diverge
-    /// from the dense one.
+    /// instant" — which degrades the event core to per-tick sampling and
+    /// is always correct. Implementations returning a larger value (phase
+    /// boundaries, or `1.0` for constant workloads) must uphold the
+    /// constancy contract or the event core will diverge from the dense
+    /// one.
     fn demand_hold_until(&self, t_norm: f64) -> f64 {
         t_norm
     }
@@ -161,20 +151,5 @@ mod tests {
             }
         }
         assert_eq!(Bare.demand_hold_until(0.25), 0.25);
-    }
-
-    #[test]
-    fn noise_free_demand_detection() {
-        assert!(Demand::idle().is_noise_free());
-        let mut d = Demand::idle();
-        d.io = Some(crate::storage::IoDemand::sequential(100.0, 0.0));
-        d.memory.footprint_mib = 512.0;
-        assert!(d.is_noise_free(), "io/memory demand draws no noise");
-        let mut d = Demand::idle();
-        d.cpu = CpuDemand::single_thread(0.5);
-        assert!(!d.is_noise_free());
-        let mut d = Demand::idle();
-        d.gpu = Some(crate::gpu::GpuDemand::scene(0.1));
-        assert!(!d.is_noise_free());
     }
 }

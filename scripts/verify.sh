@@ -409,20 +409,29 @@ MWC_CACHE_DIR="$sweep_dir" ./target/release/report --diff $report_digests >/dev/
 rm -rf "$sweep_dir"
 echo "    resume replayed $sweep_replayed points, simulated $sweep_soc_runs runs; digest matches uncached sweep ($sweep_digest_clean)"
 
-echo "==> simulator-core bench smoke pass (MWC_BENCH_FAST=1)"
-soc_bench_json="$PWD/target/verify-bench-soc.json"
-rm -f "$soc_bench_json"
-MWC_BENCH_FAST=1 MWC_BENCH_JSON="$soc_bench_json" \
-    cargo bench -q -p mwc-bench --bench soc_engine >/dev/null || {
-    echo "error: soc_engine bench smoke pass failed" >&2
+echo "==> end-to-end benchmark gate (perfbench self-tests, then every workload at smoke length)"
+# perfbench is the one harness that measures the program. Its self-tests
+# run first; then a short run of all three workloads must exit 0 and
+# print "correct": true on each workload's JSON line (every op checked
+# against its oracle). The gate builds and runs perfbench but never edits
+# it, so a library change that breaks the benchmark fails here. Below
+# three seconds study_cold gathers too few samples for its p50.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml || exit $?
+perf_out="target/verify-perfbench.txt"
+cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload all --seed 3 --seconds 3 >"$perf_out" || {
+    echo "error: perfbench --workload all failed; output follows" >&2
+    cat "$perf_out" >&2
     exit 1
 }
-if [ ! -s "$soc_bench_json" ]; then
-    echo "error: soc_engine bench smoke pass wrote no $soc_bench_json" >&2
+perf_correct=$(grep -c '^{"correct": true,' "$perf_out")
+if [ "$perf_correct" -ne 3 ]; then
+    echo "error: perfbench printed \"correct\": true for $perf_correct of 3 workloads; output follows" >&2
+    cat "$perf_out" >&2
     exit 1
 fi
-rm -f "$soc_bench_json"
-echo "    soc_engine bench ran and wrote a JSON report"
+rm -f "$perf_out"
+echo "    perfbench self-tests passed; study_cold, replay and serve_warm ran correct"
 
 echo "==> server smoke gate (boot, paper study, load, clean drain, zero panics)"
 cargo build --release -p mwc-server --bins || exit $?

@@ -1,7 +1,7 @@
-//! Golden equivalence suite for the event-driven simulator core.
+//! Golden equivalence suite for the simulator's event core.
 //!
-//! The event engine is a pure scheduling optimization: for every workload
-//! in the registry it must reproduce the dense per-tick engine's `Trace`
+//! The event core's demand holds and CPI memo are pure optimizations: for
+//! every workload in the registry it must reproduce the dense core's `Trace`
 //! **bit for bit** — same `(seed, unit, run)` stream seeding, same sample
 //! count, every `f64` identical by `to_bits` — on every trace the
 //! paper-default study consumes, so the end-to-end study digest cannot
@@ -266,9 +266,9 @@ fn raw_traces_of_the_paper_protocol_are_pinned() {
 /// per-thread CPI memo and allocation-free tick.
 const EXPECTED_RAW_TRACE_DIGEST: &str = "d06a1d6a5fbb5d52";
 
-/// An idle-heavy workload coasts: the trace still has one sample per tick
-/// and matches the dense core, while the samples across the idle tail are
-/// replicas (the property that makes the event core fast).
+/// A long idle workload, held as one phase by the event core, has one
+/// sample per tick and matches the dense core, which re-samples it every
+/// tick.
 #[test]
 fn idle_heavy_workload_coasts_and_matches_dense() {
     let idle = ConstantWorkload::new("idle-tail", 120.0, Demand::idle());

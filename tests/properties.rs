@@ -723,7 +723,7 @@ proptest! {
     ) {
         let duration = 10.0f64.powf(log_duration) * (1.0 + nudge);
         let mut d = Demand::idle();
-        d.cpu = CpuDemand::single_thread(0.6); // noisy: no coasting, every tick sampled
+        d.cpu = CpuDemand::single_thread(0.6);
         let w = TNormRecorder::new(duration, d);
         let mut engine = Engine::new(SocConfig::snapdragon_888(), seed).expect("preset");
         engine.set_mode(if mode_sel == 0 {
@@ -755,9 +755,9 @@ proptest! {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 
-        // Phase menu: idle (pure coasting), CPU-noisy, GPU-noisy,
-        // stateless-device-only and mixed CPU+GPU phases, in random order
-        // — the exact interleavings the event scheduler must survive.
+        // Phase menu: idle, CPU-noisy, GPU-noisy, stateless-device-only
+        // and mixed CPU+GPU phases, in random order — the interleavings
+        // the event core's demand holds must survive.
         let mut b = PhasedWorkload::builder("prop-phased", duration);
         for (i, chunk) in raw.chunks_exact(3).enumerate() {
             let (weight, intensity, kind) =
@@ -1689,7 +1689,7 @@ proptest! {
         let mut d = Demand::idle();
         d.cpu = CpuDemand::multi_thread(2, 0.3 + 0.6 * busy);
         d.gpu = Some(GpuDemand::scene(busy));
-        // A busy phase, then an idle one the event core coasts through.
+        // A busy phase, then an idle one.
         let w = PhasedWorkload::builder("faulted", duration)
             .phase("busy", 0.2 + busy, d)
             .phase("idle", 1.0, Demand::idle())

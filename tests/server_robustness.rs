@@ -204,6 +204,47 @@ fn full_queue_sheds_503_with_retry_after_and_wrkr_backoff_recovers() {
     assert_eq!(stats.panics, 0);
 }
 
+/// Under `--rate`, a request's latency counts from when it was due, not
+/// from when a connection got round to sending it. One connection to a
+/// 50 ms handler cannot keep 100 requests/s: request `i` is due at
+/// `10·i` ms but sent at about `50·i` ms, so the sixth answers about
+/// 250 ms after its due time. Timed from the send, every request would
+/// read about 50 ms and the schedule's backlog would not show.
+#[test]
+fn open_loop_latency_counts_from_the_due_time() {
+    let server = boot(|c| {
+        c.workers = 1;
+        c.test_hooks = true;
+    });
+    let addr = server.local_addr().to_string();
+    let body = to_wire(&small_spec(47)).expect("spec serializes");
+    // Warm the study, so each timed request costs the hook and a hit.
+    let warm = post_study(&addr, &body, &[]);
+    assert_eq!(warm.status, 200, "{}", warm.body_str());
+
+    let report = loadgen::run(&LoadOptions {
+        addr: addr.clone(),
+        method: "POST".to_owned(),
+        path: "/study".to_owned(),
+        headers: vec![("x-mwc-test-sleep-ms".to_owned(), "50".to_owned())],
+        body: body.into_bytes(),
+        connections: 1,
+        requests: 6,
+        rate: 100.0,
+        timeout: TIMEOUT,
+        ..LoadOptions::default()
+    });
+    assert_eq!(report.ok, 6, "{report:?}");
+    let max_ms = report.latency_ns.max() / 1.0e6;
+    assert!(
+        max_ms >= 150.0,
+        "the wait behind the schedule must count: largest latency {max_ms:.1} ms"
+    );
+
+    server.request_shutdown();
+    assert_eq!(server.join().panics, 0);
+}
+
 #[test]
 fn injected_panic_answers_500_and_the_worker_pool_survives() {
     let server = boot(|c| {
