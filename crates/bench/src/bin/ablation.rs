@@ -109,8 +109,9 @@ fn run() -> Result<(), mwc_core::PipelineError> {
     println!("  (the low graphics IPC the paper reports is a contention effect, not intrinsic)");
 
     mwc_bench::header("Ablation 4: full observation suite under the default stack");
-    let study = mwc_bench::study_with(&StudyCache::from_env(), mwc_bench::DEFAULT_SEED, 1);
-    let holds = check_all(study).iter().filter(|o| o.holds).count();
+    let study =
+        StudyCache::from_env().study(&SocConfig::snapdragon_888(), mwc_bench::DEFAULT_SEED, 1)?;
+    let holds = check_all(&study).iter().filter(|o| o.holds).count();
     println!("  observations holding under EAS + schedutil: {holds}/9");
     Ok(())
 }

@@ -13,7 +13,7 @@ fn main() {
 
 fn run() -> Result<(), mwc_core::PipelineError> {
     let study = mwc_bench::study();
-    let clustering = mwc_bench::try_clustering()?;
+    let clustering = mwc_bench::try_clustering(&study)?;
     if study.report().is_degraded() {
         eprintln!("warning: degraded study — {}", study.report().summary());
     }
@@ -33,7 +33,7 @@ fn run() -> Result<(), mwc_core::PipelineError> {
     println!("{}", mwc_soc::config::SocConfig::snapdragon_888().name);
 
     mwc_bench::header("Figure 1");
-    let f1 = figures::fig1(study);
+    let f1 = figures::fig1(&study);
     let mut t = Table::new(vec![
         "Benchmark",
         "Group",
@@ -57,10 +57,10 @@ fn run() -> Result<(), mwc_core::PipelineError> {
     print!("{}", t.render());
 
     mwc_bench::header("Table III");
-    print!("{}", tables::table3_text(study)?);
+    print!("{}", tables::table3_text(&study)?);
 
     mwc_bench::header("Figure 2 (sparklines)");
-    let f2 = figures::fig2(study, 50);
+    let f2 = figures::fig2(&study, 50);
     for (name, series) in &f2.rows {
         println!("{name}");
         for (metric, s) in figures::FIG2_METRICS.iter().zip(series.iter()) {
@@ -69,7 +69,7 @@ fn run() -> Result<(), mwc_core::PipelineError> {
     }
 
     mwc_bench::header("Figure 3 (heat rows)");
-    let f3 = figures::fig3(study, 50);
+    let f3 = figures::fig3(&study, 50);
     for (name, series) in &f3.rows {
         println!("{name}");
         for (cluster, s) in ["little", "mid   ", "big   "].iter().zip(series.iter()) {
@@ -78,10 +78,10 @@ fn run() -> Result<(), mwc_core::PipelineError> {
     }
 
     mwc_bench::header("Table V");
-    print!("{}", tables::table5_text(study));
+    print!("{}", tables::table5_text(&study));
 
     mwc_bench::header("Figure 4");
-    let sweep = figures::fig4(study)?;
+    let sweep = figures::fig4(&study)?;
     for alg in Algorithm::ALL {
         println!(
             "{:<12} best k: Dunn={:?} Sil={:?} APN={:?} AD={:?}",
@@ -100,19 +100,19 @@ fn run() -> Result<(), mwc_core::PipelineError> {
     }
 
     mwc_bench::header("Table VI");
-    print!("{}", tables::table6_text(study, &clustering));
+    print!("{}", tables::table6_text(&study, &clustering));
 
     mwc_bench::header("Figure 7");
-    let naive = subsets::naive_subset(study, &clustering);
-    let select = subsets::select_subset(study);
-    let plus = subsets::select_plus_gpu_subset(study);
-    for (name, curve) in figures::fig7(study, &[naive, select, plus])? {
+    let naive = subsets::naive_subset(&study, &clustering);
+    let select = subsets::select_subset(&study);
+    let plus = subsets::select_plus_gpu_subset(&study);
+    for (name, curve) in figures::fig7(&study, &[naive, select, plus])? {
         let pts: Vec<String> = curve.iter().map(|v| format!("{v:.2}")).collect();
         println!("{name}: {}", pts.join(" "));
     }
 
     mwc_bench::header("Observations");
-    for o in observations::check_all(study) {
+    for o in observations::check_all(&study) {
         println!(
             "#{} [{}] {}",
             o.id,

@@ -5,13 +5,15 @@ use mwc_core::features::{clustering_matrix, CLUSTERING_FEATURES};
 use mwc_core::figures;
 use mwc_core::observations;
 use mwc_core::StudyCache;
+use mwc_soc::config::SocConfig;
 
 fn main() {
     mwc_bench::run_or_exit(run);
 }
 
 fn run() -> Result<(), mwc_core::PipelineError> {
-    let study = mwc_bench::study_with(&StudyCache::from_env(), mwc_bench::DEFAULT_SEED, 1);
+    let study =
+        StudyCache::from_env().study(&SocConfig::snapdragon_888(), mwc_bench::DEFAULT_SEED, 1)?;
     println!("{:<26} {:>10} {:>6} {:>7} {:>7} {:>7} | {:>5} {:>5} {:>5} | {:>5} {:>5} {:>5} {:>5} {:>5} {:>6}",
         "unit","IC(bn)","IPC","cMPKI","bMPKI","run(s)","lit","mid","big","gpu","shad","bus","aie","mem","store");
     for p in study.profiles() {
@@ -22,7 +24,7 @@ fn run() -> Result<(), mwc_core::PipelineError> {
     }
     println!("\nfeatures: {CLUSTERING_FEATURES:?}");
     {
-        let m = clustering_matrix(study)?;
+        let m = clustering_matrix(&study)?;
         println!("normalized feature rows:");
         for (i, p) in study.profiles().iter().enumerate() {
             let row: Vec<String> = m.row(i).iter().map(|v| format!("{v:.2}")).collect();
@@ -33,11 +35,11 @@ fn run() -> Result<(), mwc_core::PipelineError> {
         study.profiles().iter().map(|p| p.label as usize).collect(),
         5,
     )?;
-    let m = clustering_matrix(study)?;
+    let m = clustering_matrix(&study)?;
     for (name, c) in [
         ("kmeans", mwc_analysis::cluster::kmeans(&m, 5, 42)?),
         ("pam", mwc_analysis::cluster::pam(&m, 5, 42)?),
-        ("hier", figures::fig5(study)?.cut(5)?),
+        ("hier", figures::fig5(&study)?.cut(5)?),
     ] {
         println!(
             "{name}: matches ground truth = {}",
@@ -53,7 +55,7 @@ fn run() -> Result<(), mwc_core::PipelineError> {
         }
     }
     println!("\nvalidation sweep:");
-    let sweep = figures::fig4(study)?;
+    let sweep = figures::fig4(&study)?;
     for alg in mwc_analysis::validation::Algorithm::ALL {
         println!(
             "{:<12} dunn_best={:?} sil_best={:?} apn_best={:?} ad_best={:?}",
@@ -71,7 +73,7 @@ fn run() -> Result<(), mwc_core::PipelineError> {
         }
     }
     println!("\nhier partitions at k=6..8:");
-    let dendro = figures::fig5(study)?;
+    let dendro = figures::fig5(&study)?;
     for k in [6usize, 7, 8] {
         let c = dendro.cut(k)?;
         println!(" k={k}:");
@@ -104,28 +106,28 @@ fn run() -> Result<(), mwc_core::PipelineError> {
         );
     }
     println!("\nTable III (correlations):");
-    println!("{}", mwc_core::tables::table3_text(study)?);
+    println!("{}", mwc_core::tables::table3_text(&study)?);
     println!("Table V:");
-    println!("{}", mwc_core::tables::table5_text(study));
+    println!("{}", mwc_core::tables::table5_text(&study));
     println!("Table VI:");
-    println!("{}", mwc_core::tables::table6_text(study, &truth));
+    println!("{}", mwc_core::tables::table6_text(&study, &truth));
     // Fig 7 curves.
-    let naive = mwc_core::subsets::naive_subset(study, &truth);
-    let select = mwc_core::subsets::select_subset(study);
-    let plus = mwc_core::subsets::select_plus_gpu_subset(study);
-    let curves = figures::fig7(study, &[naive.clone(), select, plus.clone()])?;
+    let naive = mwc_core::subsets::naive_subset(&study, &truth);
+    let select = mwc_core::subsets::select_subset(&study);
+    let plus = mwc_core::subsets::select_plus_gpu_subset(&study);
+    let curves = figures::fig7(&study, &[naive.clone(), select, plus.clone()])?;
     for (name, curve) in &curves {
         let pts: Vec<String> = curve.iter().map(|v| format!("{v:.2}")).collect();
         println!("fig7 {name}: {}", pts.join(" "));
     }
     println!(
         "Select+GPU(7) dist = {:.3}; Naive(5) = {:.3}; Naive-curve(7) = {:.3}",
-        plus.representativeness(study)?,
-        naive.representativeness(study)?,
+        plus.representativeness(&study)?,
+        naive.representativeness(&study)?,
         curves[0].1[6]
     );
     println!("\nobservations:");
-    for o in observations::check_all(study) {
+    for o in observations::check_all(&study) {
         println!("#{} holds={} — {}", o.id, o.holds, o.evidence);
     }
     Ok(())

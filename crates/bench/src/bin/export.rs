@@ -46,26 +46,26 @@ fn run() -> Result<(), mwc_core::PipelineError> {
     // 1. Per-benchmark aggregate metrics (the Figure-1 table).
     fs::write(
         dir.join("fig1_metrics.csv"),
-        matrix_csv(&names, &FIG1_METRICS, &fig1_matrix(study)?),
+        matrix_csv(&names, &FIG1_METRICS, &fig1_matrix(&study)?),
     )?;
 
     // 2. Normalized clustering features.
     fs::write(
         dir.join("clustering_features.csv"),
-        matrix_csv(&names, &CLUSTERING_FEATURES, &clustering_matrix(study)?),
+        matrix_csv(&names, &CLUSTERING_FEATURES, &clustering_matrix(&study)?),
     )?;
 
     // 3. Correlation matrices.
     fs::write(
         dir.join("table3_pearson.csv"),
-        matrix_csv(&FIG1_METRICS, &FIG1_METRICS, &table3_matrix(study)?),
+        matrix_csv(&FIG1_METRICS, &FIG1_METRICS, &table3_matrix(&study)?),
     )?;
     fs::write(
         dir.join("table3_spearman.csv"),
         matrix_csv(
             &FIG1_METRICS,
             &FIG1_METRICS,
-            &spearman_matrix(&fig1_matrix(study)?),
+            &spearman_matrix(&fig1_matrix(&study)?),
         ),
     )?;
 

@@ -90,7 +90,7 @@ fn single_study(faults: &FaultConfig) -> Result<(), PipelineError> {
     }
 
     mwc_bench::header("Figure-1 aggregate drift vs fault-free study");
-    let (means, worst) = drift(reference, &faulty);
+    let (means, worst) = drift(&reference, &faulty);
     let mut t = Table::new(vec!["Metric", "Mean |drift| %"]);
     for (name, d) in METRICS.iter().zip(means) {
         t.row(vec![(*name).to_owned(), fmt(d, 3)]);
@@ -120,7 +120,7 @@ fn sweep() -> Result<(), PipelineError> {
             ..FaultConfig::default()
         };
         let faulty = run_faulty(&faults)?;
-        let (means, worst) = drift(reference, &faulty);
+        let (means, worst) = drift(&reference, &faulty);
         let mut row = vec![
             fmt(dropout, 2),
             format!(

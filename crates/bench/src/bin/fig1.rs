@@ -4,7 +4,7 @@ use mwc_report::table::{fmt, Table};
 
 fn main() {
     mwc_bench::header("Figure 1: Benchmark metrics (dashed lines = averages)");
-    let f = mwc_core::figures::fig1(mwc_bench::study());
+    let f = mwc_core::figures::fig1(&mwc_bench::study());
     let mut t = Table::new(vec![
         "Benchmark",
         "Group",

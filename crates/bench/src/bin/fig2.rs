@@ -7,7 +7,7 @@ fn main() {
     mwc_bench::header(
         "Figure 2: Metric values across normalized runtime (sparklines; avg appended)",
     );
-    let f = fig2(mwc_bench::study(), 60);
+    let f = fig2(&mwc_bench::study(), 60);
     for (name, series) in &f.rows {
         println!("{name}");
         for (metric, s) in FIG2_METRICS.iter().zip(series.iter()) {

@@ -9,7 +9,7 @@ fn main() {
         "levels: {} 0-25%  {} 25-50%  {} 50-75%  {} 75-100%\n",
         LEVEL_GLYPHS[0], LEVEL_GLYPHS[1], LEVEL_GLYPHS[2], LEVEL_GLYPHS[3]
     );
-    let f = fig3(mwc_bench::study(), 60);
+    let f = fig3(&mwc_bench::study(), 60);
     for (name, series) in &f.rows {
         println!("{name}");
         for (cluster, s) in ["little", "mid   ", "big   "].iter().zip(series.iter()) {

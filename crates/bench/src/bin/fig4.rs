@@ -10,7 +10,7 @@ fn run() -> Result<(), mwc_core::PipelineError> {
     mwc_bench::header(
         "Figure 4: Cluster-count validation (Dunn/Silhouette higher better; APN/AD lower better)",
     );
-    let sweep = mwc_core::figures::fig4(mwc_bench::study())?;
+    let sweep = mwc_core::figures::fig4(&mwc_bench::study())?;
     for alg in Algorithm::ALL {
         println!("{}:", alg.name());
         let mut t = Table::new(vec!["k", "Dunn", "Silhouette", "APN", "AD"]);

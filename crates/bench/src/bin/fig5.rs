@@ -8,7 +8,7 @@ fn main() {
 fn run() -> Result<(), mwc_core::PipelineError> {
     mwc_bench::header("Figure 5: Hierarchical clustering (Ward linkage) dendrogram");
     let study = mwc_bench::study();
-    let d = mwc_core::figures::fig5(study)?;
+    let d = mwc_core::figures::fig5(&study)?;
     let labels: Vec<String> = study.names().iter().map(|s| s.to_string()).collect();
     let merges: Vec<MergeRow> = d
         .merges()

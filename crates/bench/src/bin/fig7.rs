@@ -9,16 +9,16 @@ fn main() {
 fn run() -> Result<(), mwc_core::PipelineError> {
     mwc_bench::header("Figure 7: Total minimum Euclidean distance vs subset size");
     let study = mwc_bench::study();
-    let clustering = mwc_bench::try_clustering()?;
-    let naive = naive_subset(study, &clustering);
-    let select = select_subset(study);
-    let plus = select_plus_gpu_subset(study);
+    let clustering = mwc_bench::try_clustering(&study)?;
+    let naive = naive_subset(&study, &clustering);
+    let select = select_subset(&study);
+    let plus = select_plus_gpu_subset(&study);
     let sizes = [
         naive.indices.len(),
         select.indices.len(),
         plus.indices.len(),
     ];
-    let curves = mwc_core::figures::fig7(study, &[naive, select, plus])?;
+    let curves = mwc_core::figures::fig7(&study, &[naive, select, plus])?;
     for ((name, curve), own) in curves.iter().zip(sizes) {
         println!("{name} (dashed line at n = {own}: {:.2}):", curve[own - 1]);
         let pts: Vec<String> = curve

@@ -2,7 +2,7 @@
 fn main() {
     mwc_bench::header("Observations #1-#9");
     let mut all_hold = true;
-    for o in mwc_core::observations::check_all(mwc_bench::study()) {
+    for o in mwc_core::observations::check_all(&mwc_bench::study()) {
         all_hold &= o.holds;
         println!(
             "#{} [{}] {}\n    {}\n",

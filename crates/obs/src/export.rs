@@ -24,7 +24,10 @@ fn escape_json(s: &str, out: &mut String) {
     }
 }
 
-pub(crate) fn json_string(s: &str) -> String {
+/// `s` as a JSON string literal: quoted, with `"` and `\` escaped by a
+/// backslash, newline, CR and tab written as `\n`, `\r` and `\t`, and
+/// other control characters as `\u00XX`.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     escape_json(s, &mut out);

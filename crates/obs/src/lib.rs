@@ -14,8 +14,6 @@
 //! * [`export`] — Chrome `trace_event` JSON (loadable in
 //!   `chrome://tracing` / Perfetto) and a JSONL event log, plus a reader
 //!   that parses the Chrome export back (used by the neutrality tests);
-//! * [`log`] — leveled wide-event JSONL logging (`MWC_LOG`,
-//!   `MWC_LOG_FILE`), one self-describing line per request/event;
 //! * [`summary`] — per-span-name aggregation (count / total / self / max)
 //!   for the human `--profile` tables rendered by `mwc-bench`.
 //!
@@ -58,7 +56,6 @@ use std::thread::ThreadId;
 use std::time::Instant;
 
 pub mod export;
-pub mod log;
 pub mod metrics;
 pub mod summary;
 pub mod trace;

@@ -68,15 +68,6 @@ impl Summary {
     pub fn stat(&self, name: &str) -> Option<&NameStat> {
         self.stats.iter().find(|s| s.name == name)
     }
-
-    /// The `k` names with the most *self* time (where the wall clock
-    /// actually went, as opposed to time attributed to children).
-    pub fn top_by_self(&self, k: usize) -> Vec<&NameStat> {
-        let mut v: Vec<&NameStat> = self.stats.iter().collect();
-        v.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then(a.name.cmp(&b.name)));
-        v.truncate(k);
-        v
-    }
 }
 
 /// The top `k` individual spans named `name`, labelled by their `label_field`

@@ -1,28 +1,11 @@
-//! Derived benchmark-level metrics (the rows of Figure 1 and the feature
-//! vectors of the clustering analysis), averaged across runs.
+//! Derived benchmark-level metrics (the rows of Figure 1, and the values
+//! `mwc_core::features` builds the clustering matrices from), averaged
+//! across runs.
 
 use mwc_soc::config::ClusterKind;
 
 use crate::capture::{Capture, SeriesKey, SeriesMap};
 use crate::faults::robust_merge;
-
-/// Names of the feature-vector components, aligned with
-/// [`BenchmarkMetrics::feature_vector`].
-pub const FEATURE_NAMES: [&str; 13] = [
-    "instruction_count",
-    "ipc",
-    "cache_mpki",
-    "branch_mpki",
-    "runtime_seconds",
-    "cpu_little_load",
-    "cpu_mid_load",
-    "cpu_big_load",
-    "gpu_load",
-    "gpu_shaders_busy",
-    "gpu_bus_busy",
-    "aie_load",
-    "memory_used_fraction",
-];
 
 /// Benchmark-level aggregate metrics, averaged over the capture runs.
 #[derive(Debug, Clone, PartialEq)]
@@ -142,27 +125,6 @@ impl BenchmarkMetrics {
             storage_busy: merge(series_mean(SeriesKey::StorageBusy)),
         }
     }
-
-    /// The 13-component feature vector used for clustering and
-    /// representativeness analysis; component order matches
-    /// [`FEATURE_NAMES`].
-    pub fn feature_vector(&self) -> Vec<f64> {
-        vec![
-            self.instruction_count,
-            self.ipc,
-            self.cache_mpki,
-            self.branch_mpki,
-            self.runtime_seconds,
-            self.cpu_little_load,
-            self.cpu_mid_load,
-            self.cpu_big_load,
-            self.gpu_load,
-            self.gpu_shaders_busy,
-            self.gpu_bus_busy,
-            self.aie_load,
-            self.memory_used_fraction,
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -192,16 +154,6 @@ mod tests {
         assert!((m.runtime_seconds - 5.0).abs() < 1e-9);
         assert!(m.cpu_big_load > 0.2);
         assert_eq!(m.gpu_load, 0.0);
-    }
-
-    #[test]
-    fn feature_vector_matches_names() {
-        let m = metrics_for(0.5);
-        let v = m.feature_vector();
-        assert_eq!(v.len(), FEATURE_NAMES.len());
-        assert_eq!(v[0], m.instruction_count);
-        assert_eq!(v[4], m.runtime_seconds);
-        assert_eq!(v[12], m.memory_used_fraction);
     }
 
     #[test]

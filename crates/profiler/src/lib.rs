@@ -19,8 +19,7 @@
 //!   branch MPKI, runtime, per-component loads) averaged across runs;
 //! * [`faults`] — deterministic capture-fault injection (sample dropout,
 //!   counter jitter and overflow wraps, truncation, run failure) plus the
-//!   retry/quorum machinery's health records and errors;
-//! * [`export`] — CSV export of series and metric tables.
+//!   retry/quorum machinery's health records and errors.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -31,7 +30,6 @@ pub mod baseline;
 pub mod capture;
 pub mod columns;
 pub mod derive;
-pub mod export;
 pub mod faults;
 pub mod metric;
 pub mod timeseries;

@@ -1,9 +1,11 @@
-//! Server configuration, sourced from `MWC_SERVER_*` environment
-//! variables with conservative defaults.
+//! Server configuration, sourced from `MWC_SERVER_*` and `MWC_LOG*`
+//! environment variables with conservative defaults.
 
 use std::env;
 use std::path::PathBuf;
 use std::time::Duration;
+
+use crate::telemetry::{Level, RequestLog};
 
 /// Bind address (`MWC_SERVER_ADDR`). Port 0 asks the OS for a free port;
 /// the chosen address is reported by [`crate::Server::local_addr`].
@@ -30,9 +32,16 @@ pub const DEBUG_RING_ENV: &str = "MWC_SERVER_DEBUG_RING";
 /// responses within it count toward `server_slo_ok_total`, slower 2xx
 /// and all 5xx toward `server_slo_violations_total`.
 pub const SLO_ENV: &str = "MWC_SERVER_SLO_MS";
+/// Request-log level (`MWC_LOG`: `error`, `warn` or `info`; `debug` and
+/// `trace` read as `info`); unset or unknown writes no log.
+pub const LOG_ENV: &str = "MWC_LOG";
+/// File the request log appends to (`MWC_LOG_FILE`); unset writes to
+/// stderr.
+pub const LOG_FILE_ENV: &str = "MWC_LOG_FILE";
 
 /// Everything the server needs to boot. `Default` matches the documented
-/// env defaults; [`ServerConfig::from_env`] overlays `MWC_SERVER_*`.
+/// env defaults; [`ServerConfig::from_env`] overlays `MWC_SERVER_*` and
+/// `MWC_LOG*`.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:8080`. Default `127.0.0.1:0`.
@@ -61,6 +70,9 @@ pub struct ServerConfig {
     /// Latency SLO threshold for the `server_slo_*` counters. Default
     /// 1 s.
     pub slo: Duration,
+    /// The wide-event request log this server writes; `None` writes
+    /// none. Default `None`.
+    pub log: Option<RequestLog>,
 }
 
 impl Default for ServerConfig {
@@ -76,6 +88,7 @@ impl Default for ServerConfig {
             test_hooks: false,
             debug_ring: 0,
             slo: Duration::from_millis(1_000),
+            log: None,
         }
     }
 }
@@ -98,7 +111,8 @@ fn env_ms(name: &str, default: Duration) -> Duration {
 }
 
 impl ServerConfig {
-    /// Defaults overlaid with any `MWC_SERVER_*` variables that parse.
+    /// Defaults overlaid with any `MWC_SERVER_*` and `MWC_LOG*` variables
+    /// that parse.
     /// Malformed or non-positive values fall back to the default rather
     /// than failing the boot: a server that refuses to start because of a
     /// typo'd timeout is less robust than one running with a sane value.
@@ -120,6 +134,15 @@ impl ServerConfig {
             test_hooks: false,
             debug_ring: env_usize(DEBUG_RING_ENV, d.debug_ring),
             slo: env_ms(SLO_ENV, d.slo),
+            log: env::var(LOG_ENV)
+                .ok()
+                .and_then(|v| Level::parse(&v))
+                .map(
+                    |level| match env::var_os(LOG_FILE_ENV).filter(|v| !v.is_empty()) {
+                        Some(path) => RequestLog::file(level, path),
+                        None => RequestLog::stderr(level),
+                    },
+                ),
         }
     }
 }
@@ -136,5 +159,6 @@ mod tests {
         assert!(c.deadline > Duration::ZERO);
         assert!(c.cache_dir.is_none());
         assert!(!c.test_hooks);
+        assert!(c.log.is_none());
     }
 }

@@ -11,6 +11,8 @@
 use std::fmt;
 use std::io::{self, BufRead};
 
+use mwc_obs::export::json_string;
+
 /// Longest accepted request/status/header line, in bytes.
 pub const MAX_LINE: usize = 8 * 1024;
 /// Most headers accepted on one message.
@@ -268,9 +270,9 @@ impl Response {
         Response::json(
             status,
             format!(
-                "{{\"error\":{{\"kind\":\"{}\",\"message\":\"{}\"}}}}",
-                json_escape(kind),
-                json_escape(message)
+                "{{\"error\":{{\"kind\":{},\"message\":{}}}}}",
+                json_string(kind),
+                json_string(message)
             ),
         )
     }
@@ -318,24 +320,6 @@ pub fn reason_phrase(status: u16) -> &'static str {
         504 => "Gateway Timeout",
         _ => "Unknown",
     }
-}
-
-/// Minimal JSON string escaping for error messages: quotes, backslash
-/// and control characters.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -26,7 +26,9 @@
 //! * **request telemetry** ([`telemetry`]) — every request carries a
 //!   trace ID (`x-mwc-request-id`, honored inbound and echoed on every
 //!   response including 500/503/504) with per-phase timings feeding one
-//!   wide-event log line, the rolling `server_rolling_*` /metrics
+//!   wide-event line in the server's own request log
+//!   ([`ServerConfig::log`], which `from_env` fills from `MWC_LOG` and
+//!   `MWC_LOG_FILE`), the rolling `server_rolling_*` /metrics
 //!   section, SLO counters, and the `GET /debug/requests` ring
 //!   (`MWC_SERVER_DEBUG_RING`); the companion `dash` binary renders it
 //!   all live in a terminal.

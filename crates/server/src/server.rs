@@ -34,6 +34,7 @@ use std::time::{Duration, Instant};
 
 use mwc_core::pipeline::Characterization;
 use mwc_core::{from_wire, PipelineError, StudyCache, StudySpec};
+use mwc_obs::export::json_string;
 use mwc_obs::metrics::Metric;
 use mwc_obs::Collector;
 
@@ -188,7 +189,7 @@ impl Server {
         };
         let queue = BoundedQueue::new(config.queue_depth);
         let state = Arc::new(ServerState {
-            telemetry: Telemetry::new(config.slo, config.debug_ring),
+            telemetry: Telemetry::new(config.slo, config.debug_ring, config.log.clone()),
             config: config.clone(),
             local_addr,
             cache,
@@ -693,9 +694,9 @@ fn study_json(study: &Characterization, elapsed: Option<Duration>) -> String {
             failed.push(',');
         }
         failed.push_str(&format!(
-            "{{\"name\":\"{}\",\"error\":\"{}\"}}",
-            http::json_escape(&f.name),
-            http::json_escape(&f.error)
+            "{{\"name\":{},\"error\":{}}}",
+            json_string(&f.name),
+            json_string(&f.error)
         ));
     }
     let elapsed_us = elapsed

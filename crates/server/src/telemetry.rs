@@ -11,8 +11,8 @@
 //! the response is rendered, and before it is written, the scope is
 //! sealed into a [`RequestRecord`] which feeds four consumers at once:
 //!
-//! 1. one canonical wide-event log line (`mwc_obs::log`, event
-//!    `"request"`),
+//! 1. one canonical wide-event line in the server's own [`RequestLog`]
+//!    (event `"request"`, when `ServerConfig::log` sets one),
 //! 2. the rolling-window metrics behind the `server_rolling_*` section of
 //!    `GET /metrics` (current p50/p99, rps, error/shed/cache-hit rates),
 //! 3. the SLO counters (`server_slo_ok_total` /
@@ -26,15 +26,15 @@
 //! `tests/telemetry.rs` and the `verify.sh` neutrality gate).
 
 use std::collections::VecDeque;
+use std::fs::OpenOptions;
+use std::io::Write as _;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use mwc_obs::log::{self, Level};
+use mwc_obs::export::json_string;
 use mwc_obs::metrics::{RollingCounter, RollingHistogram, DURATION_NS_BOUNDS};
-use mwc_obs::Value;
-
-use crate::http::json_escape;
 
 /// The request/response trace-ID header.
 pub const REQUEST_ID_HEADER: &str = "x-mwc-request-id";
@@ -246,15 +246,15 @@ impl RequestRecord {
             None => "null",
         };
         format!(
-            "{{\"id\":\"{}\",\"client_id\":{},\"method\":\"{}\",\"path\":\"{}\",\"status\":{},\
+            "{{\"id\":{},\"client_id\":{},\"method\":{},\"path\":{},\"status\":{},\
              \"queue_ns\":{},\"parse_ns\":{},\"decode_ns\":{},\"deadline_check_ns\":{},\
              \"compute_ns\":{},\"serialize_ns\":{},\"phase_sum_ns\":{},\"unattributed_ns\":{},\
              \"total_ns\":{},\"cache_hit\":{},\
              \"queue_depth\":{},\"deadline_remaining_ms\":{},\"panicked\":{},\"shed\":{}}}",
-            json_escape(&self.id),
+            json_string(&self.id),
             self.client_id,
-            json_escape(&self.method),
-            json_escape(&self.path),
+            json_string(&self.method),
+            json_string(&self.path),
             self.status,
             self.queue_ns,
             self.parse_ns,
@@ -282,6 +282,148 @@ impl RequestRecord {
             Level::Warn
         } else {
             Level::Info
+        }
+    }
+}
+
+/// Severity of a request-log line, most severe first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Level {
+    /// The handler panicked.
+    Error,
+    /// The request was shed or answered 5xx.
+    Warn,
+    /// Every other request.
+    Info,
+}
+
+impl Level {
+    /// Parse an `MWC_LOG` value. `debug` and `trace` read as `info`,
+    /// since nothing logs below it; unknown or empty values (and `off`,
+    /// `0`) mean no log and return `None`.
+    pub fn parse(s: &str) -> Option<Level> {
+        match s.trim().to_ascii_lowercase().as_str() {
+            "error" => Some(Level::Error),
+            "warn" | "warning" => Some(Level::Warn),
+            "info" | "debug" | "trace" | "1" | "true" | "on" => Some(Level::Info),
+            _ => None,
+        }
+    }
+
+    /// The lowercase name written in a line's `"level"` field.
+    pub fn name(self) -> &'static str {
+        match self {
+            Level::Error => "error",
+            Level::Warn => "warn",
+            Level::Info => "info",
+        }
+    }
+}
+
+/// Lines an in-memory [`RequestLog`] keeps; older ones are dropped.
+const MEMORY_LINES: usize = 4096;
+
+/// Where a [`RequestLog`]'s lines go.
+#[derive(Debug)]
+enum Sink {
+    /// Standard error.
+    Stderr,
+    /// Appended to a file opened per line; a failed open drops the line.
+    File(PathBuf),
+    /// Kept in memory (the newest [`MEMORY_LINES`]), read back with
+    /// [`RequestLog::lines`].
+    Memory(Mutex<VecDeque<String>>),
+}
+
+/// A server's wide-event request log: one JSON line per request whose
+/// level passes the threshold. The line is the [`RequestRecord::to_json`]
+/// object led by `ts_ms`, `level` and `"event":"request"`:
+///
+/// ```text
+/// {"ts_ms":1723111845123,"level":"info","event":"request","id":"a9f3…",…}
+/// ```
+///
+/// Clones share one sink, so a test keeps a handle to read an in-memory
+/// log back. Each line goes out in one write, so lines from concurrent
+/// workers never interleave.
+#[derive(Debug, Clone)]
+pub struct RequestLog {
+    level: Level,
+    sink: Arc<Sink>,
+}
+
+impl RequestLog {
+    fn with_sink(level: Level, sink: Sink) -> Self {
+        RequestLog {
+            level,
+            sink: Arc::new(sink),
+        }
+    }
+
+    /// Lines at or above `level`, written to standard error.
+    pub fn stderr(level: Level) -> Self {
+        RequestLog::with_sink(level, Sink::Stderr)
+    }
+
+    /// Lines at or above `level`, appended to the file at `path`.
+    pub fn file(level: Level, path: impl Into<PathBuf>) -> Self {
+        RequestLog::with_sink(level, Sink::File(path.into()))
+    }
+
+    /// Lines at or above `level`, kept in memory for [`RequestLog::lines`].
+    pub fn in_memory(level: Level) -> Self {
+        RequestLog::with_sink(level, Sink::Memory(Mutex::new(VecDeque::new())))
+    }
+
+    /// The lines an in-memory log holds, oldest first; empty for the
+    /// other sinks.
+    pub fn lines(&self) -> Vec<String> {
+        match &*self.sink {
+            Sink::Memory(lines) => lines
+                .lock()
+                .expect("request log lock poisoned")
+                .iter()
+                .cloned()
+                .collect(),
+            Sink::Stderr | Sink::File(_) => Vec::new(),
+        }
+    }
+
+    /// Write `record`'s line if its level passes the threshold.
+    fn append(&self, record: &RequestRecord) {
+        let level = record.level();
+        if level > self.level {
+            return;
+        }
+        let ts_ms = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map_or(0, |d| d.as_millis());
+        // The record's own object, reopened after its `{` to lead with
+        // the three log fields.
+        let json = record.to_json();
+        let mut line = format!(
+            "{{\"ts_ms\":{ts_ms},\"level\":\"{}\",\"event\":\"request\",{}",
+            level.name(),
+            &json[1..]
+        );
+        match &*self.sink {
+            Sink::Memory(lines) => {
+                let mut lines = lines.lock().expect("request log lock poisoned");
+                if lines.len() == MEMORY_LINES {
+                    lines.pop_front();
+                }
+                lines.push_back(line);
+            }
+            Sink::Stderr => {
+                line.push('\n');
+                let _ = std::io::stderr().lock().write_all(line.as_bytes());
+            }
+            Sink::File(path) => {
+                line.push('\n');
+                if let Ok(mut f) = OpenOptions::new().create(true).append(true).open(path) {
+                    let _ = f.write_all(line.as_bytes());
+                }
+            }
         }
     }
 }
@@ -328,14 +470,16 @@ impl DebugRing {
     }
 }
 
-/// Per-server telemetry state: the rolling windows, SLO counters and the
-/// optional debug ring. Owned by `ServerState`.
+/// Per-server telemetry state: the rolling windows, SLO counters, the
+/// optional debug ring and the optional request log. Owned by
+/// `ServerState`.
 #[derive(Debug)]
 pub struct Telemetry {
     /// All rolling-window timestamps are measured from this boot epoch.
     epoch: Instant,
     slo: Duration,
     ring: Option<DebugRing>,
+    log: Option<RequestLog>,
     rolling: Mutex<RollingSet>,
     slo_ok: AtomicU64,
     slo_violations: AtomicU64,
@@ -343,8 +487,8 @@ pub struct Telemetry {
 
 impl Telemetry {
     /// Telemetry with the given SLO latency threshold; `ring_capacity`
-    /// 0 disables the debug ring.
-    pub fn new(slo: Duration, ring_capacity: usize) -> Self {
+    /// 0 disables the debug ring, and `log` `None` writes no lines.
+    pub fn new(slo: Duration, ring_capacity: usize, log: Option<RequestLog>) -> Self {
         Telemetry {
             epoch: Instant::now(),
             slo,
@@ -352,6 +496,7 @@ impl Telemetry {
                 capacity: ring_capacity,
                 records: Mutex::new(VecDeque::new()),
             }),
+            log,
             rolling: Mutex::new(RollingSet::new()),
             slo_ok: AtomicU64::new(0),
             slo_violations: AtomicU64::new(0),
@@ -405,41 +550,8 @@ impl Telemetry {
             }
             _ => {}
         }
-        let level = record.level();
-        if log::log_enabled(level) {
-            log::log(
-                level,
-                "request",
-                &[
-                    ("id", Value::from(record.id.as_str())),
-                    ("client_id", Value::from(record.client_id)),
-                    ("method", Value::from(record.method.as_str())),
-                    ("path", Value::from(record.path.as_str())),
-                    ("status", Value::from(u64::from(record.status))),
-                    ("queue_ns", Value::from(record.queue_ns)),
-                    ("parse_ns", Value::from(record.parse_ns)),
-                    ("decode_ns", Value::from(record.decode_ns)),
-                    ("deadline_check_ns", Value::from(record.deadline_check_ns)),
-                    ("compute_ns", Value::from(record.compute_ns)),
-                    ("serialize_ns", Value::from(record.serialize_ns)),
-                    ("unattributed_ns", Value::from(record.unattributed_ns)),
-                    ("total_ns", Value::from(record.total_ns)),
-                    (
-                        "cache_hit",
-                        match record.cache_hit {
-                            Some(h) => Value::from(h),
-                            None => Value::from("none"),
-                        },
-                    ),
-                    ("queue_depth", Value::from(record.queue_depth as u64)),
-                    (
-                        "deadline_remaining_ms",
-                        Value::from(record.deadline_remaining_ms),
-                    ),
-                    ("panicked", Value::from(record.panicked)),
-                    ("shed", Value::from(record.shed)),
-                ],
-            );
+        if let Some(log) = &self.log {
+            log.append(&record);
         }
         if let Some(ring) = &self.ring {
             ring.push(record);
@@ -640,8 +752,84 @@ mod tests {
     }
 
     #[test]
+    fn level_parse_reads_debug_and_trace_as_info() {
+        assert_eq!(Level::parse("info"), Some(Level::Info));
+        assert_eq!(Level::parse("WARN"), Some(Level::Warn));
+        assert_eq!(Level::parse("error"), Some(Level::Error));
+        assert_eq!(Level::parse(" debug "), Some(Level::Info));
+        assert_eq!(Level::parse("trace"), Some(Level::Info));
+        assert_eq!(Level::parse("off"), None);
+        assert_eq!(Level::parse("0"), None);
+        assert_eq!(Level::parse(""), None);
+        assert_eq!(Level::parse("verbose"), None);
+    }
+
+    #[test]
+    fn a_warn_log_keeps_sheds_5xx_and_panics_and_drops_the_rest() {
+        let log = RequestLog::in_memory(Level::Warn);
+        let t = Telemetry::new(Duration::from_millis(500), 0, Some(log.clone()));
+        let mut panicked = record("boom", 500, 1_000);
+        panicked.panicked = true;
+        t.record(record("ok", 200, 1_000));
+        t.record(record("busy", 503, 1_000));
+        t.record(panicked);
+        let lines = log.lines();
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert!(lines[0].contains("\"level\":\"warn\"") && lines[0].contains("\"busy\""));
+        assert!(lines[1].contains("\"level\":\"error\"") && lines[1].contains("\"boom\""));
+    }
+
+    #[test]
+    fn a_log_line_is_the_record_led_by_ts_level_and_event() {
+        let log = RequestLog::in_memory(Level::Info);
+        let mut rec = record("r-1", 200, 100);
+        rec.cache_hit = None;
+        log.append(&rec);
+        let lines = log.lines();
+        assert_eq!(lines.len(), 1);
+        let line = &lines[0];
+        assert!(line.starts_with("{\"ts_ms\":"), "{line}");
+        let keys = |json: &str| match mwc_obs::export::parse_json(json).expect("valid json") {
+            mwc_obs::export::Json::Obj(fields) => {
+                fields.into_iter().map(|(k, _)| k).collect::<Vec<_>>()
+            }
+            other => panic!("not an object: {other:?}"),
+        };
+        let mut want = vec!["ts_ms".to_owned(), "level".to_owned(), "event".to_owned()];
+        want.extend(keys(&rec.to_json()));
+        assert_eq!(keys(line), want);
+        let tail = format!(
+            ",\"level\":\"info\",\"event\":\"request\",{}",
+            &rec.to_json()[1..]
+        );
+        assert!(line.ends_with(&tail), "{line}");
+        assert!(line.contains("\"cache_hit\":null"), "{line}");
+    }
+
+    #[test]
+    fn hostile_ids_methods_and_paths_still_log_json() {
+        let log = RequestLog::in_memory(Level::Info);
+        let mut rec = record("bad\"id\\", 200, 100);
+        rec.method = "PO\nST\u{1}".to_owned();
+        rec.path = "/a\"b\r\tc".to_owned();
+        log.append(&rec);
+        let lines = log.lines();
+        assert_eq!(lines.len(), 1);
+        let line = mwc_obs::export::parse_json(&lines[0]).expect("valid json");
+        assert_eq!(line.get("id").and_then(|v| v.as_str()), Some("bad\"id\\"));
+        assert_eq!(
+            line.get("method").and_then(|v| v.as_str()),
+            Some("PO\nST\u{1}")
+        );
+        assert_eq!(
+            line.get("path").and_then(|v| v.as_str()),
+            Some("/a\"b\r\tc")
+        );
+    }
+
+    #[test]
     fn ring_is_bounded_and_findable_by_id() {
-        let t = Telemetry::new(Duration::from_millis(500), 3);
+        let t = Telemetry::new(Duration::from_millis(500), 3, None);
         assert!(t.ring_enabled());
         for i in 0..5 {
             t.record(record(&format!("id-{i}"), 200, 1_000));
@@ -655,7 +843,7 @@ mod tests {
 
     #[test]
     fn disabled_ring_stores_nothing() {
-        let t = Telemetry::new(Duration::from_millis(500), 0);
+        let t = Telemetry::new(Duration::from_millis(500), 0, None);
         assert!(!t.ring_enabled());
         t.record(record("id-x", 200, 1_000));
         assert!(t.recent(10).is_empty());
@@ -665,7 +853,7 @@ mod tests {
     #[test]
     fn slo_counters_split_ok_from_violations() {
         let slo_ms = 500;
-        let t = Telemetry::new(Duration::from_millis(slo_ms), 0);
+        let t = Telemetry::new(Duration::from_millis(slo_ms), 0, None);
         t.record(record("a", 200, 1_000)); // fast 2xx: ok
         t.record(record("b", 200, slo_ms * 2_000_000)); // slow 2xx: violation
         t.record(record("c", 500, 1_000)); // 5xx: violation
@@ -677,7 +865,7 @@ mod tests {
 
     #[test]
     fn metrics_tail_reports_rolling_and_utilization_lines() {
-        let t = Telemetry::new(Duration::from_millis(500), 4);
+        let t = Telemetry::new(Duration::from_millis(500), 4, None);
         t.record(record("a", 200, 2_000_000));
         t.record(record("b", 503, 1_000_000));
         let tail = t.metrics_tail(3, 16, 2, 4);

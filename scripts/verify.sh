@@ -86,13 +86,14 @@ if [ -n "$left_behind" ]; then
 fi
 rm -rf "$empty_home"
 
-echo "==> races (incremental + observability x20, telemetry + server_robustness x10, release)"
+echo "==> races (incremental + observability + telemetry x20, server_robustness x10, release)"
 # Tests in one binary run concurrently, each study under its own mwc-obs
-# collector or server; a study counted in another test's collector, a
-# response racing its debug-ring record, or a shed racing its client
-# only shows on repetition.
+# collector or server, each server writing its own request log, and no
+# test holding a lock; a study counted in another test's collector, a
+# line in another server's log, a response racing its debug-ring record,
+# or a shed racing its client only shows on repetition.
 race_log="target/verify-race.log"
-for entry in incremental:20 observability:20 telemetry:10 server_robustness:10; do
+for entry in incremental:20 observability:20 telemetry:20 server_robustness:10; do
     suite=${entry%:*}
     runs=${entry#*:}
     run=1
@@ -107,7 +108,7 @@ for entry in incremental:20 observability:20 telemetry:10 server_robustness:10; 
     done
 done
 rm -f "$race_log"
-echo "    60 release runs passed"
+echo "    70 release runs passed"
 
 echo "==> observability neutrality (traced study digest vs the pinned untraced one)"
 # `profile` always collects, so its traced run is compared with the

@@ -1,26 +1,22 @@
 //! End-to-end tests for the request-telemetry layer: trace-ID round
 //! trips through the debug ring, ID echo on every failure status,
-//! rolling `/metrics` and the scope of its registry, wrkr-minted IDs, and
-//! the digest-neutrality guarantee (observability must never change what
-//! the pipeline computes).
+//! rolling `/metrics` and the scope of its registry, wrkr-minted IDs, the
+//! request log each server owns, and the digest-neutrality guarantee
+//! (observability must never change what the pipeline computes).
 
-use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use mwc_core::{to_wire, StudySpec};
 use mwc_obs::export::{parse_json, Json};
-use mwc_obs::log::{self, Level};
 use mwc_obs::Collector;
 use mwc_server::client::{self, ClientResponse};
 use mwc_server::config::ServerConfig;
 use mwc_server::loadgen::{self, LoadOptions};
 use mwc_server::server::Server;
+use mwc_server::telemetry::{Level, RequestLog};
 
 const TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Tests that flip the process-global log state hold this while doing so.
-static LOG_LOCK: Mutex<()> = Mutex::new(());
 
 fn boot(configure: impl FnOnce(&mut ServerConfig)) -> Server {
     let mut cfg = ServerConfig {
@@ -431,18 +427,17 @@ fn logging_and_the_debug_ring_leave_the_study_digest_bit_identical() {
     server.request_shutdown();
     server.join();
 
-    // Everything on: debug-level wide-event logs captured in memory,
-    // debug ring enabled.
-    let _guard = LOG_LOCK.lock().expect("log lock");
-    log::capture_to_memory();
-    log::set_level(Some(Level::Debug));
-    let server = boot(|c| c.debug_ring = 64);
+    // Everything on: this server's own wide-event log, kept in memory,
+    // and the debug ring.
+    let log = RequestLog::in_memory(Level::Info);
+    let server = boot(|c| {
+        c.debug_ring = 64;
+        c.log = Some(log.clone());
+    });
     let addr = server.local_addr().to_string();
     let on = post_study(&addr, &body, &[("x-mwc-request-id", "trace-neutral-1")]);
     server.request_shutdown();
     server.join();
-    log::set_level(None);
-    let captured = log::take_captured();
 
     assert_eq!(on.status, 200);
     assert_eq!(
@@ -450,17 +445,62 @@ fn logging_and_the_debug_ring_leave_the_study_digest_bit_identical() {
         digest_off,
         "telemetry must be digest-neutral"
     );
-    // And the wide event actually fired while logging was on.
-    let wide: Vec<&String> = captured
-        .iter()
-        .filter(|l| l.contains("\"event\":\"request\"") && l.contains("trace-neutral-1"))
-        .collect();
+    // The wide event fired, once, and the log holds nothing else: no
+    // other test's server writes into it.
+    let lines = log.lines();
+    assert_eq!(lines.len(), 1, "one line for one request: {lines:?}");
+    let line = parse_json(&lines[0]).expect("wide event is JSON");
+    assert_eq!(line.get("event").and_then(Json::as_str), Some("request"));
     assert_eq!(
-        wide.len(),
-        1,
-        "one canonical wide event per request: {captured:?}"
+        line.get("id").and_then(Json::as_str),
+        Some("trace-neutral-1")
     );
-    let line = parse_json(wide[0]).expect("wide event is JSON");
     assert_eq!(line.get("status").and_then(Json::as_f64), Some(200.0));
     assert!(line.get("compute_ns").and_then(Json::as_f64).unwrap_or(0.0) > 0.0);
+}
+
+#[test]
+fn each_server_logs_only_its_own_requests() {
+    let logs = [
+        RequestLog::in_memory(Level::Info),
+        RequestLog::in_memory(Level::Info),
+    ];
+    let servers = logs.clone().map(|log| {
+        boot(|c| {
+            c.workers = 1;
+            c.log = Some(log);
+        })
+    });
+    for (i, server) in servers.iter().enumerate() {
+        let addr = server.local_addr().to_string();
+        let id = format!("trace-own-log-{i}");
+        let resp = client::request(
+            &addr,
+            "GET",
+            "/healthz",
+            &[("x-mwc-request-id", id.as_str())],
+            b"",
+            TIMEOUT,
+        )
+        .expect("GET /healthz gets a response");
+        assert_eq!(resp.status, 200);
+    }
+    for server in servers {
+        server.request_shutdown();
+        server.join();
+    }
+    for (i, log) in logs.iter().enumerate() {
+        let ids: Vec<String> = log
+            .lines()
+            .iter()
+            .map(|l| {
+                let line = parse_json(l).expect("log line is JSON");
+                line.get("id")
+                    .and_then(Json::as_str)
+                    .expect("log line has an id")
+                    .to_owned()
+            })
+            .collect();
+        assert_eq!(ids, [format!("trace-own-log-{i}")], "server {i}'s log");
+    }
 }
